@@ -4,7 +4,7 @@ Two lists of binary vectors, one pair planted at a known distance, and a
 recursive bucketing solver that beats the quadratic scan on the parameter
 ranges where theory says it should.  The package splits into:
 
-- ``bitvec``:    packed bit vectors, blocks, permutations, seeded randomness
+- ``bitvec``:    packed bit matrices, blocks, permutations, seeded randomness
 - ``analysis``:  survival probabilities, runtime exponents, parameter choice
 - ``generator``: planted instances and their on-disk format
 - ``solver``:    the bucketing solver plus the exhaustive baseline
@@ -12,20 +12,7 @@ ranges where theory says it should.  The package splits into:
 - ``cli``:       the ``hambucket`` command
 """
 
-from .bitvec import (
-    BitVector,
-    BlockSpec,
-    Permutation,
-    apply_permutation,
-    block_weight,
-    distance,
-    make_rng,
-    random_permutation,
-    random_vector,
-    random_weight_vector,
-    weight,
-    xor,
-)
+from .bitvec import BitVector, BlockSpec, Permutation, make_rng, random_permutation
 from .analysis import (
     DistributionModel,
     ExponentResult,
@@ -57,9 +44,7 @@ from .solver import (
     bucket_accept,
     deviation,
     naive_search,
-    partition_in_place,
     solve,
-    survival_rate_probe,
 )
 
 __version__ = "0.1.0"

@@ -15,15 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .solver import EXACT, SolverParams, Strategy, bucket_accept
+from .solver import EXACT, SolverParams, Strategy, bucket_accept, round_nearest
 
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
-
-
-def round_nearest(x: float) -> int:
-    """Round to the nearest integer, halves away from zero-ward (floor(x+1/2))."""
-    return int(math.floor(x + 0.5))
 
 
 def round_even(x: float) -> int:
@@ -236,9 +231,12 @@ class ExponentResult:
 
 
 def delta_gamma_star(lam: float) -> tuple[float, float]:
-    """(delta_star, gamma_star) = (Hinv(1 - lambda), 2 d*(1 - d*))."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda outside (0, 1]: {lam}")
+    """(delta_star, gamma_star) = (Hinv(1 - lambda), 2 d*(1 - d*)).
+
+    lambda = 0 (lists of one vector) gives delta_star = gamma_star = 1/2.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda outside [0, 1]: {lam}")
     ds = inverse_entropy(1.0 - lam)
     return ds, 2.0 * ds * (1.0 - ds)
 
@@ -281,8 +279,8 @@ def expected_pairs_exponent(lam: float, gamma: float) -> float:
     """log2 E[#cross pairs at distance gamma d] / d, clamped at zero."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma outside [0, 1]: {gamma}")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda outside (0, 1]: {lam}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda outside [0, 1]: {lam}")
     return max(0.0, 2.0 * lam + binary_entropy(gamma) - 1.0)
 
 
@@ -425,8 +423,8 @@ def epsilon_distribution(lam: float, delta: float, model: DistributionModel) -> 
     can be non-convex, so the minimum is seeded on a 10^3 grid and refined
     locally by golden section.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda outside (0, 1]: {lam}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda outside [0, 1]: {lam}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta outside [0, 1/2]: {delta}")
     eta_max = min(1.0, 2.0 * delta)
@@ -536,8 +534,8 @@ def choose_params(
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda outside (0, 1]: {lam}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda outside [0, 1]: {lam}")
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
     ds, gs = delta_gamma_star(lam)

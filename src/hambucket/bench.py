@@ -18,10 +18,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .analysis import DistributionModel, choose_params, round_nearest
+from .analysis import DistributionModel, choose_params
 from .bitvec import derive_seed, make_rng
 from .generator import gen_instance
-from .solver import Strategy, naive_count, solve
+from .solver import Strategy, naive_count, round_nearest, solve
 
 CSV_HEADER = "d,n,gamma,strategy,depth,branching,trial,seed,solver_ns,naive_ns,found,pairs"
 
@@ -96,12 +96,11 @@ def _run_trial(task) -> BenchRecord:
 def worker_count() -> int:
     """Parallelism from CP_THREADS, defaulting to the CPU count."""
     env = os.environ.get("CP_THREADS", "").strip()
-    if env:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"CP_THREADS must be positive, got {count}")
-        return count
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"CP_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def run_bench(

@@ -5,9 +5,8 @@ of word (j-1) // 64, i.e. LSB-first inside little-endian uint64 words.
 Unused bits of the last word are always zero, so word tuples compare and
 hash canonically.
 
-Scalar operations go through Python big ints (exact, no overflow anywhere);
-the batch helpers at the bottom keep whole lists as (n, words) uint64
-matrices for the solver's hot loops.
+Lists live as (n, words) uint64 matrices; BitVector is the scalar row view
+that Instance.list1/list2 hand out to callers who want one row at a time.
 """
 
 from __future__ import annotations
@@ -111,33 +110,8 @@ class BitVector:
             value >>= low.bit_length()
         return tuple(out)
 
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        return xor(self, other)
-
     def __str__(self) -> str:
         return "".join(str(self.coord(j)) for j in range(1, self.dim + 1))
-
-
-def weight(v: BitVector) -> int:
-    """Hamming weight of v."""
-    return sum(w.bit_count() for w in v.words)
-
-
-def xor(v: BitVector, w: BitVector) -> BitVector:
-    if v.dim != w.dim:
-        raise ValueError("dimension mismatch")
-    return BitVector(v.dim, tuple(a ^ b for a, b in zip(v.words, w.words)))
-
-
-def distance(v: BitVector, w: BitVector) -> int:
-    """Hamming distance wt(v + w)."""
-    if v.dim != w.dim:
-        raise ValueError("dimension mismatch")
-    return sum((a ^ b).bit_count() for a, b in zip(v.words, w.words))
-
-
-def complement(v: BitVector) -> BitVector:
-    return BitVector.from_int(v.dim, v.to_int() ^ _dim_mask(v.dim))
 
 
 @dataclass(frozen=True)
@@ -175,22 +149,6 @@ class BlockSpec:
             raise ValueError(f"block index {i} outside [1, {self.r}]")
 
 
-def block_project(v: BitVector, spec: BlockSpec, i: int) -> BitVector:
-    """Block i of v as a block-local vector of the block's width."""
-    if v.dim != spec.dim:
-        raise ValueError("dimension mismatch")
-    start, stop = spec.bounds(i)
-    return BitVector.from_int(stop - start, (v.to_int() >> start) & _dim_mask(stop - start))
-
-
-def block_weight(v: BitVector, z: BitVector, spec: BlockSpec, i: int) -> int:
-    """wt(block_i(v) + z) for a block-local z of matching width."""
-    blk = block_project(v, spec, i)
-    if z.dim != blk.dim:
-        raise ValueError(f"z must have the block width {blk.dim}, got {z.dim}")
-    return distance(blk, z)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on coordinates; map[j-1] is the image of coordinate j."""
@@ -216,16 +174,6 @@ class Permutation:
         return Permutation(self.dim, tuple(inv))
 
 
-def apply_permutation(v: BitVector, perm: Permutation) -> BitVector:
-    """Vector whose coordinate perm.map[j-1] equals coordinate j of v."""
-    if v.dim != perm.dim:
-        raise ValueError("dimension mismatch")
-    value = 0
-    for j in v.support():
-        value |= 1 << (perm.map[j - 1] - 1)
-    return BitVector.from_int(v.dim, value)
-
-
 # --- seeded randomness -----------------------------------------------------
 #
 # Philox is counter-based, so independent streams are cheap and every draw
@@ -238,30 +186,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators derived from one seed."""
-    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 def derive_seed(*parts: int) -> int:
     """Stable 64-bit seed from a tuple of integers."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
-def random_vector(rng: np.random.Generator, dim: int) -> BitVector:
-    """Uniform element of F_2^dim."""
-    _check_dim(dim)
-    words = rng.integers(0, 1 << WORD_BITS, size=n_words(dim), dtype=np.uint64)
-    return BitVector(dim, tuple(int(w) for w in mask_pad(words.reshape(1, -1), dim)[0]))
-
-
-def random_weight_vector(rng: np.random.Generator, dim: int, w: int) -> BitVector:
-    """Uniform vector on the weight-w sphere (truncated Fisher-Yates support)."""
-    _check_dim(dim)
-    if not 0 <= w <= dim:
-        raise ValueError(f"weight must be in [0, {dim}], got {w}")
-    support = rng.permutation(dim)[:w]
-    return BitVector.from_coords(dim, (int(j) + 1 for j in support))
 
 
 def random_permutation(rng: np.random.Generator, dim: int) -> Permutation:
@@ -290,9 +217,6 @@ def pack_rows(vectors: Sequence[BitVector]) -> np.ndarray:
     if any(v.dim != dim for v in vectors):
         raise ValueError("mixed dimensions")
     return np.array([v.words for v in vectors], dtype=np.uint64)
-
-def unpack_row(dim: int, row: np.ndarray) -> BitVector:
-    return BitVector(dim, tuple(int(w) for w in row))
 
 
 def rows_to_vectors(dim: int, mat: np.ndarray) -> tuple[BitVector, ...]:

@@ -15,26 +15,25 @@ the dimension must be zero; readers reject files that violate this.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Optional
 
 import numpy as np
 
-from .analysis import DistributionModel, round_nearest
+from .analysis import DistributionModel
 from .bitvec import (
     BitVector,
-    distance,
     make_rng,
     mask_pad,
     n_words,
     pack_bit_matrix,
-    pack_rows,
     rows_to_vectors,
     MAX_DIM,
     WORD_BITS,
 )
+from .solver import round_nearest
 
 _MAGIC = "CPINST"
 _VERSION = "1"
@@ -45,38 +44,74 @@ class InstanceParseError(ValueError):
     """Raised when an instance file is malformed; messages carry line numbers."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """Two lists of n vectors in F_2^d with an optional tracked pair."""
+    """Two lists of n vectors in F_2^d with an optional tracked pair.
+
+    mat1 and mat2 hold the lists as read-only (n, n_words(d)) uint64
+    matrices, one packed row per element; list1 and list2 give the same rows
+    as BitVectors for scalar callers.
+    """
 
     d: int
     n: int
     gamma_count: int
-    list1: tuple[BitVector, ...]
-    list2: tuple[BitVector, ...]
+    mat1: np.ndarray
+    mat2: np.ndarray
     planted: Optional[tuple[int, int]]
     model: DistributionModel
     seed: int
 
     def __post_init__(self):
+        if not 1 <= self.d <= MAX_DIM:
+            raise ValueError(f"d outside [1, {MAX_DIM}]: {self.d}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 0 <= self.gamma_count <= self.d:
             raise ValueError(f"gamma_count outside [0, {self.d}]: {self.gamma_count}")
-        if len(self.list1) != self.n or len(self.list2) != self.n:
-            raise ValueError("list lengths must equal n")
-        for v in (*self.list1, *self.list2):
-            if v.dim != self.d:
-                raise ValueError("vector dimension mismatch")
+        shape = (self.n, n_words(self.d))
+        pad = self.d % WORD_BITS
+        for name in ("mat1", "mat2"):
+            mat = getattr(self, name)
+            if not isinstance(mat, np.ndarray) or mat.dtype != np.uint64 or mat.shape != shape:
+                raise ValueError(f"{name} must be a uint64 matrix of shape {shape}")
+            # an owned copy, so no caller can change rows after the checks below
+            mat = np.array(mat, order="C", copy=True)
+            if pad and (mat[:, -1] >> np.uint64(pad)).any():
+                raise ValueError(f"{name}: padding bits beyond the dimension must be zero")
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
         if self.planted is not None:
             i, j = self.planted
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"planted indices ({i}, {j}) outside [0, {self.n})")
-            got = distance(self.list1[i], self.list2[j])
+            got = int(np.bitwise_count(self.mat1[i] ^ self.mat2[j]).sum())
             if got != self.gamma_count:
                 raise ValueError(
                     f"planted pair is at distance {got}, expected gamma_count={self.gamma_count}"
                 )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        head = (self.d, self.n, self.gamma_count, self.planted, self.model, self.seed)
+        return (
+            head == (other.d, other.n, other.gamma_count, other.planted, other.model, other.seed)
+            and np.array_equal(self.mat1, other.mat1)
+            and np.array_equal(self.mat2, other.mat2)
+        )
+
+    def __hash__(self) -> int:
+        # equal instances share the header, so hashing it alone keeps the contract
+        return hash((self.d, self.n, self.gamma_count, self.planted, self.model, self.seed))
+
+    @cached_property
+    def list1(self) -> tuple[BitVector, ...]:
+        return rows_to_vectors(self.d, self.mat1)
+
+    @cached_property
+    def list2(self) -> tuple[BitVector, ...]:
+        return rows_to_vectors(self.d, self.mat2)
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -156,8 +191,8 @@ def gen_instance(d: int, n: int, gamma_count: int, model: DistributionModel, see
         d=d,
         n=n,
         gamma_count=gamma_count,
-        list1=rows_to_vectors(d, mat1),
-        list2=rows_to_vectors(d, mat2),
+        mat1=mat1,
+        mat2=mat2,
         planted=(i, j),
         model=model,
         seed=seed,
@@ -167,12 +202,17 @@ def gen_instance(d: int, n: int, gamma_count: int, model: DistributionModel, see
 # --- serialization -----------------------------------------------------------
 
 
-def _hex_rows(vectors) -> list[str]:
-    mat = pack_rows(vectors)
-    digits = (vectors[0].dim + 3) // 4
+_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _hex_block(mat: np.ndarray, d: int) -> str:
+    """One LF-terminated line of ceil(d/4) hex digits per row; digit t is nibble t."""
     u8 = mat.view(np.uint8)
-    swapped = ((u8 & 0x0F) << 4) | (u8 >> 4)  # low nibble first in the hex text
-    return [bytes(row).hex()[:digits] for row in swapped]
+    nibbles = np.stack([u8 & 0x0F, u8 >> 4], axis=2).reshape(len(mat), -1)[:, : (d + 3) // 4]
+    text = np.empty((len(mat), nibbles.shape[1] + 1), dtype=np.uint8)
+    text[:, :-1] = _HEX_CHARS[nibbles]
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def write_instance(inst: Instance, destination: str | Path | IO[str]) -> None:
@@ -182,8 +222,7 @@ def write_instance(inst: Instance, destination: str | Path | IO[str]) -> None:
         f"{_MAGIC} {_VERSION} d={inst.d} n={inst.n} gamma={inst.gamma_count} "
         f"planted={planted} model={inst.model.token()} seed={inst.seed}"
     )
-    lines = [header, *_hex_rows(inst.list1), "", *_hex_rows(inst.list2)]
-    text = "\n".join(lines) + "\n"
+    text = f"{header}\n{_hex_block(inst.mat1, inst.d)}\n{_hex_block(inst.mat2, inst.d)}"
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -234,24 +273,28 @@ def _parse_header(line: str) -> dict:
     return out
 
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+_HEX_VALUE = np.full(256, 0xFF, dtype=np.uint8)  # ASCII code -> nibble, 0xFF if not a hex digit
+_HEX_VALUE[_HEX_CHARS] = np.arange(16, dtype=np.uint8)
 
 
 def _parse_rows(lines: list[str], first_line_no: int, n: int, d: int) -> np.ndarray:
     digits = (d + 3) // 4
-    raw = np.zeros((n, n_words(d) * 8), dtype=np.uint8)
-    for row, line in enumerate(lines):
-        line_no = first_line_no + row
-        if len(line) != digits:
-            raise InstanceParseError(
-                f"line {line_no}: expected {digits} hex digits, got {len(line)}"
-            )
-        if not set(line) <= _HEX_DIGITS:
-            raise InstanceParseError(f"line {line_no}: non-hex payload {line!r}")
-        b = bytes.fromhex(line if len(line) % 2 == 0 else line + "0")
-        raw[row, : len(b)] = np.frombuffer(b, dtype=np.uint8)
-    swapped = ((raw & 0x0F) << 4) | (raw >> 4)
-    mat = swapped.view(np.uint64)
+    # rows before the first one of wrong length are checked for hex digits
+    # first, so the error names the first bad line whatever its fault
+    short = next((row for row, line in enumerate(lines) if len(line) != digits), n)
+    nibbles = _HEX_VALUE[np.frombuffer("".join(lines[:short]).encode("ascii"), dtype=np.uint8)]
+    nibbles = nibbles.reshape(short, digits)
+    bad = (nibbles == 0xFF).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InstanceParseError(f"line {first_line_no + row}: non-hex payload {lines[row]!r}")
+    if short < n:
+        raise InstanceParseError(
+            f"line {first_line_no + short}: expected {digits} hex digits, got {len(lines[short])}"
+        )
+    full = np.zeros((n, n_words(d) * 16), dtype=np.uint8)
+    full[:, :digits] = nibbles
+    mat = (full[:, 0::2] | (full[:, 1::2] << 4)).view(np.uint64)
     pad = d % WORD_BITS
     if pad:
         bad = mat[:, -1] >> np.uint64(pad)
@@ -266,10 +309,15 @@ def _parse_rows(lines: list[str], first_line_no: int, n: int, d: int) -> np.ndar
 def read_instance(source: str | Path | IO[str]) -> Instance:
     """Parse an instance file; raises InstanceParseError with the offending line."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
+        # latin-1 decodes every byte, so a stray one is reported below with its line
+        with open(source, "r", encoding="latin-1") as fh:
             text = fh.read()
     else:
         text = source.read()
+    if not text.isascii():
+        pos = next(k for k, ch in enumerate(text) if not ch.isascii())
+        line_no = text.count("\n", 0, pos) + 1
+        raise InstanceParseError(f"line {line_no}: non-ASCII character {ord(text[pos]):#04x}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -293,8 +341,8 @@ def read_instance(source: str | Path | IO[str]) -> Instance:
             d=d,
             n=n,
             gamma_count=head["gamma"],
-            list1=rows_to_vectors(d, mat1),
-            list2=rows_to_vectors(d, mat2),
+            mat1=mat1,
+            mat2=mat2,
             planted=head["planted"],
             model=head["model"],
             seed=head["seed"],

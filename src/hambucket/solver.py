@@ -9,10 +9,7 @@ output never contains a false positive.
 
 Candidate filtering is vectorized: each node evaluates the bucket criterion
 for a whole batch of z draws in a few numpy passes over the current
-sublists, then materializes per-child index subsets.  The standalone
-partition_in_place() below is the single-z equivalent that rearranges a
-working range in place; the tree walk produces the same children in the
-same order, just without serializing one numpy dispatch per z.
+sublists, then materializes per-child index subsets.
 """
 
 from __future__ import annotations
@@ -20,17 +17,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .bitvec import (
-    BitVector,
     BlockSpec,
     align_block_zs,
     block_weights_batch,
     draw_block_zs,
-    pack_rows,
+    pack_rows,  # unused; perfbench/spans.py looks it up on this module by name
     permute_columns,
     random_permutation,
 )
@@ -38,7 +34,12 @@ from .bitvec import (
 _ELEM_BUDGET = 1 << 22  # uint64 elements per vectorized slab
 
 
-def _round_nearest(x: float) -> int:
+def round_nearest(x: float) -> int:
+    """Round to the nearest integer, halves upward (floor(x + 1/2)).
+
+    The one rounding rule for delta * k: the solver's level targets and the
+    analysis' survival counts must agree on it.
+    """
     return int(math.floor(x + 0.5))
 
 
@@ -167,7 +168,7 @@ def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    _, pairs = _scan_pairs(pack_rows(inst.list1), pack_rows(inst.list2), g, True)
+    _, pairs = _scan_pairs(inst.mat1, inst.mat2, g, True)
     return [MatchPair(i, j, g) for i, j in pairs]
 
 
@@ -176,40 +177,8 @@ def naive_count(inst, gamma_count: int | None = None) -> int:
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    total, _ = _scan_pairs(pack_rows(inst.list1), pack_rows(inst.list2), g, False)
+    total, _ = _scan_pairs(inst.mat1, inst.mat2, g, False)
     return total
-
-
-def partition_in_place(
-    data: np.ndarray,
-    order: np.ndarray,
-    lo: int,
-    hi: int,
-    z,
-    spec: BlockSpec,
-    block_index: int,
-    delta_count: int,
-    strategy: Strategy,
-) -> int:
-    """Stably rearrange order[lo:hi] so accepted rows form a prefix.
-
-    data is a packed (n, words) matrix; order holds row indices into it.
-    z is the block-local bucket center (a BitVector of the block's width,
-    or its word array).  Returns mid with order[lo:mid] accepted; the
-    multiset of order[lo:hi] is unchanged.
-    """
-    if isinstance(z, BitVector):
-        if z.dim != spec.width(block_index):
-            raise ValueError(f"z width {z.dim} != block width {spec.width(block_index)}")
-        z = np.array(z.words, dtype=np.uint64)
-    seg = order[lo:hi]
-    if seg.size == 0:
-        return lo
-    aligned, w0, w1, mask = align_block_zs(z.reshape(1, -1), spec, block_index)
-    weights = block_weights_batch(data[seg, w0:w1] & mask, aligned)[:, 0]
-    acc = _accept_mask(weights, delta_count, strategy)
-    order[lo:hi] = np.concatenate([seg[acc], seg[~acc]])
-    return lo + int(acc.sum())
 
 
 def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
@@ -222,11 +191,10 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     """
     t_start = time.perf_counter()
     d, gamma = inst.d, inst.gamma_count
-    base_a = pack_rows(inst.list1)
-    base_b = pack_rows(inst.list2)
+    base_a, base_b = inst.mat1, inst.mat2
     spec = BlockSpec(d, params.depth)
     level_target = [
-        _round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
+        round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
     ]
 
     found: set[tuple[int, int]] = set()
@@ -309,34 +277,3 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         planted_found=planted_found,
     )
 
-
-def survival_rate_probe(
-    inst, params: SolverParams, rng: np.random.Generator, trials: int
-) -> float:
-    """Empirical probability that the planted pair survives one exact z draw.
-
-    Uses the first block of the parameter's block layout and the exact
-    acceptance rule, the setting the closed-form survival probability
-    describes.
-    """
-    if inst.planted is None:
-        raise ValueError("survival probe needs an instance with a planted pair")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    spec = BlockSpec(inst.d, params.depth)
-    width = spec.width(1)
-    target = _round_nearest(params.delta * width)
-    i, j = inst.planted
-    rows = pack_rows([inst.list1[i], inst.list2[j]])
-
-    hits = 0
-    remaining = trials
-    batch = max(1, _ELEM_BUDGET // max(1, 2 * spec.dim // 64 + 2))
-    while remaining:
-        count = min(remaining, batch)
-        zs = draw_block_zs(rng, count, width)
-        aligned, w0, w1, mask = align_block_zs(zs, spec, 1)
-        weights = block_weights_batch(rows[:, w0:w1] & mask, aligned)
-        hits += int(((weights[0] == target) & (weights[1] == target)).sum())
-        remaining -= count
-    return hits / trials

@@ -32,8 +32,8 @@ from hambucket.solver import (
     naive_count,
     naive_search,
     solve,
-    survival_rate_probe,
 )
+from oracle import survival_rate_probe
 
 UNIFORM = DistributionModel.uniform()
 

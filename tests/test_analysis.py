@@ -21,12 +21,11 @@ from hambucket.analysis import (
     pair_survival_count,
     pair_survival_prob_q,
     round_even,
-    round_nearest,
     strategy_survival_count,
     theta_distribution,
     theta_uniform,
 )
-from hambucket.solver import AT_MOST, EXACT, Strategy, deviation
+from hambucket.solver import AT_MOST, EXACT, Strategy, deviation, round_nearest
 
 UNIFORM = DistributionModel.uniform()
 
@@ -300,7 +299,24 @@ def test_choose_params_infeasible_delta_raises():
 def test_choose_params_validates_inputs():
     with pytest.raises(ValueError):
         choose_params(0, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        choose_params(64, 0.0, 0.1)
+    # lambda = 0 is a list of one vector and is valid; outside [0, 1] is not
+    for lam in (-0.01, 1.01):
+        with pytest.raises(ValueError):
+            choose_params(64, lam, 0.1)
     with pytest.raises(ValueError):
         choose_params(64, 0.2, 0.6)
+
+
+def test_single_vector_lists_are_in_the_domain():
+    """lambda = 0 (n = 1) is accepted everywhere lambda is."""
+    assert delta_gamma_star(0.0) == (0.5, 0.5)
+    params = choose_params(64, 0.0, 0.0)
+    assert params.naive_threshold >= 1  # one row per list goes straight to the leaf scan
+    assert expected_pairs_exponent(0.0, 0.1) == 0.0
+    assert lower_bound_exponent(0.0, 0.1) == 0.0
+    assert theta_uniform(0.0, 0.1).theta >= 0.0
+    assert theta_distribution(0.0, 0.1, DistributionModel.fixed_weight(0.3)).theta >= 0.0
+    for fn in (delta_gamma_star, lambda lam: expected_pairs_exponent(lam, 0.1),
+               lambda lam: epsilon_distribution(lam, 0.2, UNIFORM)):
+        with pytest.raises(ValueError):
+            fn(-0.01)

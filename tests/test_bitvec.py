@@ -8,13 +8,8 @@ from hambucket.bitvec import (
     BlockSpec,
     Permutation,
     align_block_zs,
-    apply_permutation,
-    block_project,
-    block_weight,
     block_weights_batch,
-    complement,
     derive_seed,
-    distance,
     draw_block_zs,
     make_rng,
     mask_pad,
@@ -23,11 +18,18 @@ from hambucket.bitvec import (
     pack_rows,
     permute_columns,
     random_permutation,
-    random_vector,
-    random_weight_vector,
     row_weights,
     rows_to_vectors,
     unpack_bit_matrix,
+)
+from oracle import (
+    apply_permutation,
+    block_project,
+    block_weight,
+    complement,
+    distance,
+    random_vector,
+    random_weight_vector,
     unpack_row,
     weight,
     xor,

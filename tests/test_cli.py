@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -96,6 +97,32 @@ def test_bad_input_file_exits_2(tmp_path):
     r = run_cli("solve", "--in", str(bad))
     assert r.returncode == 2
     assert "error:" in r.stderr
+
+
+def test_solve_single_vector_lists(tmp_path):
+    path = tmp_path / "one.cpinst"
+    r = run_cli("gen", "--d", "64", "--n", "1", "--gamma", "0", "--out", str(path))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("solve", "--in", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "0 0 0"
+    assert "matches=1 nodes=1 comparisons=1 " in r.stdout
+    assert "planted_found=true" in r.stdout
+
+
+def test_non_ascii_instance_exits_2_naming_the_line(tmp_path):
+    bad = tmp_path / "bad.cpinst"
+    bad.write_bytes(b"CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0\nf0\n\n\xffa\n")
+    r = run_cli("solve", "--in", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.strip() == "error: line 4: non-ASCII character 0xff"
+
+
+def test_bad_cp_threads_exits_2():
+    env = {**os.environ, "CP_THREADS": "abc"}
+    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", "0.125", "--trials", "1", env=env)
+    assert r.returncode == 2
+    assert r.stderr.strip() == "error: CP_THREADS must be a positive integer, got 'abc'"
 
 
 def test_missing_file_exits_2(tmp_path):

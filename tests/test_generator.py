@@ -1,11 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hambucket.analysis import DistributionModel
-from hambucket.bitvec import BitVector, distance, weight
+from hambucket.bitvec import BitVector, pack_rows
 from hambucket.generator import (
     Instance,
     InstanceParseError,
@@ -13,6 +14,7 @@ from hambucket.generator import (
     read_instance,
     write_instance,
 )
+from oracle import distance, hex_row, weight
 
 UNIFORM = DistributionModel.uniform()
 
@@ -41,7 +43,7 @@ def test_planted_pair_at_exact_distance(d, n, data, model):
 def test_generation_is_deterministic():
     a = gen_instance(64, 1024, 16, UNIFORM, seed=42)
     b = gen_instance(64, 1024, 16, UNIFORM, seed=42)
-    assert a == b
+    assert (a == b) is True
     buf_a, buf_b = io.StringIO(), io.StringIO()
     write_instance(a, buf_a)
     write_instance(b, buf_b)
@@ -72,20 +74,51 @@ def test_uniform_mean_distance_concentrates():
 
 
 def test_instance_validates_planted_distance():
-    v = BitVector.from_coords(8, [1])
-    w = BitVector.from_coords(8, [1, 2])
+    v = pack_rows([BitVector.from_coords(8, [1])])
+    w = pack_rows([BitVector.from_coords(8, [1, 2])])
     with pytest.raises(ValueError):
-        Instance(8, 1, 3, (v,), (w,), (0, 0), UNIFORM, 0)
+        Instance(8, 1, 3, v, w, (0, 0), UNIFORM, 0)
 
 
 def test_instance_validates_shapes():
-    v = BitVector.zeros(8)
+    v = pack_rows([BitVector.zeros(8)])
+    vv = pack_rows([BitVector.zeros(8)] * 2)
     with pytest.raises(ValueError):
-        Instance(8, 2, 0, (v,), (v, v), (0, 0), UNIFORM, 0)
+        Instance(8, 2, 0, v, vv, (0, 0), UNIFORM, 0)
     with pytest.raises(ValueError):
-        Instance(8, 1, 9, (v,), (v,), None, UNIFORM, 0)
+        Instance(8, 1, 9, v, v, None, UNIFORM, 0)
     with pytest.raises(ValueError):
-        Instance(8, 1, 0, (v,), (v,), (0, 1), UNIFORM, 0)
+        Instance(8, 1, 0, v, v, (0, 1), UNIFORM, 0)
+    with pytest.raises(ValueError, match="uint64"):
+        Instance(8, 1, 0, v.astype(np.int64), v, None, UNIFORM, 0)
+    with pytest.raises(ValueError, match="uint64"):
+        Instance(8, 1, 0, v[0], v, None, UNIFORM, 0)
+    with pytest.raises(ValueError, match="padding"):
+        Instance(8, 1, 0, v | np.uint64(1 << 8), v, None, UNIFORM, 0)
+
+
+def test_matrices_are_read_only_and_match_row_view():
+    inst = gen_instance(70, 6, 5, UNIFORM, seed=12)
+    for mat, rows in ((inst.mat1, inst.list1), (inst.mat2, inst.list2)):
+        assert mat.shape == (6, 2) and not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1
+        assert np.array_equal(pack_rows(rows), mat)
+    assert inst.list1 is inst.list1  # built once
+
+
+def test_instance_owns_its_matrices():
+    v = np.array([[0x0F]], dtype=np.uint64)
+    inst = Instance(8, 1, 0, v, v.copy(), (0, 0), UNIFORM, 0)
+    v[0, 0] = 0xFF  # the caller's buffer stays writable but is not shared
+    assert inst.mat1[0, 0] == 0x0F
+
+
+def test_instance_is_hashable_consistently_with_eq():
+    a = gen_instance(40, 8, 3, UNIFORM, seed=5)
+    b = gen_instance(40, 8, 3, UNIFORM, seed=5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, gen_instance(40, 8, 3, UNIFORM, seed=6)}) == 2
 
 
 # --- serialization ------------------------------------------------------------
@@ -117,6 +150,17 @@ def test_roundtrip_through_text(d, n, seed, model):
     write_instance(inst, buf)
     back = read_instance(io.StringIO(buf.getvalue()))
     assert back == inst
+
+
+@given(st.integers(1, 130), st.integers(1, 6), st.integers(0, 2**32), models)
+@settings(max_examples=40)
+def test_written_rows_match_scalar_hex(d, n, seed, model):
+    inst = gen_instance(d, n, min(2, d), model, seed=seed)
+    buf = io.StringIO()
+    write_instance(inst, buf)
+    lines = buf.getvalue().split("\n")
+    assert lines[1 : 1 + n] == [hex_row(v) for v in inst.list1]
+    assert lines[2 + n : 2 + 2 * n] == [hex_row(v) for v in inst.list2]
 
 
 def test_roundtrip_through_path(tmp_path):
@@ -160,3 +204,22 @@ def test_parse_errors_carry_line_numbers():
     text = "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0\nf0\n\nzz\n"
     with pytest.raises(InstanceParseError, match="line 4"):
         read_instance(io.StringIO(text))
+
+
+def test_parse_error_names_the_first_bad_line():
+    head = "CPINST 1 d=8 n=3 gamma=0 planted=none model=uniform seed=0\n"
+    hex_then_len = head + "00\nzz\n000\n\n00\n00\n00\n"
+    with pytest.raises(InstanceParseError, match="line 3: non-hex"):
+        read_instance(io.StringIO(hex_then_len))
+    len_then_hex = head + "000\nzz\n00\n\n00\n00\n00\n"
+    with pytest.raises(InstanceParseError, match="line 2: expected 2 hex digits"):
+        read_instance(io.StringIO(len_then_hex))
+
+
+def test_non_ascii_file_names_the_line(tmp_path):
+    p = tmp_path / "bad.cpinst"
+    p.write_bytes(HAND_WRITTEN.encode("ascii").replace(b"aa", b"a\xff"))
+    with pytest.raises(InstanceParseError, match=r"line 4: non-ASCII character 0xff"):
+        read_instance(p)
+    with pytest.raises(InstanceParseError, match="line 1: non-ASCII"):
+        read_instance(io.StringIO(HAND_WRITTEN.replace("uniform", "unif\u00f6rm")))

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hambucket.analysis import DistributionModel, choose_params, pair_survival_count
-from hambucket.bitvec import (
-    BitVector,
-    BlockSpec,
-    block_weight,
-    make_rng,
-    pack_rows,
-    random_vector,
-)
-from hambucket.generator import Instance, gen_instance
+from hambucket import bitvec
+from hambucket.bitvec import BitVector, BlockSpec, make_rng, pack_rows
+from hambucket.generator import Instance, gen_instance, read_instance, write_instance
 from hambucket.solver import (
     AT_MOST,
     EXACT,
@@ -25,17 +19,16 @@ from hambucket.solver import (
     deviation,
     naive_count,
     naive_search,
-    partition_in_place,
     solve,
-    survival_rate_probe,
 )
+from oracle import block_weight, partition_in_place, random_vector, survival_rate_probe
 
 UNIFORM = DistributionModel.uniform()
 
 
 def tiny_instance():
-    l1 = (BitVector.from_bits([0, 0, 0]), BitVector.from_bits([0, 1, 1]))
-    l2 = (BitVector.from_bits([0, 0, 1]), BitVector.from_bits([1, 1, 1]))
+    l1 = pack_rows([BitVector.from_bits([0, 0, 0]), BitVector.from_bits([0, 1, 1])])
+    l2 = pack_rows([BitVector.from_bits([0, 0, 1]), BitVector.from_bits([1, 1, 1])])
     return Instance(3, 2, 1, l1, l2, (0, 0), UNIFORM, 0)
 
 
@@ -52,7 +45,7 @@ def test_naive_search_distance_override():
 
 def test_naive_identical_lists_have_diagonal():
     rng = make_rng(5)
-    vs = tuple(random_vector(rng, 16) for _ in range(20))
+    vs = pack_rows([random_vector(rng, 16) for _ in range(20)])
     inst = Instance(16, 20, 0, vs, vs, None, UNIFORM, 0)
     got = naive_search(inst)
     assert {(m.i, m.j) for m in got} >= {(i, i) for i in range(20)}
@@ -208,8 +201,8 @@ def test_report_counters():
 
 def test_planted_flag_absent_without_plant():
     rng = make_rng(14)
-    vs1 = tuple(random_vector(rng, 16) for _ in range(8))
-    vs2 = tuple(random_vector(rng, 16) for _ in range(8))
+    vs1 = pack_rows([random_vector(rng, 16) for _ in range(8)])
+    vs2 = pack_rows([random_vector(rng, 16) for _ in range(8)])
     inst = Instance(16, 8, 4, vs1, vs2, None, UNIFORM, 0)
     rep = solve(inst, all_params(), make_rng(0))
     assert rep.planted_found is None
@@ -237,7 +230,27 @@ def test_probe_infeasible_split_is_zero():
 
 
 def test_probe_requires_planted_pair():
-    v = BitVector.zeros(8)
-    inst = Instance(8, 1, 0, (v,), (v,), None, UNIFORM, 0)
+    v = pack_rows([BitVector.zeros(8)])
+    inst = Instance(8, 1, 0, v, v, None, UNIFORM, 0)
     with pytest.raises(ValueError):
         survival_rate_probe(inst, all_params(), make_rng(0), 10)
+
+
+def test_pipeline_builds_no_bitvector(tmp_path, monkeypatch):
+    """gen, write, read, solve and the naive count all stay on the packed matrices."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BitVector constructed")
+
+    monkeypatch.setattr(bitvec.BitVector, "__init__", refuse)
+    inst = gen_instance(96, 300, 10, DistributionModel.fixed_weight(0.3), seed=5)
+    path = tmp_path / "inst.cpinst"
+    write_instance(inst, path)
+    back = read_instance(path)
+    assert back == inst
+    params = choose_params(96, math.log2(300) / 96, 10 / 96, strategy=deviation(1))
+    rep = solve(back, params, make_rng(1))
+    assert {(m.i, m.j) for m in rep.matches} <= {(m.i, m.j) for m in naive_search(back)}
+    assert naive_count(back) >= 1
+    with pytest.raises(AssertionError, match="BitVector constructed"):
+        back.list1
