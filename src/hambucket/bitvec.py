@@ -167,12 +167,6 @@ class Permutation:
     def identity(cls, dim: int) -> "Permutation":
         return cls(dim, tuple(range(1, dim + 1)))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.dim
-        for j, image in enumerate(self.map, start=1):
-            inv[image - 1] = j
-        return Permutation(self.dim, tuple(inv))
-
 
 # --- seeded randomness -----------------------------------------------------
 #
@@ -238,11 +232,6 @@ def unpack_bit_matrix(mat: np.ndarray, dim: int) -> np.ndarray:
     return bits[:, :dim]
 
 
-def row_weights(mat: np.ndarray) -> np.ndarray:
-    """Hamming weight of every row."""
-    return np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
-
-
 def permute_columns(mat: np.ndarray, perm: Permutation) -> np.ndarray:
     """Apply a coordinate permutation to every row of a packed matrix."""
     dim = perm.dim
@@ -290,14 +279,33 @@ def align_block_zs(zs: np.ndarray, spec: BlockSpec, i: int) -> tuple[np.ndarray,
     return aligned, w0, w1, mask
 
 
+def xor_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """popcount(a ^ b) summed over the last axis, one word column at a time.
+
+    a and b are packed rows with the same number of words whose leading axes
+    broadcast, e.g. (m, 1, w) against (1, n, w) for every cross pair or two
+    (p, w) gathers for p chosen pairs.  Each word adds its uint8 counts into
+    the result, so no (..., w) popcount temporary is built and summed.  The
+    result is uint8 while the words hold at most 255 bits, int32 beyond.
+    """
+    words = a.shape[-1]
+    x = np.bitwise_xor(a[..., 0], b[..., 0])
+    out = np.bitwise_count(x)
+    if words * WORD_BITS > 255:
+        out = out.astype(np.int32)
+    if words > 1:
+        count = np.empty(x.shape, dtype=np.uint8)
+    for t in range(1, words):
+        np.bitwise_xor(a[..., t], b[..., t], out=x)
+        out += np.bitwise_count(x, out=count)
+    return out
+
+
 def block_weights_batch(sub: np.ndarray, aligned: np.ndarray) -> np.ndarray:
     """Pairwise block weights between masked row slices and aligned z rows.
 
-    sub is (m, span) already masked to the block, aligned is (s, span);
-    the result is an (m, s) int32 weight matrix.
+    sub is (m, span) already masked to the block, aligned is (s, span); the
+    result is the (m, s) weight matrix, uint8 while the span holds at most
+    255 bits (three words) and int32 for wider spans.
     """
-    if sub.shape[1] == 1:
-        # single-word blocks dominate in practice; skip the 3-d temporary
-        return np.bitwise_count(sub[:, 0, None] ^ aligned[None, :, 0]).astype(np.int32)
-    x = sub[:, None, :] ^ aligned[None, :, :]
-    return np.bitwise_count(x).sum(axis=2, dtype=np.int32)
+    return xor_weights(sub[:, None, :], aligned[None, :, :])

@@ -148,15 +148,26 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(csv_text)
     for g in gammas:
-        rows = [r for r in records if r.gamma == g]
-        med_s = statistics.median(r.solver_ns for r in rows) / 1e9
-        med_n = statistics.median(r.naive_ns for r in rows) / 1e9
-        hits = sum(r.found for r in rows)
-        print(
-            f"# gamma={g:g}: median solver {med_s:.4f}s, median naive {med_n:.4f}s, "
-            f"ratio {med_s / med_n:.3f}, planted found {hits}/{len(rows)}"
-        )
+        print(bench_summary(g, [r for r in records if r.gamma == g]))
     return 0
+
+
+def bench_summary(gamma: float, rows) -> str:
+    """The summary line of one gamma's trials.
+
+    Cost per success is the median solver time divided by the rate at which
+    the planted pair was found: what one success costs when failed runs are
+    repeated.  It is inf when no trial found the pair.
+    """
+    med_s = statistics.median(r.solver_ns for r in rows) / 1e9
+    med_n = statistics.median(r.naive_ns for r in rows) / 1e9
+    hits = sum(r.found for r in rows)
+    cost = f"{med_s * len(rows) / hits:.4f}s" if hits else "inf"
+    return (
+        f"# gamma={gamma:g}: median solver {med_s:.4f}s, median naive {med_n:.4f}s, "
+        f"ratio {med_s / med_n:.3f}, planted found {hits}/{len(rows)}, "
+        f"cost per success {cost}"
+    )
 
 
 def cmd_exponent(args) -> int:

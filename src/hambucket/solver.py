@@ -9,7 +9,20 @@ output never contains a false positive.
 
 Candidate filtering is vectorized: each node evaluates the bucket criterion
 for a whole batch of z draws in a few numpy passes over the current
-sublists, then materializes per-child index subsets.
+sublists (uint8 block weights, one flatnonzero over the z-major accept
+matrix), then splits the hits into per-child index ranges.
+
+Leaf buckets are scanned in batches.  A child is a leaf on the last level
+or when its smaller side has at most naive_threshold rows.  A run of
+consecutive leaf children is scanned in one gather, XOR and popcount pass
+over all of their row pairs, and the results are committed in child order:
+each child counts as a node, adds its pairs to the comparisons and its hits
+to the matches.  With stop_on_first the commit ends at the first child with
+a hit, so the counters are those of scanning leaf by leaf and stopping
+there; pairs the pass scanned beyond that child are not counted.  Leaves
+draw no random numbers, so inner children still draw their z batches in
+the same order.  The naive baseline runs on the same word-wise kernel,
+bitvec.xor_weights.
 """
 
 from __future__ import annotations
@@ -29,9 +42,14 @@ from .bitvec import (
     pack_rows,  # unused; perfbench/spans.py looks it up on this module by name
     permute_columns,
     random_permutation,
+    xor_weights,
 )
 
-_ELEM_BUDGET = 1 << 22  # uint64 elements per vectorized slab
+# Work per numpy pass, small enough that a pass's temporaries stay in cache
+# and are recycled by the allocator instead of faulted in afresh: uint64
+# elements per filter slab, and per scan pass (row pairs times words).
+_ELEM_BUDGET = 1 << 18
+_PAIR_BUDGET = _ELEM_BUDGET >> 3
 
 
 def round_nearest(x: float) -> int:
@@ -95,7 +113,14 @@ def _accept_mask(weights: np.ndarray, delta_count: int, strategy: Strategy) -> n
     if strategy.kind == "exact":
         return weights == delta_count
     if strategy.kind == "deviation":
-        return np.abs(weights - delta_count) <= strategy.eps
+        # |w - delta_count| <= eps as one unsigned compare: below the window,
+        # w - lo wraps around to a value above hi - lo
+        unsigned = weights.view(f"u{weights.itemsize}")
+        lo = max(delta_count - strategy.eps, 0)
+        hi = min(delta_count + strategy.eps, int(np.iinfo(unsigned.dtype).max))
+        if lo > hi:
+            return np.zeros(weights.shape, dtype=bool)
+        return unsigned - lo <= hi - lo
     return weights <= delta_count
 
 
@@ -147,20 +172,51 @@ class SolveReport:
 
 
 def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
-    """Full cross scan in row chunks; returns (hit_count, [(i, j), ...])."""
-    n_b, w = mat_b.shape
-    chunk = max(1, _ELEM_BUDGET // max(1, n_b * w))
+    """Full cross scan in row chunks; returns (hit_count, hit_rows, hit_cols).
+
+    With collect the hits come as row-major index arrays, otherwise as None.
+    """
+    chunk = max(1, _PAIR_BUDGET // max(1, mat_b.shape[0]))
     total = 0
-    pairs: list[tuple[int, int]] = []
+    rows, cols = [], []
     for lo in range(0, mat_a.shape[0], chunk):
-        sub = mat_a[lo : lo + chunk]
-        dist = np.bitwise_count(sub[:, None, :] ^ mat_b[None, :, :]).sum(axis=2, dtype=np.int32)
-        hit = dist == gamma_count
-        total += int(hit.sum())
+        hit = xor_weights(mat_a[lo : lo + chunk, None, :], mat_b[None, :, :]) == gamma_count
         if collect:
-            for r, c in np.argwhere(hit):
-                pairs.append((lo + int(r), int(c)))
-    return total, pairs
+            r, c = np.nonzero(hit)
+            rows.append(r + lo)
+            cols.append(c)
+            total += r.size
+        else:
+            total += int(np.count_nonzero(hit))
+    if not collect:
+        return total, None, None
+    return total, np.concatenate(rows), np.concatenate(cols)
+
+
+def _bucket_hits(a_mat, b_mat, rows_a, rows_b, na, nb, gamma_count: int):
+    """Scan a run of buckets in one pass: each bucket's full cross product.
+
+    Bucket k pairs the k-th segment of rows_a (na[k] rows) with the k-th
+    segment of rows_b (nb[k] rows).  Returns (i, j, k) arrays for the pairs
+    at gamma_count, ordered by bucket: positions into rows_a and rows_b and
+    the bucket holding the pair.
+    """
+    if na.size == 1:
+        _, hit_i, hit_j = _scan_pairs(a_mat.take(rows_a, 0), b_mat.take(rows_b, 0), gamma_count, True)
+        return hit_i, hit_j, np.zeros(hit_i.size, dtype=np.intp)
+    # flatten the pairs a-row by a-row: each a-row meets the nb[k] b-rows of
+    # its own bucket k; int32 keeps this index arithmetic cheap
+    na, nb = na.astype(np.int32), nb.astype(np.int32)
+    per_row = np.repeat(nb, na)
+    first_pair = np.cumsum(per_row, dtype=np.int32) - per_row
+    first_b = np.repeat(np.cumsum(nb, dtype=np.int32) - nb, na)
+    pa = np.repeat(np.arange(per_row.size, dtype=np.int32), per_row)
+    pb = np.repeat(first_b - first_pair, per_row)
+    pb += np.arange(pb.size, dtype=np.int32)
+    dist = xor_weights(a_mat.take(rows_a, 0).take(pa, 0), b_mat.take(rows_b, 0).take(pb, 0))
+    hit = np.flatnonzero(dist == gamma_count)
+    bucket = np.searchsorted(np.cumsum(na * nb), hit, side="right")
+    return pa[hit], pb[hit], bucket
 
 
 def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
@@ -168,8 +224,8 @@ def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    _, pairs = _scan_pairs(inst.mat1, inst.mat2, g, True)
-    return [MatchPair(i, j, g) for i, j in pairs]
+    _, rows, cols = _scan_pairs(inst.mat1, inst.mat2, g, True)
+    return [MatchPair(i, j, g) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def naive_count(inst, gamma_count: int | None = None) -> int:
@@ -177,7 +233,7 @@ def naive_count(inst, gamma_count: int | None = None) -> int:
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    total, _ = _scan_pairs(inst.mat1, inst.mat2, g, False)
+    total, _, _ = _scan_pairs(inst.mat1, inst.mat2, g, False)
     return total
 
 
@@ -201,19 +257,46 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     nodes = 0
     comparisons = 0
 
-    def leaf(a_mat, b_mat, ia, ib) -> None:
-        nonlocal comparisons
-        comparisons += ia.size * ib.size
-        _, pairs = _scan_pairs(a_mat[ia], b_mat[ib], gamma, True)
-        for r, c in pairs:
-            found.add((int(ia[r]), int(ib[c])))
+    def scan_leaves(a_mat, b_mat, sel_a, sel_b, start_a, start_b, lo: int, hi: int) -> bool:
+        """Scan children lo..hi-1 of a node, none of them inner, and commit them in order.
+
+        Child j holds rows sel_a[start_a[j]:start_a[j + 1]] and the same of
+        sel_b; a child with an empty side is no node.  One pass scans up to
+        _PAIR_BUDGET // words pairs.  Returns True when stop_on_first ends
+        the walk at a child with a hit; later children stay uncounted.
+        """
+        nonlocal nodes, comparisons
+        na = np.diff(start_a[lo : hi + 1])
+        nb = np.diff(start_b[lo : hi + 1])
+        pairs = na * nb
+        cum = np.concatenate(([0], np.cumsum(pairs)))
+        budget = _PAIR_BUDGET // a_mat.shape[1]
+        k0 = 0
+        while k0 < hi - lo:
+            k1 = int(np.searchsorted(cum, cum[k0] + budget, side="right")) - 1
+            k1 = min(max(k1, k0 + 1), hi - lo)
+            if cum[k1] > cum[k0]:
+                a0, a1 = start_a[lo + k0], start_a[lo + k1]
+                b0, b1 = start_b[lo + k0], start_b[lo + k1]
+                hit_i, hit_j, hit_k = _bucket_hits(
+                    a_mat, b_mat, sel_a[a0:a1], sel_b[b0:b1], na[k0:k1], nb[k0:k1], gamma
+                )
+                if hit_k.size and params.stop_on_first:
+                    k1 = k0 + int(hit_k[0]) + 1
+                    first = hit_k == hit_k[0]
+                    hit_i, hit_j = hit_i[first], hit_j[first]
+                nodes += int(np.count_nonzero(pairs[k0:k1]))
+                comparisons += int(cum[k1] - cum[k0])
+                found.update(zip(sel_a[a0 + hit_i].tolist(), sel_b[b0 + hit_j].tolist()))
+                if params.stop_on_first and found:
+                    return True
+            k0 = k1
+        return False
 
     def descend(a_mat, b_mat, ia, ib, level: int) -> bool:
+        """Filter an inner node's rows into the buckets of its z batch and visit them."""
         nonlocal nodes
         nodes += 1
-        if level == params.depth or min(ia.size, ib.size) <= params.naive_threshold:
-            leaf(a_mat, b_mat, ia, ib)
-            return params.stop_on_first and bool(found)
         blk = level + 1
         width = spec.width(blk)
         target = level_target[level]
@@ -226,31 +309,45 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             za = aligned[s0 : s0 + slab]
             # z-major accept matrices (the weight helper is symmetric in its
             # arguments), so each bucket's members sit contiguously after one
-            # nonzero pass instead of a boolean gather per bucket
+            # flatnonzero pass instead of a boolean gather per bucket
             acc_a = _accept_mask(block_weights_batch(za, sub_a), target, params.strategy)
             acc_b = _accept_mask(block_weights_batch(za, sub_b), target, params.strategy)
-            zrow_a, hit_a = np.nonzero(acc_a)
-            zrow_b, hit_b = np.nonzero(acc_b)
-            if zrow_a.size == 0 or zrow_b.size == 0:
+            flat_a = np.flatnonzero(acc_a)
+            flat_b = np.flatnonzero(acc_b)
+            if flat_a.size == 0 or flat_b.size == 0:
                 continue
             edges = np.arange(za.shape[0] + 1)
-            start_a = np.searchsorted(zrow_a, edges)
-            start_b = np.searchsorted(zrow_b, edges)
-            sel_a = ia[hit_a]
-            sel_b = ib[hit_b]
-            for j in range(za.shape[0]):
-                a0, a1 = start_a[j], start_a[j + 1]
-                if a0 == a1:
-                    continue
-                b0, b1 = start_b[j], start_b[j + 1]
-                if b0 == b1:
-                    continue
-                if descend(a_mat, b_mat, sel_a[a0:a1], sel_b[b0:b1], level + 1):
+            start_a = np.searchsorted(flat_a, edges * ia.size)
+            start_b = np.searchsorted(flat_b, edges * ib.size)
+            sel_a = ia[flat_a % ia.size]
+            sel_b = ib[flat_b % ib.size]
+            if visit(a_mat, b_mat, sel_a, sel_b, start_a, start_b, level + 1):
+                return True
+        return False
+
+    def visit(a_mat, b_mat, sel_a, sel_b, start_a, start_b, level: int) -> bool:
+        """Visit children on one level in order: scan runs of leaves, descend into the rest."""
+        count = start_a.size - 1
+        inner = []
+        if level < params.depth:
+            sizes = np.minimum(np.diff(start_a), np.diff(start_b))
+            inner = np.flatnonzero(sizes > params.naive_threshold).tolist()
+        j = 0
+        for c in inner + [count]:
+            if c > j and scan_leaves(a_mat, b_mat, sel_a, sel_b, start_a, start_b, j, c):
+                return True
+            if c < count:
+                ca = sel_a[start_a[c] : start_a[c + 1]]
+                cb = sel_b[start_b[c] : start_b[c + 1]]
+                if descend(a_mat, b_mat, ca, cb, level):
                     return True
+            j = c + 1
         return False
 
     all_a = np.arange(base_a.shape[0], dtype=np.int64)
     all_b = np.arange(base_b.shape[0], dtype=np.int64)
+    root_a = np.array([0, all_a.size])
+    root_b = np.array([0, all_b.size])
     for rnd in range(params.permutations):
         if rnd == 0:
             a_mat, b_mat = base_a, base_b
@@ -258,7 +355,8 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             perm = random_permutation(rng, d)
             a_mat = permute_columns(base_a, perm)
             b_mat = permute_columns(base_b, perm)
-        if descend(a_mat, b_mat, all_a, all_b, 0):
+        # the root is the single child of a level above it
+        if visit(a_mat, b_mat, all_a, all_b, root_a, root_b, 0):
             break
 
     matches = []

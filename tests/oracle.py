@@ -3,9 +3,14 @@
 The library keeps whole lists as (n, words) uint64 matrices.  These helpers
 work one BitVector at a time through Python big ints (exact, no overflow
 anywhere), so they make independent oracles for the batched code paths.
+The per-leaf solver at the end is the reference for solve()'s batched leaf
+scans: same matches, counters and random draws.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +24,17 @@ from hambucket.bitvec import (
     draw_block_zs,
     mask_pad,
     n_words,
+    permute_columns,
+    random_permutation,
 )
-from hambucket.solver import SolverParams, Strategy, _accept_mask, round_nearest
+from hambucket.solver import (
+    MatchPair,
+    SolveReport,
+    SolverParams,
+    Strategy,
+    _accept_mask,
+    round_nearest,
+)
 
 _ELEM_BUDGET = 1 << 22  # uint64 elements per probe batch
 
@@ -162,3 +176,143 @@ def survival_rate_probe(inst, params: SolverParams, rng: np.random.Generator, tr
         hits += int(((weights[0] == target) & (weights[1] == target)).sum())
         remaining -= count
     return hits / trials
+
+
+def row_weights(mat: np.ndarray) -> np.ndarray:
+    """Hamming weight of every row."""
+    return np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
+
+
+def inverse_permutation(perm: Permutation) -> Permutation:
+    inv = [0] * perm.dim
+    for j, image in enumerate(perm.map, start=1):
+        inv[image - 1] = j
+    return Permutation(perm.dim, tuple(inv))
+
+
+# --- the per-leaf solver ------------------------------------------------------
+#
+# The solver as it was before leaf buckets were scanned in batches and the
+# scans moved to the word-wise kernel: one numpy scan per leaf, int32 block
+# weights, a signed acceptance window and a 2-D nonzero per slab.  The batched
+# solver must reproduce its matches, counters and random draws exactly.
+
+
+def _reference_weights(sub: np.ndarray, aligned: np.ndarray) -> np.ndarray:
+    if sub.shape[1] == 1:
+        return np.bitwise_count(sub[:, 0, None] ^ aligned[None, :, 0]).astype(np.int32)
+    x = sub[:, None, :] ^ aligned[None, :, :]
+    return np.bitwise_count(x).sum(axis=2, dtype=np.int32)
+
+
+def _reference_accept(weights: np.ndarray, delta_count: int, strategy: Strategy) -> np.ndarray:
+    if strategy.kind == "exact":
+        return weights == delta_count
+    if strategy.kind == "deviation":
+        return np.abs(weights - delta_count) <= strategy.eps
+    return weights <= delta_count
+
+
+def reference_scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
+    """Full cross scan in row chunks; returns (hit_count, [(i, j), ...])."""
+    n_b, w = mat_b.shape
+    chunk = max(1, _ELEM_BUDGET // max(1, n_b * w))
+    total = 0
+    pairs: list[tuple[int, int]] = []
+    for lo in range(0, mat_a.shape[0], chunk):
+        sub = mat_a[lo : lo + chunk]
+        dist = np.bitwise_count(sub[:, None, :] ^ mat_b[None, :, :]).sum(axis=2, dtype=np.int32)
+        hit = dist == gamma_count
+        total += int(hit.sum())
+        if collect:
+            for r, c in np.argwhere(hit):
+                pairs.append((lo + int(r), int(c)))
+    return total, pairs
+
+
+def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
+    """Run the bucketing search on a planted instance, one leaf scan at a time."""
+    t_start = time.perf_counter()
+    d, gamma = inst.d, inst.gamma_count
+    base_a, base_b = inst.mat1, inst.mat2
+    spec = BlockSpec(d, params.depth)
+    level_target = [
+        round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
+    ]
+
+    found: set[tuple[int, int]] = set()
+    nodes = 0
+    comparisons = 0
+
+    def leaf(a_mat, b_mat, ia, ib) -> None:
+        nonlocal comparisons
+        comparisons += ia.size * ib.size
+        _, pairs = reference_scan_pairs(a_mat[ia], b_mat[ib], gamma, True)
+        for r, c in pairs:
+            found.add((int(ia[r]), int(ib[c])))
+
+    def descend(a_mat, b_mat, ia, ib, level: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if level == params.depth or min(ia.size, ib.size) <= params.naive_threshold:
+            leaf(a_mat, b_mat, ia, ib)
+            return params.stop_on_first and bool(found)
+        blk = level + 1
+        width = spec.width(blk)
+        target = level_target[level]
+        zs = draw_block_zs(rng, params.branching, width)
+        aligned, w0, w1, mask = align_block_zs(zs, spec, blk)
+        sub_a = a_mat[ia, w0:w1] & mask
+        sub_b = b_mat[ib, w0:w1] & mask
+        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * (w1 - w0)))
+        for s0 in range(0, params.branching, slab):
+            za = aligned[s0 : s0 + slab]
+            acc_a = _reference_accept(_reference_weights(za, sub_a), target, params.strategy)
+            acc_b = _reference_accept(_reference_weights(za, sub_b), target, params.strategy)
+            zrow_a, hit_a = np.nonzero(acc_a)
+            zrow_b, hit_b = np.nonzero(acc_b)
+            if zrow_a.size == 0 or zrow_b.size == 0:
+                continue
+            edges = np.arange(za.shape[0] + 1)
+            start_a = np.searchsorted(zrow_a, edges)
+            start_b = np.searchsorted(zrow_b, edges)
+            sel_a = ia[hit_a]
+            sel_b = ib[hit_b]
+            for j in range(za.shape[0]):
+                a0, a1 = start_a[j], start_a[j + 1]
+                if a0 == a1:
+                    continue
+                b0, b1 = start_b[j], start_b[j + 1]
+                if b0 == b1:
+                    continue
+                if descend(a_mat, b_mat, sel_a[a0:a1], sel_b[b0:b1], level + 1):
+                    return True
+        return False
+
+    all_a = np.arange(base_a.shape[0], dtype=np.int64)
+    all_b = np.arange(base_b.shape[0], dtype=np.int64)
+    for rnd in range(params.permutations):
+        if rnd == 0:
+            a_mat, b_mat = base_a, base_b
+        else:
+            perm = random_permutation(rng, d)
+            a_mat = permute_columns(base_a, perm)
+            b_mat = permute_columns(base_b, perm)
+        if descend(a_mat, b_mat, all_a, all_b, 0):
+            break
+
+    matches = []
+    for i, j in sorted(found):
+        dist = int(np.bitwise_count(base_a[i] ^ base_b[j]).sum())
+        if dist == gamma:
+            matches.append(MatchPair(i, j, dist))
+    planted_found: Optional[bool] = None
+    if inst.planted is not None:
+        planted_found = tuple(inst.planted) in {(m.i, m.j) for m in matches}
+    return SolveReport(
+        matches=tuple(matches),
+        nodes_visited=nodes,
+        naive_comparisons=comparisons,
+        wall_time=time.perf_counter() - t_start,
+        planted_found=planted_found,
+    )

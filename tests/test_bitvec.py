@@ -18,7 +18,6 @@ from hambucket.bitvec import (
     pack_rows,
     permute_columns,
     random_permutation,
-    row_weights,
     rows_to_vectors,
     unpack_bit_matrix,
 )
@@ -28,8 +27,10 @@ from oracle import (
     block_weight,
     complement,
     distance,
+    inverse_permutation,
     random_vector,
     random_weight_vector,
+    row_weights,
     unpack_row,
     weight,
     xor,
@@ -141,7 +142,7 @@ def test_permutation_preserves_weight(data):
     perm = random_permutation(make_rng(data.draw(st.integers(0, 2**32))), d)
     pv = apply_permutation(v, perm)
     assert weight(pv) == weight(v)
-    assert apply_permutation(pv, perm.inverse()) == v
+    assert apply_permutation(pv, inverse_permutation(perm)) == v
 
 
 def test_identity_permutation():
@@ -221,6 +222,25 @@ def test_batched_block_weights_match_scalar(data):
     for a, v in enumerate(vs):
         for b, z in enumerate(zvecs):
             assert got[a, b] == block_weight(v, z, spec, i)
+
+
+@pytest.mark.parametrize("d, r", [(1024, 2), (600, 2), (600, 3), (600, 4)])
+def test_block_weights_batch_wide_and_word_crossing_blocks(d, r):
+    """Counts past 255 must not wrap; spans of at most three words stay uint8."""
+    spec = BlockSpec(d, r)
+    rng = make_rng(d + r)
+    ones = complement(BitVector.zeros(d))
+    vs = [BitVector.zeros(d), ones] + [random_vector(rng, d) for _ in range(4)]
+    mat = pack_rows(vs)
+    for i in range(1, r + 1):
+        width = spec.width(i)
+        zs = np.vstack([np.zeros((1, n_words(width)), dtype=np.uint64), draw_block_zs(rng, 3, width)])
+        aligned, w0, w1, mask = align_block_zs(zs, spec, i)
+        got = block_weights_batch(mat[:, w0:w1] & mask, aligned)
+        assert got.dtype == (np.uint8 if (w1 - w0) * 64 <= 255 else np.int32)
+        want = [[block_weight(v, z, spec, i) for z in rows_to_vectors(width, zs)] for v in vs]
+        assert got.tolist() == want
+        assert got[1, 0] == width  # all-ones row against the zero z
 
 
 # --- randomness ---------------------------------------------------------------

@@ -1,10 +1,13 @@
 import os
+import statistics
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from hambucket.bench import CSV_HEADER, BenchRecord, emit_csv, run_bench
+from hambucket.cli import bench_summary
 from hambucket.generator import DistributionModel, read_instance
 from hambucket.solver import EXACT
 
@@ -142,6 +145,35 @@ def test_bench_csv_shape(tmp_path):
     row = lines[1].split(",")
     assert row[:3] == ["32", "64", "0.125"]
     assert row[10] in ("true", "false")
+
+
+def test_bench_summary_reports_cost_per_success(tmp_path):
+    out = tmp_path / "bench.csv"
+    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", "0.125:0.25:0.125",
+                "--trials", "3", "--seed", "4", "--csv", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    summaries = [line for line in r.stdout.splitlines() if line.startswith("# gamma=")]
+    assert len(summaries) == 2
+    for gamma, line in zip(("0.125", "0.25"), summaries):
+        trials = [row for row in rows if row[2] == gamma]
+        med_s = statistics.median(int(row[8]) for row in trials) / 1e9
+        hits = sum(row[10] == "true" for row in trials)
+        assert line.startswith(f"# gamma={gamma}: ")
+        assert f"planted found {hits}/3" in line
+        want = f"{med_s * 3 / hits:.4f}s" if hits else "inf"
+        assert line.endswith(f", cost per success {want}")
+
+
+def test_bench_summary_cost_per_success():
+    miss = BenchRecord(d=8, n=4, gamma=0.25, strategy="exact", depth=1, branching=2,
+                       trial=0, seed=11, solver_ns=1500, naive_ns=3000, found=False, pairs=0)
+    line = bench_summary(0.25, [miss, replace(miss, trial=1)])
+    assert line.endswith("planted found 0/2, cost per success inf")
+    hit = replace(miss, trial=1, solver_ns=4_000_000, found=True, pairs=1)
+    # median of 1.5 us and 4 ms is 0.002 s; found in half the trials
+    line = bench_summary(0.25, [miss, hit])
+    assert line.endswith("planted found 1/2, cost per success 0.0040s")
 
 
 def test_bench_records_deterministic_apart_from_timing():

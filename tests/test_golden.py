@@ -36,3 +36,9 @@ def test_fixed_weight_instance_and_solve(tmp_path, capsys):
     assert sha256(path).startswith("232f24d5fe60687b")
     out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--all")
     assert "nodes=49145 comparisons=13650569 " in out
+    # stop-on-first: the walk ends at the first leaf with a hit, so these
+    # counters pin which leaves are committed before the early exit
+    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8")
+    assert "nodes=560 comparisons=293863 " in out
+    out = run(capsys, "solve", "--in", str(path))
+    assert "nodes=744 comparisons=238388 " in out

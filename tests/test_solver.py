@@ -7,21 +7,31 @@ from hypothesis import strategies as st
 
 from hambucket.analysis import DistributionModel, choose_params, pair_survival_count
 from hambucket import bitvec
-from hambucket.bitvec import BitVector, BlockSpec, make_rng, pack_rows
+from hambucket.bitvec import BitVector, BlockSpec, draw_block_zs, make_rng, pack_rows
 from hambucket.generator import Instance, gen_instance, read_instance, write_instance
 from hambucket.solver import (
     AT_MOST,
     EXACT,
     MatchPair,
+    _accept_mask,
     SolverParams,
     Strategy,
     bucket_accept,
     deviation,
     naive_count,
     naive_search,
+    round_nearest,
     solve,
 )
-from oracle import block_weight, partition_in_place, random_vector, survival_rate_probe
+from oracle import (
+    block_weight,
+    distance,
+    partition_in_place,
+    random_vector,
+    reference_solve,
+    survival_rate_probe,
+    unpack_row,
+)
 
 UNIFORM = DistributionModel.uniform()
 
@@ -49,6 +59,36 @@ def test_naive_identical_lists_have_diagonal():
     inst = Instance(16, 20, 0, vs, vs, None, UNIFORM, 0)
     got = naive_search(inst)
     assert {(m.i, m.j) for m in got} >= {(i, i) for i in range(20)}
+
+
+def test_naive_scan_counts_distances_past_255():
+    """At d=600 the word-wise accumulation must not wrap distances modulo 256."""
+    inst = gen_instance(600, 24, 300, UNIFORM, seed=12)
+    rows1 = [unpack_row(600, r) for r in inst.mat1]
+    rows2 = [unpack_row(600, r) for r in inst.mat2]
+    dist = {(i, j): distance(u, v) for i, u in enumerate(rows1) for j, v in enumerate(rows2)}
+    assert max(dist.values()) > 255
+    for g in (300, 300 - 256, 290, 290 - 256):
+        want = sorted(p for p, x in dist.items() if x == g)
+        assert [(m.i, m.j) for m in naive_search(inst, g)] == want
+        assert naive_count(inst, g) == len(want)
+    assert tuple(inst.planted) in {(m.i, m.j) for m in naive_search(inst)}
+
+
+@pytest.mark.parametrize("dtype, width", [(np.uint8, 255), (np.uint8, 40), (np.int32, 300)])
+@pytest.mark.parametrize("strategy", [EXACT, deviation(0), deviation(1), deviation(3),
+                                      deviation(300), AT_MOST])
+def test_accept_mask_matches_bucket_accept(dtype, width, strategy):
+    """Every weight 0..width, with windows cut off below 0 and above the width."""
+    weights = np.arange(width + 1).astype(dtype)
+    for dc in sorted({0, 1, 2, strategy.eps, width // 2, width - strategy.eps, width - 1, width}):
+        if not 0 <= dc <= width:
+            continue
+        want = [bucket_accept(w, dc, strategy) for w in range(width + 1)]
+        assert _accept_mask(weights, dc, strategy).tolist() == want
+        # z-major slabs are 2-D; a strided view must give the same answer
+        strided = np.vstack([weights, weights])[:, ::-1]
+        assert _accept_mask(strided, dc, strategy).tolist() == [want[::-1]] * 2
 
 
 def test_strategy_tokens():
@@ -206,6 +246,60 @@ def test_planted_flag_absent_without_plant():
     inst = Instance(16, 8, 4, vs1, vs2, None, UNIFORM, 0)
     rep = solve(inst, all_params(), make_rng(0))
     assert rep.planted_found is None
+
+
+# --- parity with the per-leaf solver -------------------------------------------
+
+
+def report_key(rep):
+    return rep.matches, rep.nodes_visited, rep.naive_comparisons, rep.planted_found
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matches_per_leaf_reference(data):
+    """Batched leaf scans give the per-leaf solver's matches, counters and draws."""
+    d = data.draw(st.sampled_from([1, 63, 64, 65, 96, 128, 200]))
+    n = data.draw(st.integers(1, 80))
+    model = data.draw(st.sampled_from([UNIFORM, DistributionModel.fixed_weight(0.3)]))
+    inst = gen_instance(d, n, data.draw(st.integers(0, min(d, 24))), model,
+                        seed=data.draw(st.integers(0, 2**32)))
+    params = SolverParams(
+        depth=data.draw(st.integers(1, min(3, d))),
+        branching=data.draw(st.integers(1, 8)),
+        permutations=data.draw(st.integers(1, 3)),
+        delta=data.draw(st.sampled_from([0.0, 0.25, 0.35, 0.5])),
+        strategy=data.draw(st.sampled_from([EXACT, deviation(1), deviation(3), AT_MOST])),
+        naive_threshold=data.draw(st.integers(0, n // 2 + 1)),
+        stop_on_first=data.draw(st.booleans()),
+    )
+    seed = data.draw(st.integers(0, 2**32))
+    got = solve(inst, params, make_rng(seed))
+    assert report_key(got) == report_key(reference_solve(inst, params, make_rng(seed)))
+
+
+@pytest.mark.parametrize("stop_on_first", [False, True])
+def test_parity_with_leaf_and_inner_siblings(stop_on_first):
+    """A threshold inside the spread of the root's bucket sizes mixes leaves and inner nodes."""
+    inst = gen_instance(96, 200, 12, UNIFORM, seed=31)
+    base = SolverParams(depth=3, branching=8, permutations=2, delta=0.4, strategy=deviation(2),
+                        naive_threshold=0, stop_on_first=stop_on_first)
+    # the root draws its z batch first, so the same seed reproduces its buckets
+    spec = BlockSpec(96, 3)
+    target = round_nearest(base.delta * spec.width(1))
+    zs = draw_block_zs(make_rng(5), base.branching, spec.width(1))
+    sizes = []
+    for z in zs:
+        zv = unpack_row(spec.width(1), z)
+        na, nb = (sum(bucket_accept(block_weight(unpack_row(96, row), zv, spec, 1), target, base.strategy)
+                      for row in mat) for mat in (inst.mat1, inst.mat2))
+        if na and nb:
+            sizes.append(min(na, nb))
+    threshold = sorted(sizes)[len(sizes) // 2]
+    assert min(sizes) <= threshold < max(sizes)
+    params = SolverParams(**{**base.__dict__, "naive_threshold": threshold})
+    got = solve(inst, params, make_rng(5))
+    assert report_key(got) == report_key(reference_solve(inst, params, make_rng(5)))
 
 
 # --- survival probe -----------------------------------------------------------
