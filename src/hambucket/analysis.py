@@ -385,64 +385,57 @@ def log_pair_weight_prob(model: DistributionModel, eta: float) -> float:
     return float(_lpw_arr(model, np.array([eta]))[0])
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Each zoom step grids a bracket with _ZOOM_POINTS points and keeps the two
+# cells around the argmin, shrinking it 32-fold; _ZOOM_STEPS steps bring an
+# initial bracket of width 1 down to a last grid spacing below 1e-12.
+_ZOOM_POINTS = 65
+_ZOOM_STEPS = 8
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]; returns the best point seen."""
-    best_x, best_v = lo, f(lo)
-    for x in (hi,):
+def _zoom_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise minimum of f over the brackets [lo, hi], by grid zooming.
+
+    lo and hi have shape (r,); f maps an (r, p) array of points, row i inside
+    bracket i, to an (r, p) array of values (inf where infeasible).  Every
+    step grids each bracket and shrinks it to the two cells around its grid
+    argmin, so a minimum survives as long as the objective has no dip
+    narrower than one grid cell of the first step.  Returns the argmin and
+    the minimum of the last grid in each row.
+    """
+    rows = np.arange(lo.size)
+    for _ in range(_ZOOM_STEPS):
+        x = np.linspace(lo, hi, _ZOOM_POINTS, axis=1)
         v = f(x)
-        if v < best_v:
-            best_x, best_v = x, v
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            x, v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            x, v = d, fd
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+        i = np.argmin(v, axis=1)
+        lo = x[rows, np.maximum(i - 1, 0)]
+        hi = x[rows, np.minimum(i + 1, _ZOOM_POINTS - 1)]
+    return x[rows, i], v[rows, i]
+
+
+def _stray_exponent(lam: float, deltas: np.ndarray, model: DistributionModel) -> np.ndarray:
+    """epsilon_distribution for every bucket radius in deltas, in one zoom."""
+    d = np.ravel(deltas)
+
+    def cost(etas: np.ndarray) -> np.ndarray:
+        return _bucket_exponent(d[:, None], etas) - _lpw_arr(model, etas)
+
+    _, best = _zoom_min(cost, np.zeros_like(d), np.minimum(1.0, 2.0 * d))
+    return (2.0 * lam - best).reshape(np.shape(deltas))
 
 
 def epsilon_distribution(lam: float, delta: float, model: DistributionModel) -> float:
     """Exponent of expected bucket collisions beyond the planted pair.
 
-    epsilon = 2 lambda - min over feasible pair distances eta of
-    [bucket exponent at eta minus the pair-weight exponent].  The objective
-    can be non-convex, so the minimum is seeded on a 10^3 grid and refined
-    locally by golden section.
+    epsilon = 2 lambda - min over feasible pair distances eta in [0, 2 delta]
+    of [bucket exponent at eta minus the pair-weight exponent].  The
+    objective can be non-convex, so the minimum is found by zooming a grid
+    over eta (_zoom_min) rather than by a local descent.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda outside [0, 1]: {lam}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta outside [0, 1/2]: {delta}")
-    eta_max = min(1.0, 2.0 * delta)
-    grid = np.linspace(0.0, eta_max, 1001)
-    obj = _bucket_exponent(delta, grid) - _lpw_arr(model, grid)
-    i = int(np.argmin(obj))
-    best = float(obj[i])
-    if eta_max > 0.0:
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, len(grid) - 1)])
-
-        def scalar(eta: float) -> float:
-            val = float(_bucket_exponent(delta, eta)) - log_pair_weight_prob(model, eta)
-            return val if math.isfinite(val) else math.inf
-
-        _, refined = _golden_min(scalar, lo, hi)
-        best = min(best, refined)
-    return 2.0 * lam - best
+    return float(_stray_exponent(lam, np.array([delta]), model)[0])
 
 
 def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> ExponentResult:
@@ -450,57 +443,32 @@ def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> Ex
 
     Minimizes, over bucket radii delta in [gamma/2, 1/2], the largest of the
     three tree costs: pair survival, list traversal, and stray collisions
-    (epsilon_distribution).  For the uniform model this reproduces
+    (epsilon_distribution) on top of survival.  The search zooms a grid over
+    delta (_zoom_min); every delta it evaluates gets its stray term from a
+    full zoom over the pair distance, so the reported minimum is the exact
+    objective at the reported radius.  For the uniform model this reproduces
     theta_uniform.
     """
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
     ds, gs = delta_gamma_star(lam)
-    d_lo, d_hi = gamma / 2.0, 0.5
 
-    deltas = np.linspace(d_lo, d_hi, 1000)
-    etas = np.linspace(0.0, 1.0, 1001)
-    lpw = _lpw_arr(model, etas)
-    bracket = _bucket_exponent(deltas[:, None], etas[None, :]) - lpw[None, :]
-    feas = (etas[None, :] <= 2.0 * deltas[:, None] + 1e-15) & np.isfinite(lpw)[None, :]
-    bracket = np.where(feas, bracket, np.inf)
-    eps = 2.0 * lam - bracket.min(axis=1)
+    def cost(deltas: np.ndarray) -> np.ndarray:
+        survive = _bucket_exponent(deltas, gamma)
+        traverse = lam + survive - (1.0 - _entropy_arr(deltas))
+        stray = _stray_exponent(lam, deltas, model) + survive
+        return np.maximum(np.maximum(survive, traverse), stray)
 
-    survive = _bucket_exponent(deltas, gamma)
-    traverse = lam + survive - (1.0 - _entropy_arr(deltas))
-    exponent = np.maximum(np.maximum(survive, traverse), eps + survive)
-    i = int(np.argmin(exponent))
-
-    def scalar(delta: float) -> float:
-        a = float(_bucket_exponent(delta, gamma))
-        t2 = lam + a - (1.0 - binary_entropy(delta))
-        t3 = epsilon_distribution(lam, delta, model) + a
-        return max(a, t2, t3)
-
-    # The seeding grid evaluates epsilon on the eta grid only, which biases it
-    # low; the refinement below re-evaluates everything through the refined
-    # scalar objective so the reported minimum is consistent.
-    lo = float(deltas[max(i - 1, 0)])
-    hi = float(deltas[min(i + 1, len(deltas) - 1)])
-    best_x, best_v = _golden_min(scalar, lo, hi)
-    mid_v = scalar(float(deltas[i]))
-    if mid_v < best_v:
-        best_x, best_v = float(deltas[i]), mid_v
-    # Once the stray-collision budget saturates the surface flattens toward
-    # delta = 1/2 and the grid argmin can land well short of the boundary, so
-    # refine the last cell too.
-    if i < len(deltas) - 1:
-        bx, bv = _golden_min(scalar, float(deltas[-2]), d_hi)
-        if bv < best_v:
-            best_x, best_v = bx, bv
-        end_v = scalar(d_hi)
-        if end_v < best_v:
-            best_x, best_v = d_hi, end_v
+    x, v = _zoom_min(cost, np.array([gamma / 2.0]), np.array([0.5]))
     regime = Regime.BELOW_GAMMA_STAR if gamma <= gs else Regime.ABOVE_GAMMA_STAR
-    return ExponentResult(best_v, best_x, regime, ds, gs)
+    return ExponentResult(float(v[0]), float(x[0]), regime, ds, gs)
 
 
 # --- practical parameter choice ----------------------------------------------
+
+# Largest automatic branching: it keeps failed subtree walks affordable, and
+# several shallower permutation rounds recover the success probability.
+_BRANCHING_CAP = 512
 
 
 def choose_params(
@@ -515,7 +483,6 @@ def choose_params(
     strategy: Strategy | None = None,
     naive_threshold: int | None = None,
     stop_on_first: bool | None = None,
-    branching_cap: int = 512,
 ) -> SolverParams:
     """Concrete solver parameters for a d-dimensional instance.
 
@@ -526,8 +493,7 @@ def choose_params(
       pair survival possible, (1 - sqrt(1 - 2 gamma)) / 2
     - depth: d / log2(d)^2 rounded, clamped to [1, min(8, d // 4)]
     - branching: d / q for the actual first-block width and acceptance rule,
-      capped (the cap keeps failed subtree walks affordable; several shallower
-      permutation rounds recover the success probability)
+      capped at _BRANCHING_CAP
     - naive_threshold: cost-balanced against branching so filtering a subrange
       never costs more popcounts than just scanning it, floored at 32 and kept
       well under the list length so the tree actually runs
@@ -558,8 +524,8 @@ def choose_params(
         raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g} on width {k}")
     log_q = math.log2(survivors) - k
     if branching is None:
-        if math.log2(d) - log_q >= math.log2(branching_cap):
-            branching = branching_cap
+        if math.log2(d) - log_q >= math.log2(_BRANCHING_CAP):
+            branching = _BRANCHING_CAP
         else:
             branching = max(1, round_nearest(d * 2.0 ** (-log_q)))
     if naive_threshold is None:

@@ -111,11 +111,14 @@ def cmd_naive(args) -> int:
 def _parse_sweep(text: str):
     """a:b:step inclusive sweep, or a single value."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"malformed sweep {text!r}, want a:b:step")
-    a, b, step = (float(x) for x in parts)
+    values = [float(x) for x in parts]
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError(f"malformed sweep {text!r}: values must be finite")
+    if len(values) == 1:
+        return values
+    a, b, step = values
     if step <= 0 or b < a:
         raise ValueError(f"malformed sweep {text!r}: need step > 0 and b >= a")
     out = []
@@ -171,6 +174,8 @@ def bench_summary(gamma: float, rows) -> str:
 
 
 def cmd_exponent(args) -> int:
+    if args.sweep and args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     model = DistributionModel.from_token(args.model) if args.model else None
     if model is not None and model.kind == "poisson":
         print("# poisson weight treated as fixed weight at its mean (approximation)")

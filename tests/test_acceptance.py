@@ -107,7 +107,7 @@ def test_criterion_4_distribution_consistency():
 
     sparse = theta_distribution(0.1, 0.0, DistributionModel.fixed_weight(0.1)).theta
 
-    ok = worst_u < 1e-6 and worst_h < 1e-6 and reach_f < reach_u and sparse > 0.1
+    ok = worst_u < 1e-9 and worst_h < 1e-9 and reach_f < reach_u and sparse > 0.1
     _report(4, "distribution analysis", ok,
             f"uniform grid err {worst_u:.2e}, fixed(0.5) err {worst_h:.2e}, "
             f"2-lambda reach {reach_f:.3f} < {reach_u:.3f}, "

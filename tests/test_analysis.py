@@ -254,10 +254,10 @@ def test_epsilon_uniform_closed_form():
 
 
 def test_theta_distribution_uniform_consistency_spot():
-    for lam, gamma in ((0.2, 0.1), (0.5, 0.3), (0.8, 0.45), (0.25, 0.5)):
+    for lam, gamma in ((0.2, 0.1), (0.5, 0.3), (0.8, 0.45), (0.25, 0.5), (0.01, 0.499)):
         a = theta_distribution(lam, gamma, UNIFORM).theta
         b = theta_uniform(lam, gamma).theta
-        assert a == pytest.approx(b, abs=1e-6)
+        assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_theta_distribution_sparse_model_penalty():
@@ -265,6 +265,30 @@ def test_theta_distribution_sparse_model_penalty():
     # even at gamma = 0 the exponent exceeds the list rate
     r = theta_distribution(0.1, 0.0, DistributionModel.fixed_weight(0.1))
     assert r.theta > 0.1 + 0.01
+
+
+@pytest.mark.parametrize("token, lam, gamma, want", [
+    ("fixed:0.1", 0.1, 0.0, 0.16130031296),
+    ("fixed:0.1", 0.5, 0.1, 0.90959349265),
+    ("fixed:0.1", 0.1, 0.3, 0.2),
+    ("fixed:0.3", 0.1, 0.25, 0.15584172976),
+    ("fixed:0.3", 0.5, 0.2, 0.80836879599),
+    ("fixed:0.3", 0.5, 0.4, 0.99838294200),
+    ("bernoulli:0.1", 0.1, 0.05, 0.17282126672),
+    ("bernoulli:0.1", 0.5, 0.0, 0.79713490023),
+    ("bernoulli:0.4", 0.1, 0.4, 0.18217631063),
+    ("bernoulli:0.4", 0.5, 0.3, 0.90323126237),
+    ("poisson:0.2", 0.1, 0.2, 0.16965847131),
+    ("poisson:0.2", 0.5, 0.25, 0.96916869080),
+    ("poisson:0.2", 0.5, 0.5, 1.0),
+])
+def test_theta_distribution_weighted_values(token, lam, gamma, want):
+    """Weighted-model values as computed by the earlier search (a 1000-point
+    delta grid refined by golden section); theta stays in [0, 2 lambda]."""
+    r = theta_distribution(lam, gamma, DistributionModel.from_token(token))
+    assert r.theta == pytest.approx(want, abs=1e-6)
+    assert 0.0 <= r.theta <= 2 * lam + 1e-12
+    assert gamma / 2 <= r.delta <= 0.5
 
 
 # --- parameter selection ------------------------------------------------------

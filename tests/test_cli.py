@@ -128,6 +128,22 @@ def test_bad_cp_threads_exits_2():
     assert r.stderr.strip() == "error: CP_THREADS must be a positive integer, got 'abc'"
 
 
+@pytest.mark.parametrize("sweep", ["0.1:0.2:nan", "nan", "0.1:inf:0.05"])
+def test_non_finite_sweep_exits_2(sweep):
+    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", sweep, "--trials", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == f"error: malformed sweep {sweep!r}: values must be finite"
+
+
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_exponent_sweep_rejects_empty_points(points):
+    r = run_cli("exponent", "--lambda", "0.25", "--model", "poisson:0.2", "--sweep", "--points", points)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == f"error: --points must be at least 1, got {points}"
+
+
 def test_missing_file_exits_2(tmp_path):
     r = run_cli("naive", "--in", str(tmp_path / "absent.cpinst"))
     assert r.returncode == 2
