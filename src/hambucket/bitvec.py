@@ -249,6 +249,24 @@ def draw_block_zs(rng: np.random.Generator, count: int, width: int) -> np.ndarra
     return mask_pad(zs, width)
 
 
+def block_local_rows(mat: np.ndarray, spec: BlockSpec, i: int) -> np.ndarray:
+    """Block i of every row as a block-local vector: the layout draw_block_zs gives z.
+
+    Returns an (n, n_words(width)) matrix whose row holds the block's bits
+    from bit 0 of its first word, padding zero, so a block that straddles
+    a word boundary costs no more words than its width needs.
+    """
+    start, stop = spec.bounds(i)
+    w0, off = divmod(start, WORD_BITS)
+    zw = n_words(stop - start)
+    out = mat[:, w0 : w0 + zw] >> np.uint64(off)
+    if off:
+        # the block's high bits sit at the bottom of the following words
+        nxt = mat[:, w0 + 1 : w0 + zw + 1]
+        out[:, : nxt.shape[1]] |= nxt << np.uint64(WORD_BITS - off)
+    return mask_pad(out, stop - start)
+
+
 def align_block_zs(zs: np.ndarray, spec: BlockSpec, i: int) -> tuple[np.ndarray, int, int, np.ndarray]:
     """Shift block-local z rows into block i's position inside the full layout.
 
@@ -301,11 +319,12 @@ def xor_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_weights_batch(sub: np.ndarray, aligned: np.ndarray) -> np.ndarray:
-    """Pairwise block weights between masked row slices and aligned z rows.
+def block_weights_batch(sub: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Pairwise block weights between rows and z draws of one block layout.
 
-    sub is (m, span) already masked to the block, aligned is (s, span); the
-    result is the (m, s) weight matrix, uint8 while the span holds at most
-    255 bits (three words) and int32 for wider spans.
+    sub is (m, w) and zs is (s, w), both block-local (block_local_rows and
+    draw_block_zs) or both masked and aligned to the block's word span
+    (align_block_zs); the result is the (m, s) weight matrix, uint8 while
+    the w words hold at most 255 bits and int32 beyond.
     """
-    return xor_weights(sub[:, None, :], aligned[None, :, :])
+    return xor_weights(sub[:, None, :], zs[None, :, :])

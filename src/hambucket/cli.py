@@ -132,6 +132,9 @@ def _parse_sweep(text: str):
 def cmd_bench(args) -> int:
     model = DistributionModel.from_token(args.model)
     gammas = _parse_sweep(args.gamma_sweep)
+    for g in gammas:
+        if not 0.0 <= g <= 0.5:
+            raise ValueError(f"gamma outside [0, 1/2]: {g}")
     records = run_bench(
         args.d,
         args.n,

@@ -10,7 +10,12 @@ output never contains a false positive.
 Candidate filtering is vectorized: each node evaluates the bucket criterion
 for a whole batch of z draws in a few numpy passes over the current
 sublists (uint8 block weights, one flatnonzero over the z-major accept
-matrix), then splits the hits into per-child index ranges.
+matrix), then splits the hits into per-child index ranges.  The filter
+works on block-local words: each permutation round shifts every block of
+every row to bit 0 once (bitvec.block_local_rows), the layout in which
+draw_block_zs draws z, so a node compares its rows' block with the z's as
+drawn, and a block that straddles a word boundary costs the words its
+width needs and no more.
 
 Leaf buckets are scanned in batches.  A child is a leaf on the last level
 or when its smaller side has at most naive_threshold rows.  A run of
@@ -21,8 +26,14 @@ to the matches.  With stop_on_first the commit ends at the first child with
 a hit, so the counters are those of scanning leaf by leaf and stopping
 there; pairs the pass scanned beyond that child are not counted.  Leaves
 draw no random numbers, so inner children still draw their z batches in
-the same order.  The naive baseline runs on the same word-wise kernel,
-bitvec.xor_weights.
+the same order.
+
+The leaf scans and the naive baseline share their kernels: a cross scan of
+one-word rows is bitvec.xor_weights, the filter's kernel, and every other
+scan goes through _pair_hits.  That compares word 0 for every pair and adds
+the other words one at a time.  A pair whose distance over its first words
+already exceeds gamma cannot hit, so once at most an eighth of the pairs
+are left in the running only those are followed.
 """
 
 from __future__ import annotations
@@ -35,11 +46,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bitvec import (
+    WORD_BITS,
     BlockSpec,
-    align_block_zs,
+    align_block_zs,  # unused, as is pack_rows; perfbench/spans.py looks both up here by name
+    block_local_rows,
     block_weights_batch,
     draw_block_zs,
-    pack_rows,  # unused; perfbench/spans.py looks it up on this module by name
+    n_words,
+    pack_rows,
     permute_columns,
     random_permutation,
     xor_weights,
@@ -47,7 +61,8 @@ from .bitvec import (
 
 # Work per numpy pass, small enough that a pass's temporaries stay in cache
 # and are recycled by the allocator instead of faulted in afresh: uint64
-# elements per filter slab, and per scan pass (row pairs times words).
+# elements per filter slab, and row pairs per scan pass (a scan's bulk
+# temporaries hold one word per pair, see _pair_hits).
 _ELEM_BUDGET = 1 << 18
 _PAIR_BUDGET = _ELEM_BUDGET >> 3
 
@@ -175,22 +190,77 @@ def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect:
     """Full cross scan in row chunks; returns (hit_count, hit_rows, hit_cols).
 
     With collect the hits come as row-major index arrays, otherwise as None.
+    Rows of several words go through _pair_hits, pruned word by word.
     """
-    chunk = max(1, _PAIR_BUDGET // max(1, mat_b.shape[0]))
+    n_b = mat_b.shape[0]
+    chunk = max(1, _PAIR_BUDGET // max(1, n_b))
+    cols_b = np.ascontiguousarray(mat_b.T)
     total = 0
     rows, cols = [], []
     for lo in range(0, mat_a.shape[0], chunk):
-        hit = xor_weights(mat_a[lo : lo + chunk, None, :], mat_b[None, :, :]) == gamma_count
-        if collect:
+        sub = mat_a[lo : lo + chunk]
+        if sub.shape[1] == 1:
+            hit = xor_weights(sub[:, None, :], mat_b[None, :, :]) == gamma_count
+            if not collect:
+                total += int(np.count_nonzero(hit))
+                continue
             r, c = np.nonzero(hit)
-            rows.append(r + lo)
-            cols.append(c)
-            total += r.size
         else:
-            total += int(np.count_nonzero(hit))
+            cols_a = sub.T
+            found = _pair_hits(
+                lambda t: np.bitwise_count(cols_a[t][:, None] ^ cols_b[t][None, :]).ravel(),
+                lambda pos: np.divmod(pos, n_b),
+                cols_a, cols_b, gamma_count, collect,
+            )
+            if not collect:
+                total += found
+                continue
+            r, c = np.divmod(found, n_b)
+        total += r.size
+        rows.append(r + lo)
+        cols.append(c)
     if not collect:
         return total, None, None
     return total, np.concatenate(rows), np.concatenate(cols)
+
+
+def _pair_hits(dense_word, pair_rows, cols_a, cols_b, gamma_count: int, collect: bool = True):
+    """Flat indices, ascending, of the pairs at distance gamma_count; their number without collect.
+
+    cols_a[t] and cols_b[t] hold word t of the two sides' rows.  dense_word(t)
+    gives the popcount of word t of a ^ b for every pair in flat order, and
+    pair_rows(pos) the row indices (ia, ib) of the pairs at flat positions pos.
+    A pair whose distance over the first words already exceeds gamma_count
+    cannot hit.  So words are added for every pair only while more than an
+    eighth of the pairs could still hit; after that only those pairs are
+    followed, and a pair drops out as soon as it passes gamma_count.  The sum
+    is int32 once the rows hold more than 255 bits, so it cannot wrap.
+    """
+    words = len(cols_a)
+    part = dense_word(0)
+    if words * WORD_BITS > 255:
+        part = part.astype(np.int32)
+    t = 1
+    while t < words:
+        # while the first t words hold at most gamma_count bits, every pair is live
+        if t * WORD_BITS > gamma_count:
+            live = part <= gamma_count
+            if 8 * np.count_nonzero(live) <= live.size:
+                break
+        part += dense_word(t)
+        t += 1
+    if t == words:
+        hit = part == gamma_count
+        return np.flatnonzero(hit) if collect else int(np.count_nonzero(hit))
+    pos = np.flatnonzero(live)
+    part = part[pos]
+    ia, ib = pair_rows(pos)
+    for t in range(t, words):
+        part += np.bitwise_count(cols_a[t].take(ia) ^ cols_b[t].take(ib))
+        live = np.flatnonzero(part <= gamma_count)
+        pos, part, ia, ib = pos[live], part[live], ia[live], ib[live]
+    hit = pos[part == gamma_count]
+    return hit if collect else hit.size
 
 
 def _bucket_hits(a_mat, b_mat, rows_a, rows_b, na, nb, gamma_count: int):
@@ -201,22 +271,29 @@ def _bucket_hits(a_mat, b_mat, rows_a, rows_b, na, nb, gamma_count: int):
     at gamma_count, ordered by bucket: positions into rows_a and rows_b and
     the bucket holding the pair.
     """
+    sub_a, sub_b = a_mat.take(rows_a, 0), b_mat.take(rows_b, 0)
     if na.size == 1:
-        _, hit_i, hit_j = _scan_pairs(a_mat.take(rows_a, 0), b_mat.take(rows_b, 0), gamma_count, True)
+        _, hit_i, hit_j = _scan_pairs(sub_a, sub_b, gamma_count, True)
         return hit_i, hit_j, np.zeros(hit_i.size, dtype=np.intp)
     # flatten the pairs a-row by a-row: each a-row meets the nb[k] b-rows of
     # its own bucket k; int32 keeps this index arithmetic cheap
     na, nb = na.astype(np.int32), nb.astype(np.int32)
     per_row = np.repeat(nb, na)
-    first_pair = np.cumsum(per_row, dtype=np.int32) - per_row
+    end_pair = np.cumsum(per_row, dtype=np.int32)
     first_b = np.repeat(np.cumsum(nb, dtype=np.int32) - nb, na)
-    pa = np.repeat(np.arange(per_row.size, dtype=np.int32), per_row)
-    pb = np.repeat(first_b - first_pair, per_row)
+    pb = np.repeat(first_b - end_pair + per_row, per_row)
     pb += np.arange(pb.size, dtype=np.int32)
-    dist = xor_weights(a_mat.take(rows_a, 0).take(pa, 0), b_mat.take(rows_b, 0).take(pb, 0))
-    hit = np.flatnonzero(dist == gamma_count)
+    cols_a, cols_b = sub_a.T, sub_b.T
+    hit = _pair_hits(
+        lambda t: np.bitwise_count(np.repeat(cols_a[t], per_row) ^ cols_b[t].take(pb)),
+        # pairs still in the running can be many: one repeat beats a search each
+        lambda pos: (np.repeat(np.arange(per_row.size, dtype=np.int32), per_row)[pos], pb[pos]),
+        cols_a, cols_b, gamma_count,
+    )
+    # the a-row of a pair is the one whose run of per_row pairs holds it
+    pa = np.searchsorted(end_pair, hit, side="right")
     bucket = np.searchsorted(np.cumsum(na * nb), hit, side="right")
-    return pa[hit], pb[hit], bucket
+    return pa, pb[hit], bucket
 
 
 def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
@@ -252,17 +329,23 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     level_target = [
         round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
     ]
+    # z batches split into slabs by the words a block spans in the packed rows,
+    # not by its block-local words: where the slabs end decides how many block
+    # weights a stop-on-first walk computes before it stops
+    level_span = [
+        n_words(spec.bounds(i)[1]) - spec.bounds(i)[0] // WORD_BITS for i in range(1, params.depth + 1)
+    ]
 
     found: set[tuple[int, int]] = set()
     nodes = 0
     comparisons = 0
 
-    def scan_leaves(a_mat, b_mat, sel_a, sel_b, start_a, start_b, lo: int, hi: int) -> bool:
+    def scan_leaves(sel_a, sel_b, start_a, start_b, lo: int, hi: int) -> bool:
         """Scan children lo..hi-1 of a node, none of them inner, and commit them in order.
 
         Child j holds rows sel_a[start_a[j]:start_a[j + 1]] and the same of
         sel_b; a child with an empty side is no node.  One pass scans up to
-        _PAIR_BUDGET // words pairs.  Returns True when stop_on_first ends
+        _PAIR_BUDGET pairs.  Returns True when stop_on_first ends
         the walk at a child with a hit; later children stay uncounted.
         """
         nonlocal nodes, comparisons
@@ -270,10 +353,9 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         nb = np.diff(start_b[lo : hi + 1])
         pairs = na * nb
         cum = np.concatenate(([0], np.cumsum(pairs)))
-        budget = _PAIR_BUDGET // a_mat.shape[1]
         k0 = 0
         while k0 < hi - lo:
-            k1 = int(np.searchsorted(cum, cum[k0] + budget, side="right")) - 1
+            k1 = int(np.searchsorted(cum, cum[k0] + _PAIR_BUDGET, side="right")) - 1
             k1 = min(max(k1, k0 + 1), hi - lo)
             if cum[k1] > cum[k0]:
                 a0, a1 = start_a[lo + k0], start_a[lo + k1]
@@ -293,20 +375,17 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             k0 = k1
         return False
 
-    def descend(a_mat, b_mat, ia, ib, level: int) -> bool:
+    def descend(ia, ib, level: int) -> bool:
         """Filter an inner node's rows into the buckets of its z batch and visit them."""
         nonlocal nodes
         nodes += 1
-        blk = level + 1
-        width = spec.width(blk)
+        zs = draw_block_zs(rng, params.branching, spec.width(level + 1))
         target = level_target[level]
-        zs = draw_block_zs(rng, params.branching, width)
-        aligned, w0, w1, mask = align_block_zs(zs, spec, blk)
-        sub_a = a_mat[ia, w0:w1] & mask
-        sub_b = b_mat[ib, w0:w1] & mask
-        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * (w1 - w0)))
+        sub_a = local_a[level].take(ia, 0)
+        sub_b = local_b[level].take(ib, 0)
+        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * level_span[level]))
         for s0 in range(0, params.branching, slab):
-            za = aligned[s0 : s0 + slab]
+            za = zs[s0 : s0 + slab]
             # z-major accept matrices (the weight helper is symmetric in its
             # arguments), so each bucket's members sit contiguously after one
             # flatnonzero pass instead of a boolean gather per bucket
@@ -321,11 +400,11 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             start_b = np.searchsorted(flat_b, edges * ib.size)
             sel_a = ia[flat_a % ia.size]
             sel_b = ib[flat_b % ib.size]
-            if visit(a_mat, b_mat, sel_a, sel_b, start_a, start_b, level + 1):
+            if visit(sel_a, sel_b, start_a, start_b, level + 1):
                 return True
         return False
 
-    def visit(a_mat, b_mat, sel_a, sel_b, start_a, start_b, level: int) -> bool:
+    def visit(sel_a, sel_b, start_a, start_b, level: int) -> bool:
         """Visit children on one level in order: scan runs of leaves, descend into the rest."""
         count = start_a.size - 1
         inner = []
@@ -334,12 +413,12 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             inner = np.flatnonzero(sizes > params.naive_threshold).tolist()
         j = 0
         for c in inner + [count]:
-            if c > j and scan_leaves(a_mat, b_mat, sel_a, sel_b, start_a, start_b, j, c):
+            if c > j and scan_leaves(sel_a, sel_b, start_a, start_b, j, c):
                 return True
             if c < count:
                 ca = sel_a[start_a[c] : start_a[c + 1]]
                 cb = sel_b[start_b[c] : start_b[c + 1]]
-                if descend(a_mat, b_mat, ca, cb, level):
+                if descend(ca, cb, level):
                     return True
             j = c + 1
         return False
@@ -355,8 +434,11 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             perm = random_permutation(rng, d)
             a_mat = permute_columns(base_a, perm)
             b_mat = permute_columns(base_b, perm)
+        # the filter at level i compares block i + 1 of the rows, block-local
+        local_a = [block_local_rows(a_mat, spec, i) for i in range(1, params.depth + 1)]
+        local_b = [block_local_rows(b_mat, spec, i) for i in range(1, params.depth + 1)]
         # the root is the single child of a level above it
-        if visit(a_mat, b_mat, all_a, all_b, root_a, root_b, 0):
+        if visit(all_a, all_b, root_a, root_b, 0):
             break
 
     matches = []

@@ -4,7 +4,8 @@ The library keeps whole lists as (n, words) uint64 matrices.  These helpers
 work one BitVector at a time through Python big ints (exact, no overflow
 anywhere), so they make independent oracles for the batched code paths.
 The per-leaf solver at the end is the reference for solve()'s batched leaf
-scans: same matches, counters and random draws.
+scans: same matches, counters and random draws; the unpruned cross scan
+before it is the reference for the solver's pruned scans.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from hambucket.bitvec import (
     n_words,
     permute_columns,
     random_permutation,
+    xor_weights,
 )
 from hambucket.solver import (
+    _PAIR_BUDGET,
     MatchPair,
     SolveReport,
     SolverParams,
@@ -188,6 +191,34 @@ def inverse_permutation(perm: Permutation) -> Permutation:
     for j, image in enumerate(perm.map, start=1):
         inv[image - 1] = j
     return Permutation(perm.dim, tuple(inv))
+
+
+# --- the unpruned cross scan -------------------------------------------------
+#
+# The solver's cross scan before rows of several words were pruned word by word:
+# every word of every pair goes through the word-wise kernel.
+
+
+def unpruned_scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
+    """Full cross scan in row chunks; returns (hit_count, hit_rows, hit_cols).
+
+    With collect the hits come as row-major index arrays, otherwise as None.
+    """
+    chunk = max(1, _PAIR_BUDGET // max(1, mat_b.shape[0]))
+    total = 0
+    rows, cols = [], []
+    for lo in range(0, mat_a.shape[0], chunk):
+        hit = xor_weights(mat_a[lo : lo + chunk, None, :], mat_b[None, :, :]) == gamma_count
+        if collect:
+            r, c = np.nonzero(hit)
+            rows.append(r + lo)
+            cols.append(c)
+            total += r.size
+        else:
+            total += int(np.count_nonzero(hit))
+    if not collect:
+        return total, None, None
+    return total, np.concatenate(rows), np.concatenate(cols)
 
 
 # --- the per-leaf solver ------------------------------------------------------

@@ -8,6 +8,7 @@ from hambucket.bitvec import (
     BlockSpec,
     Permutation,
     align_block_zs,
+    block_local_rows,
     block_weights_batch,
     derive_seed,
     draw_block_zs,
@@ -241,6 +242,45 @@ def test_block_weights_batch_wide_and_word_crossing_blocks(d, r):
         want = [[block_weight(v, z, spec, i) for z in rows_to_vectors(width, zs)] for v in vs]
         assert got.tolist() == want
         assert got[1, 0] == width  # all-ones row against the zero z
+
+
+def check_block_local_rows(spec: BlockSpec, i: int, rng) -> None:
+    """block_local_rows against block_project and block_weight, row by row and z by z."""
+    d, width = spec.dim, spec.width(i)
+    vs = [BitVector.zeros(d), complement(BitVector.zeros(d))] + [random_vector(rng, d) for _ in range(3)]
+    local = block_local_rows(pack_rows(vs), spec, i)
+    assert [unpack_row(width, row) for row in local] == [block_project(v, spec, i) for v in vs]
+    zs = np.vstack([np.zeros((1, n_words(width)), dtype=np.uint64), draw_block_zs(rng, 3, width)])
+    got = block_weights_batch(local, zs)
+    assert got.dtype == (np.uint8 if n_words(width) * 64 <= 255 else np.int32)
+    want = [[block_weight(v, z, spec, i) for z in rows_to_vectors(width, zs)] for v in vs]
+    assert got.tolist() == want
+    assert got[1, 0] == width  # all-ones row against the zero z
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_local_rows_match_scalar(data):
+    """Every block of every layout, at any offset into its first word."""
+    d = data.draw(st.integers(1, 1100))
+    r = data.draw(st.one_of(st.integers(1, min(d, 6)), st.integers(1, d)))
+    spec = BlockSpec(d, r)
+    check_block_local_rows(spec, data.draw(st.integers(1, r)), make_rng(data.draw(st.integers(0, 2**32))))
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 255, 256, 300])
+def test_block_local_rows_widths_across_words(width):
+    """Blocks at word offsets 0, width and 2 * width; for width > 1 also a last
+    block of this width that starts one bit before a multiple of width."""
+    layouts = [(BlockSpec(3 * width, 3), i) for i in (1, 2, 3)]
+    if width > 1:
+        layouts.append((BlockSpec(2 * width - 1, 2), 2))
+    for spec, i in layouts:
+        assert spec.width(i) == width
+        check_block_local_rows(spec, i, make_rng(width + i))
+    # every width above 1 gets at least one block that crosses a word boundary
+    crossing = [spec.bounds(i) for spec, i in layouts if spec.bounds(i)[0] // 64 != (spec.bounds(i)[1] - 1) // 64]
+    assert crossing or width == 1
 
 
 # --- randomness ---------------------------------------------------------------

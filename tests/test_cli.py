@@ -136,6 +136,17 @@ def test_non_finite_sweep_exits_2(sweep):
     assert r.stderr.strip() == f"error: malformed sweep {sweep!r}: values must be finite"
 
 
+@pytest.mark.parametrize("sweep, bad", [("-0.1", "-0.1"), ("-0.05:0.1:0.05", "-0.05"),
+                                        ("0.9", "0.9"), ("0.4:0.6:0.1", "0.6")])
+def test_gamma_sweep_outside_range_exits_2(sweep, bad):
+    """Each sweep value is checked before any trial runs, and the message quotes it."""
+    # argparse takes "-0.1" as a value but "-0.05:..." only in the = form
+    r = run_cli("bench", "--d", "32", "--n", "64", f"--gamma-sweep={sweep}", "--trials", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == f"error: gamma outside [0, 1/2]: {bad}"
+
+
 @pytest.mark.parametrize("points", ["-1", "0"])
 def test_exponent_sweep_rejects_empty_points(points):
     r = run_cli("exponent", "--lambda", "0.25", "--model", "poisson:0.2", "--sweep", "--points", points)
@@ -198,6 +209,15 @@ def test_bench_records_deterministic_apart_from_timing():
     strip = lambda r: (r.d, r.n, r.gamma, r.strategy, r.depth, r.branching,
                        r.trial, r.seed, r.found, r.pairs)
     assert [strip(r) for r in a] == [strip(r) for r in b]
+
+
+def test_bench_records_do_not_depend_on_worker_count():
+    """One worker or two: the same records in the same order, timings apart."""
+    runs = [run_bench(32, 64, [0.125, 0.25], DistributionModel.uniform(), 3, EXACT, 9, workers=w)
+            for w in (1, 2)]
+    untimed = [[replace(r, solver_ns=0, naive_ns=0) for r in records] for records in runs]
+    assert len(untimed[0]) == 6
+    assert untimed[0] == untimed[1]
 
 
 def test_emit_csv_formats_records():

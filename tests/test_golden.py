@@ -6,7 +6,10 @@ not drift: the same seeds give byte-identical files and identical searches.
 
 import hashlib
 
-from hambucket import cli
+from hambucket import cli, solver
+from hambucket.analysis import DistributionModel, choose_params
+from hambucket.bitvec import block_weights_batch, make_rng
+from hambucket.generator import gen_instance
 
 
 def run(capsys, *argv: str) -> str:
@@ -42,3 +45,28 @@ def test_fixed_weight_instance_and_solve(tmp_path, capsys):
     assert "nodes=560 comparisons=293863 " in out
     out = run(capsys, "solve", "--in", str(path))
     assert "nodes=744 comparisons=238388 " in out
+
+
+def test_block_weights_before_the_first_hit(monkeypatch):
+    """Rows x z draws the filter weighs in stop-on-first solves of the d=128 instance.
+
+    The walk stops inside a node's z batch, so these counts pin where the
+    batch is split into slabs, along with the walk's own counters.
+    """
+    inst = gen_instance(128, 1024, 16, DistributionModel.fixed_weight(0.3), seed=7)
+    weighed = 0
+
+    def counting(sub, zs):
+        nonlocal weighed
+        weighed += sub.shape[0] * zs.shape[0]
+        return block_weights_batch(sub, zs)
+
+    monkeypatch.setattr(solver, "block_weights_batch", counting)
+    params = choose_params(128, 10 / 128, 16 / 128, strategy=solver.deviation(1), stop_on_first=True)
+    got = []
+    for seed in range(4):
+        weighed = 0
+        rep = solver.solve(inst, params, make_rng(seed))
+        got.append((rep.nodes_visited, rep.naive_comparisons, weighed, rep.planted_found))
+    assert got == [(560, 293863, 499712, True), (185, 44776, 392764, True),
+                   (2901, 716247, 1572352, True), (1320, 161120, 737792, True)]

@@ -7,13 +7,24 @@ from hypothesis import strategies as st
 
 from hambucket.analysis import DistributionModel, choose_params, pair_survival_count
 from hambucket import bitvec
-from hambucket.bitvec import BitVector, BlockSpec, draw_block_zs, make_rng, pack_rows
+from hambucket.bitvec import (
+    BitVector,
+    BlockSpec,
+    draw_block_zs,
+    make_rng,
+    mask_pad,
+    n_words,
+    pack_bit_matrix,
+    pack_rows,
+)
 from hambucket.generator import Instance, gen_instance, read_instance, write_instance
 from hambucket.solver import (
     AT_MOST,
     EXACT,
     MatchPair,
     _accept_mask,
+    _bucket_hits,
+    _scan_pairs,
     SolverParams,
     Strategy,
     bucket_accept,
@@ -31,6 +42,7 @@ from oracle import (
     reference_solve,
     survival_rate_probe,
     unpack_row,
+    unpruned_scan_pairs,
 )
 
 UNIFORM = DistributionModel.uniform()
@@ -73,6 +85,77 @@ def test_naive_scan_counts_distances_past_255():
         assert [(m.i, m.j) for m in naive_search(inst, g)] == want
         assert naive_count(inst, g) == len(want)
     assert tuple(inst.planted) in {(m.i, m.j) for m in naive_search(inst)}
+
+
+@pytest.mark.parametrize("d", [65, 96, 128, 200, 256, 320, 600])
+def test_pruned_scan_matches_unpruned_reference(d):
+    """Counts and ordered hits of the word-0 pruned scan equal the unpruned scan's.
+
+    The second list holds rows at distance g and 256 + g from rows of the
+    first for every tested g, and the complement of a row (distance d), so
+    a sum that wrapped at 256 would report false hits; gammas of 64 and up
+    leave word 0 nothing to prune.
+    """
+    rng = make_rng(d)
+    gammas = sorted(g for g in {0, 1, 16, 64, 65, 192, 255, 256, d} if g <= d)
+    mat_a = mask_pad(rng.integers(0, 1 << 64, size=(250, n_words(d)), dtype=np.uint64), d)
+    near = []
+    for k, dist in enumerate(sorted({g + s for g in gammas for s in (0, 256) if g + s <= d})):
+        flip = np.zeros(d, dtype=np.uint8)
+        flip[rng.permutation(d)[:dist]] = 1
+        near.append(mat_a[(37 * k) % 250] ^ pack_bit_matrix(flip[None, :])[0])
+    ones = mask_pad(np.full((1, n_words(d)), (1 << 64) - 1, dtype=np.uint64), d)
+    mat_b = np.vstack([rng.integers(0, 1 << 64, size=(280, n_words(d)), dtype=np.uint64), near, mat_a[:1] ^ ones])
+    mask_pad(mat_b, d)
+    mat_b = mat_b[rng.permutation(mat_b.shape[0])]
+    for g in gammas:
+        want_count, want_rows, want_cols = unpruned_scan_pairs(mat_a, mat_b, g, True)
+        got_count, got_rows, got_cols = _scan_pairs(mat_a, mat_b, g, True)
+        assert want_count >= 1
+        assert got_count == want_count
+        assert got_rows.tolist() == want_rows.tolist()
+        assert got_cols.tolist() == want_cols.tolist()
+        assert _scan_pairs(mat_a, mat_b, g, False)[0] == want_count
+
+
+@pytest.mark.parametrize("d", [64, 128, 200, 600])
+def test_batched_leaf_pass_matches_per_bucket_scans(d):
+    """The pairs a batched leaf pass reports, bucket by bucket, are the unpruned scan's.
+
+    Row i of the second matrix is row i of the first at a distance drawn from
+    the tested gammas (or 256 more), so each gamma has hits; gammas from 64
+    up keep several words dense before the pass follows the few pairs left.
+    """
+    rng = make_rng(d + 1)
+    n = 120
+    gammas = [g for g in (0, 1, 16, 40, 64, 65, 75, 100, 192, 255, 256, 300, d) if g <= d]
+    dists = [g + s for g in gammas for s in (0, 256) if g + s <= d]
+    mat_a = mask_pad(rng.integers(0, 1 << 64, size=(n, n_words(d)), dtype=np.uint64), d)
+    flips = np.zeros((n, d), dtype=np.uint8)
+    for i in range(n):
+        flips[i, rng.permutation(d)[: dists[i % len(dists)]]] = 1
+    mat_b = mat_a ^ pack_bit_matrix(flips)
+    segs_a, segs_b = [], []
+    for k in range(48):
+        # bucket k holds row k on both sides, so every distance occurs; every
+        # sixth bucket has an empty side
+        extra = rng.permutation(n)[: int(rng.integers(0, 8))]
+        rows = np.concatenate(([k], extra[extra != k]))
+        segs_a.append(rng.permutation(rows))
+        side_b = np.concatenate(([k], rng.permutation(rows[1:])[: int(rng.integers(0, rows.size))]))
+        segs_b.append(rng.permutation(side_b)[: 0 if k % 6 == 5 else None])
+    na = np.array([s.size for s in segs_a])
+    nb = np.array([s.size for s in segs_b])
+    rows_a, rows_b = np.concatenate(segs_a), np.concatenate(segs_b)
+    for g in gammas:
+        got = _bucket_hits(mat_a, mat_b, rows_a, rows_b, na, nb, g)
+        want = []
+        for k, (sa, sb) in enumerate(zip(segs_a, segs_b)):
+            if sa.size and sb.size:
+                _, r, c = unpruned_scan_pairs(mat_a[sa], mat_b[sb], g, True)
+                want += [(int(na[:k].sum() + i), int(nb[:k].sum() + j), k) for i, j in zip(r, c)]
+        assert want
+        assert list(zip(*(x.tolist() for x in got))) == want
 
 
 @pytest.mark.parametrize("dtype, width", [(np.uint8, 255), (np.uint8, 40), (np.int32, 300)])
