@@ -322,9 +322,9 @@ def xor_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def block_weights_batch(sub: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Pairwise block weights between rows and z draws of one block layout.
 
-    sub is (m, w) and zs is (s, w), both block-local (block_local_rows and
-    draw_block_zs) or both masked and aligned to the block's word span
-    (align_block_zs); the result is the (m, s) weight matrix, uint8 while
-    the w words hold at most 255 bits and int32 beyond.
+    sub is (m, w) and zs is (s, w), both block-local: the rows from
+    block_local_rows and the z's from draw_block_zs.  The result is the
+    (m, s) weight matrix, uint8 while the w words hold at most 255 bits and
+    int32 beyond.
     """
     return xor_weights(sub[:, None, :], zs[None, :, :])

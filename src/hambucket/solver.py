@@ -28,12 +28,11 @@ there; pairs the pass scanned beyond that child are not counted.  Leaves
 draw no random numbers, so inner children still draw their z batches in
 the same order.
 
-The leaf scans and the naive baseline share their kernels: a cross scan of
-one-word rows is bitvec.xor_weights, the filter's kernel, and every other
-scan goes through _pair_hits.  That compares word 0 for every pair and adds
-the other words one at a time.  A pair whose distance over its first words
-already exceeds gamma cannot hit, so once at most an eighth of the pairs
-are left in the running only those are followed.
+The leaf scans and the naive baseline share one kernel, _pair_hits.  It
+compares word 0 for every pair and adds the other words one at a time.  A
+pair whose distance over its first words already exceeds gamma cannot hit,
+so once at most an eighth of the pairs are left in the running only those
+are followed.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .bitvec import (
     pack_rows,
     permute_columns,
     random_permutation,
-    xor_weights,
 )
 
 # Work per numpy pass, small enough that a pass's temporaries stay in cache
@@ -190,7 +188,7 @@ def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect:
     """Full cross scan in row chunks; returns (hit_count, hit_rows, hit_cols).
 
     With collect the hits come as row-major index arrays, otherwise as None.
-    Rows of several words go through _pair_hits, pruned word by word.
+    Each chunk goes through _pair_hits, pruned word by word.
     """
     n_b = mat_b.shape[0]
     chunk = max(1, _PAIR_BUDGET // max(1, n_b))
@@ -198,24 +196,16 @@ def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect:
     total = 0
     rows, cols = [], []
     for lo in range(0, mat_a.shape[0], chunk):
-        sub = mat_a[lo : lo + chunk]
-        if sub.shape[1] == 1:
-            hit = xor_weights(sub[:, None, :], mat_b[None, :, :]) == gamma_count
-            if not collect:
-                total += int(np.count_nonzero(hit))
-                continue
-            r, c = np.nonzero(hit)
-        else:
-            cols_a = sub.T
-            found = _pair_hits(
-                lambda t: np.bitwise_count(cols_a[t][:, None] ^ cols_b[t][None, :]).ravel(),
-                lambda pos: np.divmod(pos, n_b),
-                cols_a, cols_b, gamma_count, collect,
-            )
-            if not collect:
-                total += found
-                continue
-            r, c = np.divmod(found, n_b)
+        cols_a = mat_a[lo : lo + chunk].T
+        found = _pair_hits(
+            lambda t: np.bitwise_count(cols_a[t][:, None] ^ cols_b[t][None, :]).ravel(),
+            lambda pos: np.divmod(pos, n_b),
+            cols_a, cols_b, gamma_count, collect,
+        )
+        if not collect:
+            total += found
+            continue
+        r, c = np.divmod(found, n_b)
         total += r.size
         rows.append(r + lo)
         cols.append(c)
@@ -330,8 +320,11 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
     ]
     # z batches split into slabs by the words a block spans in the packed rows,
-    # not by its block-local words: where the slabs end decides how many block
-    # weights a stop-on-first walk computes before it stops
+    # not by its block-local words.  Where the slabs end decides how many block
+    # weights a stop-on-first walk computes before it stops; these sizes keep
+    # that count (bitvec.block_weights) equal to the packed-row filter's, so
+    # the filter's time per weight compares like for like.  Local sizing ran
+    # about 6% faster end to end on solve-d128-fixed (ROADMAP item 4).
     level_span = [
         n_words(spec.bounds(i)[1]) - spec.bounds(i)[0] // WORD_BITS for i in range(1, params.depth + 1)
     ]

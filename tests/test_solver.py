@@ -87,10 +87,11 @@ def test_naive_scan_counts_distances_past_255():
     assert tuple(inst.planted) in {(m.i, m.j) for m in naive_search(inst)}
 
 
-@pytest.mark.parametrize("d", [65, 96, 128, 200, 256, 320, 600])
+@pytest.mark.parametrize("d", [1, 33, 64, 65, 96, 128, 200, 256, 320, 600])
 def test_pruned_scan_matches_unpruned_reference(d):
     """Counts and ordered hits of the word-0 pruned scan equal the unpruned scan's.
 
+    One-word rows (d <= 64) go through the same scan, with nothing to prune.
     The second list holds rows at distance g and 256 + g from rows of the
     first for every tested g, and the complement of a row (distance d), so
     a sum that wrapped at 256 would report false hits; gammas of 64 and up
