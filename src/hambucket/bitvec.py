@@ -218,9 +218,9 @@ def rows_to_vectors(dim: int, mat: np.ndarray) -> tuple[BitVector, ...]:
 
 
 def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
-    """Pack an (n, d) 0/1 matrix into (n, words) uint64, coordinate order."""
+    """Pack an (n, d) 0/1 bool or integer matrix into (n, words) uint64, coordinate order."""
     n, d = bits.shape
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    packed = np.packbits(bits, axis=1, bitorder="little")
     full = np.zeros((n, n_words(d) * 8), dtype=np.uint8)
     full[:, : packed.shape[1]] = packed
     return full.view(np.uint64)

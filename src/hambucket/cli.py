@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import statistics
 import sys
 
@@ -272,8 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_sweeps(argv: list[str]) -> list[str]:
+    """Join a --gamma-sweep value that starts with '-' to its flag.
+
+    argparse takes a plain negative number such as -0.1 as an option's value,
+    but reads -0.05:0.1:0.05 as an unknown flag; --gamma-sweep=-0.05:0.1:0.05
+    reaches cmd_bench's range check.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--gamma-sweep" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--gamma-sweep={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_sweeps(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -11,6 +11,10 @@ planted is "none" when no pair is tracked.  Each row is ceil(d/4) lowercase
 hex digits; digit t encodes coordinates 4t+1..4t+4, lowest coordinate in the
 lowest bit, i.e. nibble t of the packed word layout.  Padding bits beyond
 the dimension must be zero; readers reject files that violate this.
+
+Weighted rows come from the instance's one sequential random stream, drawn as
+uniform keys in fixed-size slabs of rows and packed slab by slab: the slab
+size bounds the memory a draw uses and never changes an instance's bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .solver import round_nearest
 
 _MAGIC = "CPINST"
 _VERSION = "1"
-_ROW_ELEM_BUDGET = 1 << 24  # floats per sampling slab
+_SLAB_KEYS = 1 << 14  # uniform keys per sampling slab: 128 KiB, stays in cache
 
 
 class InstanceParseError(ValueError):
@@ -114,43 +118,66 @@ class Instance:
         return rows_to_vectors(self.d, self.mat2)
 
 
+def _slab_rows(rng: np.random.Generator, n: int, d: int, select) -> np.ndarray:
+    """Pack n rows of d bits; select(keys, lo) gives the bool rows lo, lo + 1, ... of a slab.
+
+    keys holds d uniform floats per row, drawn row by row, _SLAB_KEYS at a
+    time: the stream, and so every row, is the same whatever the slab size.
+    """
+    out = np.zeros((n, n_words(d)), dtype=np.uint64)
+    out8 = out.view(np.uint8)[:, : (d + 7) // 8]
+    step = max(1, _SLAB_KEYS // d)
+    for lo in range(0, n, step):
+        keys = rng.random((min(step, n - lo), d))
+        out8[lo : lo + len(keys)] = np.packbits(select(keys, lo), axis=1, bitorder="little")
+    return out
+
+
+def _lowest_key_rows(rng: np.random.Generator, d: int, ks: np.ndarray, fallback) -> np.ndarray:
+    """Row r sets the bits of its ks[r] smallest keys out of d.
+
+    A row's bits are the keys at or below its k-th smallest key.  Where the
+    (k+1)-th key ties with that one, more than k keys qualify; the row's
+    support is then fallback(keys, k), the tie-break each model's pinned
+    instances were drawn with (tests/test_golden.py).
+    """
+
+    def select(keys: np.ndarray, lo: int) -> np.ndarray:
+        m, k = len(keys), ks[lo : lo + len(keys)]
+        # each row's keys sorted between sentinels: column k holds the k-th smallest key
+        srt = np.empty((m, d + 2))
+        srt[:, 0], srt[:, -1] = -np.inf, np.inf
+        srt[:, 1:-1] = keys
+        srt[:, 1:-1].sort(axis=1)
+        rows = np.arange(m)
+        kth = srt[rows, k]
+        bits = keys <= kth[:, None]
+        for r in np.flatnonzero(srt[rows, k + 1] == kth):
+            bits[r] = False
+            bits[r, fallback(keys[r], k[r])] = True
+        return bits
+
+    return _slab_rows(rng, len(ks), d, select)
+
+
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     words = rng.integers(0, 1 << WORD_BITS, size=(n, n_words(d)), dtype=np.uint64)
     return mask_pad(words, d)
 
 
 def _fixed_rows(rng: np.random.Generator, n: int, d: int, w: int) -> np.ndarray:
-    out = np.zeros((n, d), dtype=np.uint8)
-    if w > 0:
-        chunk = max(1, _ROW_ELEM_BUDGET // d)
-        for lo in range(0, n, chunk):
-            m = min(chunk, n - lo)
-            keys = rng.random((m, d))
-            if w < d:
-                support = np.argpartition(keys, w - 1, axis=1)[:, :w]
-            else:
-                support = np.broadcast_to(np.arange(d), (m, d))
-            rows = np.repeat(np.arange(lo, lo + m), w)
-            out[rows, support.ravel()] = 1
-    return pack_bit_matrix(out)
+    if w == 0:  # weight 0 draws no keys
+        return np.zeros((n, n_words(d)), dtype=np.uint64)
+    return _lowest_key_rows(rng, d, np.full(n, w), lambda keys, k: np.argpartition(keys, k - 1)[:k])
 
 
 def _bernoulli_rows(rng: np.random.Generator, n: int, d: int, mu: float) -> np.ndarray:
-    out = np.zeros((n, d), dtype=np.uint8)
-    chunk = max(1, _ROW_ELEM_BUDGET // d)
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        out[lo : lo + m] = rng.random((m, d)) < mu
-    return pack_bit_matrix(out)
+    return _slab_rows(rng, n, d, lambda keys, lo: keys < mu)
 
 
 def _poisson_rows(rng: np.random.Generator, n: int, d: int, mean_fraction: float) -> np.ndarray:
     weights = np.minimum(rng.poisson(mean_fraction * d, size=n), d)
-    out = np.zeros((n, d), dtype=np.uint8)
-    order = np.argsort(rng.random((n, d)), axis=1)
-    for row in range(n):
-        out[row, order[row, : weights[row]]] = 1
-    return pack_bit_matrix(out)
+    return _lowest_key_rows(rng, d, weights, lambda keys, k: np.argsort(keys)[:k])
 
 
 def _draw_rows(rng: np.random.Generator, n: int, d: int, model: DistributionModel) -> np.ndarray:

@@ -5,7 +5,9 @@ work one BitVector at a time through Python big ints (exact, no overflow
 anywhere), so they make independent oracles for the batched code paths.
 The per-leaf solver at the end is the reference for solve()'s batched leaf
 scans: same matches, counters and random draws; the unpruned cross scan
-before it is the reference for the solver's pruned scans.
+before it is the reference for the solver's pruned scans.  The weighted row
+samplers are the references for the generator's slab samplers: same random
+stream, same rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from hambucket.bitvec import (
     draw_block_zs,
     mask_pad,
     n_words,
+    pack_bit_matrix,
     permute_columns,
     random_permutation,
     xor_weights,
@@ -40,6 +43,7 @@ from hambucket.solver import (
 )
 
 _ELEM_BUDGET = 1 << 22  # uint64 elements per probe batch
+_ROW_ELEM_BUDGET = 1 << 24  # floats per sampling slab
 
 
 def _dim_mask(dim: int) -> int:
@@ -116,6 +120,31 @@ def hex_row(v: BitVector) -> str:
     """A row as the instance file writes it: digit t holds coordinates 4t+1..4t+4, lowest in bit 0."""
     value = v.to_int()
     return "".join("0123456789abcdef"[(value >> (4 * t)) & 0xF] for t in range((v.dim + 3) // 4))
+
+
+def reference_fixed_rows(rng: np.random.Generator, n: int, d: int, w: int) -> np.ndarray:
+    out = np.zeros((n, d), dtype=np.uint8)
+    if w > 0:
+        chunk = max(1, _ROW_ELEM_BUDGET // d)
+        for lo in range(0, n, chunk):
+            m = min(chunk, n - lo)
+            keys = rng.random((m, d))
+            if w < d:
+                support = np.argpartition(keys, w - 1, axis=1)[:, :w]
+            else:
+                support = np.broadcast_to(np.arange(d), (m, d))
+            rows = np.repeat(np.arange(lo, lo + m), w)
+            out[rows, support.ravel()] = 1
+    return pack_bit_matrix(out)
+
+
+def reference_poisson_rows(rng: np.random.Generator, n: int, d: int, mean_fraction: float) -> np.ndarray:
+    weights = np.minimum(rng.poisson(mean_fraction * d, size=n), d)
+    out = np.zeros((n, d), dtype=np.uint8)
+    order = np.argsort(rng.random((n, d)), axis=1)
+    for row in range(n):
+        out[row, order[row, : weights[row]]] = 1
+    return pack_bit_matrix(out)
 
 
 def partition_in_place(

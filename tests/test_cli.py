@@ -140,8 +140,18 @@ def test_non_finite_sweep_exits_2(sweep):
                                         ("0.9", "0.9"), ("0.4:0.6:0.1", "0.6")])
 def test_gamma_sweep_outside_range_exits_2(sweep, bad):
     """Each sweep value is checked before any trial runs, and the message quotes it."""
-    # argparse takes "-0.1" as a value but "-0.05:..." only in the = form
+    # the = form; the space-separated form is checked below
     r = run_cli("bench", "--d", "32", "--n", "64", f"--gamma-sweep={sweep}", "--trials", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == f"error: gamma outside [0, 1/2]: {bad}"
+
+
+@pytest.mark.parametrize("sweep, bad", [("-0.1", "-0.1"), ("-0.05:0.1:0.05", "-0.05"),
+                                        ("-.2:0.1:0.1", "-0.2")])
+def test_negative_gamma_sweep_as_separate_argument_exits_2(sweep, bad):
+    """A sweep starting below 0 reaches the range check when written after a space too."""
+    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", sweep, "--trials", "1")
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.strip() == f"error: gamma outside [0, 1/2]: {bad}"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hambucket import generator
 from hambucket.analysis import DistributionModel
-from hambucket.bitvec import BitVector, pack_rows
+from hambucket.bitvec import BitVector, make_rng, pack_rows
 from hambucket.generator import (
     Instance,
     InstanceParseError,
@@ -14,7 +15,7 @@ from hambucket.generator import (
     read_instance,
     write_instance,
 )
-from oracle import distance, hex_row, weight
+from oracle import distance, hex_row, reference_fixed_rows, reference_poisson_rows, weight
 
 UNIFORM = DistributionModel.uniform()
 
@@ -65,6 +66,40 @@ def test_poisson_weights_vary():
     ws = {weight(v) for v in inst.list1}
     assert len(ws) > 3
     assert all(0 <= w <= 64 for w in ws)
+
+
+class CoarseKeys:
+    """A random stream whose keys are rounded down to multiples of 1/levels.
+
+    With few levels most rows have a tie at their k-th smallest key, which
+    the samplers must break as the reference samplers do.
+    """
+
+    def __init__(self, seed: int, levels: int):
+        self.rng = make_rng(seed)
+        self.levels = levels
+
+    def random(self, size):
+        return np.floor(self.rng.random(size) * self.levels) / self.levels
+
+    def poisson(self, lam, size):
+        return self.rng.poisson(lam, size)
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 200, 1100])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_weighted_samplers_match_reference_under_tied_keys(d, data):
+    step = max(1, generator._SLAB_KEYS // d)  # rows per slab
+    n = data.draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step + 3]).filter(bool), label="n")
+    levels = data.draw(st.sampled_from([2, 5, 64, 1 << 40]), label="levels")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    w = data.draw(st.sampled_from([0, 1, d // 3, d - 1, d]), label="w")
+    got = generator._fixed_rows(CoarseKeys(seed, levels), n, d, w)
+    assert np.array_equal(got, reference_fixed_rows(CoarseKeys(seed, levels), n, d, w))
+    f = data.draw(st.sampled_from([0.0, 0.02, 0.3, 0.97, 2.0]), label="mean_fraction")
+    got = generator._poisson_rows(CoarseKeys(seed, levels), n, d, f)
+    assert np.array_equal(got, reference_poisson_rows(CoarseKeys(seed, levels), n, d, f))
 
 
 def test_uniform_mean_distance_concentrates():

@@ -6,6 +6,8 @@ not drift: the same seeds give byte-identical files and identical searches.
 
 import hashlib
 
+import pytest
+
 from hambucket import cli, solver
 from hambucket.analysis import DistributionModel, choose_params
 from hambucket.bitvec import block_weights_batch, make_rng
@@ -45,6 +47,18 @@ def test_fixed_weight_instance_and_solve(tmp_path, capsys):
     assert "nodes=560 comparisons=293863 " in out
     out = run(capsys, "solve", "--in", str(path))
     assert "nodes=744 comparisons=238388 " in out
+
+
+@pytest.mark.parametrize("d, n, model, prefix", [
+    (64, 512, "bernoulli:0.4", "f030ea365e8e868d"),
+    (100, 3000, "poisson:0.25", "c17f97e042981f46"),  # many sampling slabs, rows across a word
+    (100, 3000, "fixed:0.3", "34966dbcb6fcff11"),
+])
+def test_weighted_instances(tmp_path, capsys, d, n, model, prefix):
+    path = tmp_path / "inst.cp"
+    run(capsys, "gen", "--d", str(d), "--n", str(n), "--gamma", "8", "--model", model,
+        "--seed", "7", "--out", str(path))
+    assert sha256(path).startswith(prefix)
 
 
 def test_block_weights_before_the_first_hit(monkeypatch):
