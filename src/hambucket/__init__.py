@@ -29,7 +29,6 @@ from .analysis import (
     lower_bound_exponent,
     pair_survival_count,
     pair_survival_prob_q,
-    strategy_survival_count,
     theta_distribution,
     theta_uniform,
 )

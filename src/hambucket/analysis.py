@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .solver import EXACT, SolverParams, Strategy, bucket_accept, round_nearest
+from .bitvec import WORD_BITS, BlockSpec, n_words
+from .solver import _ELEM_BUDGET, _PAIR_BUDGET, EXACT, SolverParams, Strategy, round_nearest
 
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
@@ -102,29 +104,6 @@ def pair_survival_count(k: int, gamma_count: int, delta_count: int) -> int:
     if a < 0 or a > k - gamma_count:
         return 0
     return math.comb(gamma_count, b) * math.comb(k - gamma_count, a)
-
-
-def strategy_survival_count(k: int, gamma_count: int, delta_count: int, strategy: Strategy) -> int:
-    """#{z : both block weights pass the bucket rule} for x, y at distance gamma_count.
-
-    Generalizes pair_survival_count: the rule need not pin both weights to the
-    same value, so the split over the differing coordinates may be uneven.
-    With wt(x + z) = t + m and wt(y + z) = (gamma_count - t) + m, sum over the
-    t coordinates where z sides with y and the m agreeing coordinates it flips.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0 <= gamma_count <= k or not 0 <= delta_count <= k:
-        return 0
-    total = 0
-    for t in range(gamma_count + 1):
-        ct = math.comb(gamma_count, t)
-        for m in range(k - gamma_count + 1):
-            if bucket_accept(t + m, delta_count, strategy) and bucket_accept(
-                gamma_count - t + m, delta_count, strategy
-            ):
-                total += ct * math.comb(k - gamma_count, m)
-    return total
 
 
 def enumerate_pq_oracle(k: int, gamma_count: int, delta_count: int) -> tuple[int, int]:
@@ -470,6 +449,194 @@ def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> Ex
 # several shallower permutation rounds recover the success probability.
 _BRANCHING_CAP = 512
 
+# Unit costs of the solver's operations, in seconds on a 2-vCPU x86-64 VM
+# with numpy 2.4 on one thread.  They come from 2688 repeat-until-found
+# searches (d = 32 to 128, n = 2^8 to 2^13, depth 1 to 5, uniform and
+# weighted rows, dev:1, stop_on_first): each search's time was fitted, by
+# non-negative least squares in relative error, against the operations it
+# counted.  The fit's median error per search is 18%.  Scaling any one cost
+# by 0.8 or 1.25 leaves every configuration of the measured depth grid in
+# tests/test_analysis.py at a depth within 1.3x of its fastest.
+_FILTER_S = 2.5e-9  # per row x z draw x block-local word, weights through accept mask
+_SLAB_S = 150e-6  # per filter slab: nonzero, bucket edges and the visit of its children
+_NODE_S = 150e-6  # per inner node: its z draw and row gathers
+_BATCH_PAIR_S = 7.2e-9  # per row pair in a ragged pass over many leaf buckets
+_SCAN_PAIR_S = 2.8e-9  # per row pair in a leaf bucket scanned by its own _scan_pairs pass
+_SCAN_PASS_S = 30e-6  # per such pass
+_SOLVE_S = 370e-6  # per solve call: block-local rows and the final distance checks
+_WIDE_ROW = 1.3  # pair costs of rows longer than one word, relative to one word
+
+
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+
+
+def _log_comb_arr(lf: np.ndarray, n, m) -> np.ndarray:
+    """ln C(n, m) elementwise from a table of ln k!, -inf where m is outside [0, n]."""
+    top = lf.size - 1
+    val = lf[np.minimum(np.maximum(n, 0), top)] - lf[np.minimum(np.maximum(m, 0), top)]
+    val -= lf[np.minimum(np.maximum(n - m, 0), top)]
+    return np.where((0 <= m) & (m <= n), val, -np.inf)
+
+
+def _accept_window(delta_count: int, strategy: Strategy, width: int) -> tuple[int, int]:
+    """The block weights [lo, hi] that bucket_accept lets through, within [0, width]."""
+    if strategy.kind == "atmost":
+        return 0, min(delta_count, width)
+    # exact is the window of width 0
+    return max(delta_count - strategy.eps, 0), min(delta_count + strategy.eps, width)
+
+
+# The tables below and predicted_cost are cached: choose_params meets the
+# same blocks at several depths, and callers repeat the same configuration.
+
+
+@lru_cache(maxsize=1024)
+def _survival_by_split(width: int, delta_count: int, strategy: Strategy, gmax: int) -> np.ndarray:
+    """Pr[both rows of a pair g apart inside a block pass its bucket rule], for g = 0..gmax.
+
+    Over uniform z, with z siding with y on t of the g differing coordinates
+    and flipping m of the others, the weights are t + m and g - t + m.  For
+    each t the m that put both in the window form an interval, summed from
+    the binomial CDF of width - g.
+    """
+    lf = _log_factorials(max(width, gmax))
+    lo, hi = _accept_window(delta_count, strategy, width)
+    g = np.arange(gmax + 1)[:, None]
+    t = np.arange(gmax + 1)[None, :]
+    rest = width - g
+    pt = np.exp(_log_comb_arr(lf, g, t) - g * _LN2)
+    pm = np.exp(_log_comb_arr(lf, rest, np.arange(width + 1)) - np.maximum(rest, 0) * _LN2)
+    cdf = np.concatenate((np.zeros((gmax + 1, 1)), np.cumsum(pm, axis=1)), axis=1)
+    m_lo = np.minimum(np.maximum(lo - np.minimum(t, g - t), 0), width + 1)
+    m_hi = np.maximum(np.minimum(hi - np.maximum(t, g - t), rest) + 1, 0)
+    mass = np.maximum(cdf[g, m_hi] - cdf[g, m_lo], 0.0)
+    out = (pt * mass).sum(axis=1)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _split_probs(rest: int, width: int, gmax: int) -> np.ndarray:
+    """[r, g]: Pr[g of r differing coordinates, uniform among rest, fall in a block of width]."""
+    lf = _log_factorials(max(rest, gmax))
+    r = np.arange(gmax + 1)[:, None]
+    g = np.arange(gmax + 1)[None, :]
+    # more differing coordinates than remain is impossible: a zero row, not 0/0
+    total = np.maximum(_log_comb_arr(lf, rest, r), 0.0)
+    out = np.exp(_log_comb_arr(lf, width, g) + _log_comb_arr(lf, rest - width, r - g) - total)
+    out.flags.writeable = False
+    return out
+
+
+def block_survival(d: int, gamma_count: int, width: int, delta_count: int, strategy: Strategy) -> float:
+    """Pr[a planted pair passes one block's bucket rule under a uniform z], exactly.
+
+    The gamma_count coordinates where the pair differs fall into a block of
+    width of the d coordinates hypergeometrically, and each split g has its
+    own survival (_survival_by_split): an odd g can never pass exact, and a
+    last block wider than the others has its own width.
+    """
+    if not 1 <= width <= d:
+        raise ValueError(f"block width outside [1, {d}]: {width}")
+    if not 0 <= gamma_count <= d:
+        raise ValueError(f"gamma_count outside [0, {d}]: {gamma_count}")
+    split = _split_probs(d, width, gamma_count)[gamma_count]
+    return float(split @ _survival_by_split(width, delta_count, strategy, gamma_count))
+
+
+def _first_hit(s: np.ndarray, tries: int, slab: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pr[one of tries draws hits], and given a hit, the first hit's index and the slabs filtered by then.
+
+    Each draw hits with probability s, independently; draws are filtered
+    slab at a time, so a hit at draw j has cost ceil(j / slab) slabs.
+    """
+    slabs = -(-tries // slab)
+    rare = tries * s < 1e-9  # hits spread evenly; the formulas below cancel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_miss = np.log1p(-np.minimum(s, 1.0))
+        hit = -np.expm1(tries * log_miss)
+        miss = 1.0 - hit
+        first = 1.0 / s - tries * miss / hit
+        geo = np.expm1(slabs * slab * log_miss) / np.expm1(slab * log_miss)
+        filtered = (geo - slabs * miss) / hit
+    first = np.where(rare, (tries + 1) / 2, first)
+    filtered = np.where(rare, (slabs + 1) / 2, filtered)
+    return hit, first, filtered
+
+
+@lru_cache(maxsize=256)
+def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> float:
+    """Predicted seconds per success of solve() with params on uniform rows of 2^(lam d) each.
+
+    The model follows the walk.  A level-i node holds n p_1 ... p_i rows a
+    side, where p_j is the share of z draws whose bucket takes a uniform
+    row's block j.  It filters them against branching z draws, in slabs
+    sized as the solver sizes them; a child is inner while it holds more
+    than naive_threshold rows and levels remain, and otherwise a leaf,
+    scanned in a ragged pass with its siblings or, once it holds about half
+    a pass of pairs, in a pass of its own.  Each operation costs its
+    measured unit time (the _*_S constants).
+
+    The round_nearest(gamma d) coordinates where the planted pair differs
+    split over the blocks hypergeometrically, and the split decides, level
+    by level, which z draws keep the pair (_survival_by_split).  A round
+    succeeds when some z at the root keeps the pair and the child's subtree
+    finds it.  With stop_on_first the walk ends at that hit, so a success
+    costs the rounds that fail, walked in full, plus the walk up to the
+    first hit of the round that succeeds.  Without it every call walks
+    every round, and the cost is a call's divided by its success
+    probability.  Returns inf when no round can find the pair.
+    """
+    n = 2.0 ** (lam * d)
+    g_all = round_nearest(gamma * d)
+    spec = BlockSpec(d, params.depth)
+    tries, strategy = params.branching, params.strategy
+    # top-down: the rows per side at each level, down to the level whose children are leaves
+    levels, rows = [], n
+    for i in range(1, params.depth + 1):
+        width, (start, stop) = spec.width(i), spec.bounds(i)
+        target = round_nearest(params.delta * width)
+        lo, hi = _accept_window(target, strategy, width)
+        p = sum(math.comb(width, w) for w in range(lo, hi + 1)) / 2**width
+        span = n_words(stop) - start // WORD_BITS
+        levels.append((width, target, d - start, rows, span))
+        rows *= p
+        if rows <= params.naive_threshold:
+            break
+    # bottom-up over the pair's remaining differing coordinates r: Pr[the
+    # subtree finds the pair] and the expected cost of the walk that does
+    x = rows * rows * (1.0 if n_words(d) == 1 else _WIDE_ROW)
+    if x >= _PAIR_BUDGET / 2:
+        full = _SCAN_PAIR_S * x + _SCAN_PASS_S
+    else:
+        full = _BATCH_PAIR_S * x
+    found = np.ones(g_all + 1)
+    found_cost = np.full(g_all + 1, full)
+    for width, target, rest, rows, span in reversed(levels):
+        # the root holds all g_all of them, a deeper node any number
+        r = np.arange(g_all + 1) if rest < d else np.array([g_all])
+        below = np.maximum(r[:, None] - np.arange(g_all + 1), 0)
+        slab = max(1, _ELEM_BUDGET // max(1, round(2 * rows) * span))
+        per_z = _FILTER_S * 2 * rows * n_words(width)
+        survive = _survival_by_split(width, target, strategy, g_all) * found[below]
+        hit, first, filtered = _first_hit(survive, tries, slab)
+        walk = (_NODE_S + filtered * _SLAB_S + np.minimum(tries, filtered * slab) * per_z
+                + (first - 1) * full + found_cost[below])
+        split = _split_probs(rest, width, g_all)[r]
+        found = (split * hit).sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            found_cost = np.where(found > 0, (split * hit * walk).sum(axis=1) / found, 0.0)
+        full = _NODE_S + -(-tries // slab) * _SLAB_S + tries * (per_z + full)
+    p_round, hit_cost = found[0], found_cost[0]
+    p_call = 1.0 if p_round >= 1.0 else -math.expm1(params.permutations * math.log1p(-p_round))
+    if p_call <= 0.0:
+        return math.inf
+    if params.stop_on_first:
+        return (p_round * hit_cost + (1.0 - p_round) * full) / p_round + _SOLVE_S / p_call
+    return (_SOLVE_S + params.permutations * full) / p_call
+
 
 def choose_params(
     d: int,
@@ -486,14 +653,18 @@ def choose_params(
 ) -> SolverParams:
     """Concrete solver parameters for a d-dimensional instance.
 
-    Every keyword given overrides the corresponding default; the rest follow
-    the asymptotic recipe adapted to finite d:
+    Every keyword given overrides the corresponding default; the rest are:
 
     - delta: delta_star below gamma_star, else the smallest radius that keeps
       pair survival possible, (1 - sqrt(1 - 2 gamma)) / 2
-    - depth: d / log2(d)^2 rounded, clamped to [1, min(8, d // 4)]
-    - branching: d / q for the actual first-block width and acceptance rule,
-      capped at _BRANCHING_CAP
+    - depth: the one in [1, min(8, d // 4)] (1 when d < 4) with the least
+      predicted_cost, the seconds per success the walk model predicts for
+      uniform rows of 2^(lam d) each; rows drawn otherwise get the depth
+      chosen for uniform rows, and an explicit depth (--depth) overrides it.
+      Depths whose blocks cannot keep the pair under any split of its
+      differing coordinates are skipped.
+    - branching: d / q for the exact survival q of the first block
+      (block_survival), capped at _BRANCHING_CAP
     - naive_threshold: cost-balanced against branching so filtering a subrange
       never costs more popcounts than just scanning it, floored at 32 and kept
       well under the list length so the tree actually runs
@@ -507,36 +678,44 @@ def choose_params(
     ds, gs = delta_gamma_star(lam)
     if delta is None:
         delta = ds if gamma <= gs else 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * gamma))
-    if depth is None:
-        depth = 1 if d < 4 else round_nearest(d / math.log2(d) ** 2)
-        depth = max(1, min(depth, 8, d // 4 if d >= 4 else 1))
-    if not 1 <= depth <= d:
-        raise ValueError(f"depth outside [1, {d}]: {depth}")
     strategy = EXACT if strategy is None else strategy
-    k = d // depth
-    # survival under the acceptance rule actually in force; a deviation window
-    # or a degenerate at-most radius can keep pairs the exact rule cannot
-    g = round_even(gamma * k)
-    survivors = 0
-    if 0 <= g <= k:
-        survivors = strategy_survival_count(k, g, round_nearest(delta * k), strategy)
-    if survivors == 0:
-        raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g} on width {k}")
-    log_q = math.log2(survivors) - k
-    if branching is None:
-        if math.log2(d) - log_q >= math.log2(_BRANCHING_CAP):
-            branching = _BRANCHING_CAP
-        else:
-            branching = max(1, round_nearest(d * 2.0 ** (-log_q)))
-    if naive_threshold is None:
-        n_over_8 = 2.0 ** (lam * d) / 8.0
-        naive_threshold = max(32, min(branching, int(n_over_8)))
-    return SolverParams(
-        depth=depth,
-        branching=branching,
-        permutations=4 if permutations is None else permutations,
-        delta=delta,
-        strategy=strategy,
-        naive_threshold=naive_threshold,
-        stop_on_first=False if stop_on_first is None else stop_on_first,
-    )
+    g_all = round_nearest(gamma * d)
+
+    def at_depth(r: int) -> SolverParams | None:
+        """The parameters at depth r, or None if no split lets the pair through all r blocks."""
+        spec = BlockSpec(d, r)
+        # both weights of a kept pair lie in the window, so a block keeps at most 2 hi of its differences
+        room = 0
+        for i in range(1, r + 1):
+            _, hi = _accept_window(round_nearest(delta * spec.width(i)), strategy, spec.width(i))
+            room += min(2 * hi, spec.width(i))
+        if room < g_all:
+            return None
+        b = branching
+        if b is None:
+            width = spec.width(1)
+            q = block_survival(d, g_all, width, round_nearest(delta * width), strategy)
+            b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
+        t = naive_threshold
+        if t is None:
+            t = max(32, min(b, int(2.0 ** (lam * d) / 8.0)))
+        return SolverParams(
+            depth=r,
+            branching=b,
+            permutations=4 if permutations is None else permutations,
+            delta=delta,
+            strategy=strategy,
+            naive_threshold=t,
+            stop_on_first=False if stop_on_first is None else stop_on_first,
+        )
+
+    if depth is None:
+        depths = range(1, (1 if d < 4 else min(8, d // 4)) + 1)
+    elif 1 <= depth <= d:
+        depths = [depth]
+    else:
+        raise ValueError(f"depth outside [1, {d}]: {depth}")
+    candidates = [c for c in map(at_depth, depths) if c is not None]
+    if not candidates:
+        raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g}")
+    return min(candidates, key=lambda c: predicted_cost(d, lam, gamma, c))

@@ -86,7 +86,8 @@ def cmd_solve(args) -> int:
         report.matches,
         f"# matches={len(report.matches)} nodes={report.nodes_visited} "
         f"comparisons={report.naive_comparisons} time={report.wall_time:.6f}s "
-        f"planted_found={planted}",
+        f"planted_found={planted} depth={params.depth} branching={params.branching} "
+        f"threshold={params.naive_threshold}",
     )
     return 0
 

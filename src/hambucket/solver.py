@@ -324,7 +324,7 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     # weights a stop-on-first walk computes before it stops; these sizes keep
     # that count (bitvec.block_weights) equal to the packed-row filter's, so
     # the filter's time per weight compares like for like.  Local sizing ran
-    # about 6% faster end to end on solve-d128-fixed (ROADMAP item 4).
+    # about 6% faster end to end on solve-d128-fixed (ROADMAP item 1).
     level_span = [
         n_words(spec.bounds(i)[1]) - spec.bounds(i)[0] // WORD_BITS for i in range(1, params.depth + 1)
     ]

@@ -7,11 +7,13 @@ The per-leaf solver at the end is the reference for solve()'s batched leaf
 scans: same matches, counters and random draws; the unpruned cross scan
 before it is the reference for the solver's pruned scans.  The weighted row
 samplers are the references for the generator's slab samplers: same random
-stream, same rows.
+stream, same rows.  The survival count last of all is the exact integer
+reference for the analysis' per-split survival.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 
@@ -39,6 +41,7 @@ from hambucket.solver import (
     SolverParams,
     Strategy,
     _accept_mask,
+    bucket_accept,
     round_nearest,
 )
 
@@ -376,3 +379,27 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
         wall_time=time.perf_counter() - t_start,
         planted_found=planted_found,
     )
+
+
+def strategy_survival_count(k: int, gamma_count: int, delta_count: int, strategy: Strategy) -> int:
+    """#{z : both block weights pass the bucket rule} for x, y at distance gamma_count.
+
+    Generalizes analysis.pair_survival_count: the rule need not pin both
+    weights to the same value, so the split over the differing coordinates
+    may be uneven.  With wt(x + z) = t + m and wt(y + z) = (gamma_count - t)
+    + m, sum over the t coordinates where z sides with y and the m agreeing
+    coordinates it flips.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if not 0 <= gamma_count <= k or not 0 <= delta_count <= k:
+        return 0
+    total = 0
+    for t in range(gamma_count + 1):
+        ct = math.comb(gamma_count, t)
+        for m in range(k - gamma_count + 1):
+            if bucket_accept(t + m, delta_count, strategy) and bucket_accept(
+                gamma_count - t + m, delta_count, strategy
+            ):
+                total += ct * math.comb(k - gamma_count, m)
+    return total

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hambucket import analysis
 from hambucket.analysis import (
     DistributionModel,
     Regime,
     binary_entropy,
+    block_survival,
     bucket_count,
     bucket_prob_p,
     choose_params,
@@ -20,12 +23,14 @@ from hambucket.analysis import (
     lower_bound_exponent,
     pair_survival_count,
     pair_survival_prob_q,
+    predicted_cost,
     round_even,
-    strategy_survival_count,
     theta_distribution,
     theta_uniform,
 )
-from hambucket.solver import AT_MOST, EXACT, Strategy, deviation, round_nearest
+from hambucket.bitvec import BlockSpec
+from hambucket.solver import AT_MOST, EXACT, Strategy, bucket_accept, deviation, round_nearest
+from oracle import strategy_survival_count
 
 UNIFORM = DistributionModel.uniform()
 
@@ -136,6 +141,58 @@ def test_strategy_survival_odd_distance():
     # but a window of width >= 1 can
     assert strategy_survival_count(12, 3, 4, EXACT) == 0
     assert strategy_survival_count(12, 3, 4, deviation(1)) > 0
+
+
+def _enumerated_block_survival(d, gamma_count, spec, i, delta_count, strategy):
+    """Share of (error pattern, z) pairs that keep x = 0 and y = e in block i, by enumeration."""
+    start, stop = spec.bounds(i)
+    width = stop - start
+    kept = total = 0
+    for support in itertools.combinations(range(d), gamma_count):
+        e = sum(1 << (c - start) for c in support if start <= c < stop)
+        for z in range(1 << width):
+            total += 1
+            kept += (bucket_accept(bin(z).count("1"), delta_count, strategy)
+                     and bucket_accept(bin(z ^ e).count("1"), delta_count, strategy))
+    return kept / total
+
+
+@pytest.mark.parametrize("d, r", [(8, 2), (9, 2), (10, 3)])
+def test_block_survival_matches_enumeration(d, r):
+    """Exact per-block survival against every error pattern and every z.
+
+    (8, 2) has blocks of 4; (9, 2) and (10, 3) have a last block wider than
+    the others.  The planted difference splits over the blocks, so no
+    single per-block distance, round_even(gamma k) or other, reproduces it.
+    """
+    spec = BlockSpec(d, r)
+    for i in (1, r):
+        width = spec.width(i)
+        for gamma_count in (1, 2, 3):
+            for strategy in (EXACT, deviation(1), AT_MOST):
+                for dc in range(width + 1):
+                    want = _enumerated_block_survival(d, gamma_count, spec, i, dc, strategy)
+                    got = block_survival(d, gamma_count, width, dc, strategy)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (d, r, i, gamma_count, strategy, dc)
+
+
+def test_block_survival_of_the_whole_vector_matches_count():
+    """A block holding every coordinate holds all gamma_count differences: no split to average."""
+    for k in (5, 12, 16):
+        for g in range(k + 1):
+            for strategy in (EXACT, deviation(1), deviation(2), AT_MOST):
+                for dc in range(k + 1):
+                    want = strategy_survival_count(k, g, dc, strategy) / 2**k
+                    assert block_survival(k, g, k, dc, strategy) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def test_block_survival_odd_split_under_exact():
+    # one block holding every coordinate sees all 3 differences: an odd split
+    for dc in range(9):
+        assert block_survival(8, 3, 8, dc, EXACT) == 0.0
+    assert block_survival(8, 3, 8, 2, deviation(1)) > 0.0
+    # with two blocks some splits are even, and those pass
+    assert block_survival(8, 3, 4, 1, EXACT) > 0.0
 
 
 # --- exponents ----------------------------------------------------------------
@@ -303,9 +360,64 @@ def test_choose_params_delta_by_regime():
 
 
 def test_choose_params_depth_clamps():
-    assert choose_params(64, 0.2, 0.1).depth == 2
-    assert choose_params(8, 0.5, 0.1).depth == 1
-    assert choose_params(1024, 0.02, 0.1).depth == 8
+    """The automatic depth is the argmin of predicted_cost over exactly [1, min(8, d // 4)]."""
+    for d, lam, gamma, kw in [
+        (64, 0.2, 0.1, {}),
+        (8, 0.5, 0.1, {}),
+        (1024, 0.02, 0.1, {}),
+        (64, 12 / 64, 8 / 64, {"strategy": deviation(1), "stop_on_first": True}),
+        (96, 0.1, 0.125, {"strategy": AT_MOST, "stop_on_first": True}),
+        (128, 10 / 128, 16 / 128, {"strategy": deviation(1), "permutations": 8}),
+    ]:
+
+        def cost(r):
+            try:
+                params = choose_params(d, lam, gamma, depth=r, **kw)
+            except ValueError:  # the radius cannot keep the pair through r blocks
+                return math.inf
+            return predicted_cost(d, lam, gamma, params)
+
+        costs = {r: cost(r) for r in range(1, min(8, d // 4) + 1)}
+        assert choose_params(d, lam, gamma, **kw).depth == min(costs, key=costs.get)
+
+
+def test_choose_params_depth_range_bounds(monkeypatch):
+    """Whatever the costs, the candidates are depths 1 to min(8, d // 4), and 1 when d < 4."""
+    seen = []
+
+    def deepest_is_cheapest(d, lam, gamma, params):
+        seen.append(params.depth)
+        return -params.depth
+
+    monkeypatch.setattr(analysis, "predicted_cost", deepest_is_cheapest)
+    for d, top in [(1, 1), (3, 1), (7, 1), (8, 2), (31, 7), (32, 8), (1024, 8)]:
+        seen.clear()
+        assert choose_params(d, 0.3, 0.0).depth == top
+        assert sorted(seen) == list(range(1, top + 1))
+
+
+# Median milliseconds per repeat-until-found search by depth (dev:1,
+# stop_on_first, uniform rows), measured with the d / log2(d)^2 depth rule's
+# solver on a 2-vCPU VM: (d, log2 n, gamma d) -> {depth: ms}.
+MEASURED_DEPTH_GRID = {
+    (64, 9, 8): {2: 2.10, 3: 2.93},
+    (64, 10, 8): {2: 2.19, 3: 3.73},
+    (64, 12, 8): {2: 11.8, 3: 7.3, 4: 9.1},
+    (64, 13, 8): {2: 40.4, 3: 16.7, 4: 491},
+    (96, 11, 12): {2: 5.84, 3: 8.18, 4: 7.05},
+    (128, 10, 16): {2: 3.11, 3: 2.78},
+    (128, 12, 16): {2: 17.2, 3: 15.2, 4: 14.0},
+}
+
+
+@pytest.mark.parametrize("config", sorted(MEASURED_DEPTH_GRID))
+def test_choose_params_depth_against_measured_grid(config):
+    """The model's depth is within 1.3x of the fastest measured depth."""
+    d, log_n, gamma_count = config
+    ms = MEASURED_DEPTH_GRID[config]
+    acceptable = {r for r, t in ms.items() if t <= 1.3 * min(ms.values())}
+    params = choose_params(d, log_n / d, gamma_count / d, strategy=deviation(1), stop_on_first=True)
+    assert params.depth in acceptable
 
 
 def test_choose_params_overrides_pass_through():

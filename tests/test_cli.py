@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from hambucket.analysis import choose_params
 from hambucket.bench import CSV_HEADER, BenchRecord, emit_csv, run_bench
 from hambucket.cli import bench_summary
 from hambucket.generator import DistributionModel, read_instance
@@ -53,6 +54,22 @@ def test_solve_respects_tuning_flags(tmp_path):
     assert r.returncode == 0, r.stderr
     # the exhaustive configuration must report the planted pair
     assert "planted_found=true" in r.stdout
+
+
+def test_solve_summary_reports_chosen_parameters(tmp_path):
+    """The summary line ends with the depth, branching and threshold the solve ran with."""
+    path = tmp_path / "i.cpinst"
+    run_cli("gen", "--d", "64", "--n", "512", "--gamma", "8", "--seed", "7", "--out", str(path))
+    auto = choose_params(64, 9 / 64, 8 / 64, stop_on_first=True)
+    r = run_cli("solve", "--in", str(path))
+    assert r.returncode == 0, r.stderr
+    summary = r.stdout.splitlines()[-1]
+    assert summary.startswith("# matches=1 nodes=")
+    assert summary.endswith(f"s planted_found=true depth={auto.depth} branching={auto.branching} "
+                            f"threshold={auto.naive_threshold}")
+    r = run_cli("solve", "--in", str(path), "--depth", "2", "--branching", "100", "--threshold", "40")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1].endswith(" depth=2 branching=100 threshold=40")
 
 
 def test_exponent_report_values():

@@ -27,8 +27,13 @@ def test_uniform_instance_and_solves(tmp_path, capsys):
     path = tmp_path / "inst.cp"
     run(capsys, "gen", "--d", "64", "--n", "512", "--gamma", "8", "--seed", "7", "--out", str(path))
     assert sha256(path).startswith("59d46acacc40e800")
-    out = run(capsys, "solve", "--in", str(path))
+    # --depth 2 keeps this pin on the walk it was recorded from; the walk at
+    # the depth the cost model chooses is pinned next
+    out = run(capsys, "solve", "--in", str(path), "--depth", "2")
     assert "matches=1 nodes=606 comparisons=7468 " in out
+    out = run(capsys, "solve", "--in", str(path))
+    assert "matches=1 nodes=249 comparisons=43534 " in out
+    assert out.endswith(" depth=3 branching=512 threshold=64\n")
     out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--depth", "2",
               "--branching", "256", "--all")
     assert "nodes=1028 comparisons=154914 " in out
@@ -39,7 +44,7 @@ def test_fixed_weight_instance_and_solve(tmp_path, capsys):
     run(capsys, "gen", "--d", "128", "--n", "1024", "--gamma", "16", "--model", "fixed:0.3",
         "--seed", "7", "--out", str(path))
     assert sha256(path).startswith("232f24d5fe60687b")
-    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--all")
+    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--all", "--depth", "3")
     assert "nodes=49145 comparisons=13650569 " in out
     # stop-on-first: the walk ends at the first leaf with a hit, so these
     # counters pin which leaves are committed before the early exit
