@@ -12,23 +12,19 @@ ranges where theory says it should.  The package splits into:
 - ``cli``:       the ``hambucket`` command
 """
 
-from .bitvec import BitVector, BlockSpec, Permutation, make_rng, random_permutation
+from .bitvec import BitVector, BlockSpec, make_rng, random_permutation
 from .analysis import (
     DistributionModel,
     ExponentResult,
     Regime,
     binary_entropy,
-    bucket_prob_p,
     choose_params,
     delta_gamma_star,
-    enumerate_pq_oracle,
     epsilon_distribution,
     expected_pairs_exponent,
     inverse_entropy,
     log_pair_weight_prob,
     lower_bound_exponent,
-    pair_survival_count,
-    pair_survival_prob_q,
     theta_distribution,
     theta_uniform,
 )
@@ -40,7 +36,6 @@ from .solver import (
     SolveReport,
     SolverParams,
     Strategy,
-    bucket_accept,
     deviation,
     naive_search,
     solve,

@@ -1,10 +1,10 @@
 """Survival probabilities and runtime exponents for the bucketing solver.
 
 Everything here is closed-form combinatorics plus one-dimensional numeric
-optimization.  Probabilities are handled as base-2 logarithms; impossible
-events are float("-inf"), which saturates correctly under addition and
-comparison.  Exact integer counting twins (bucket_count and friends) back
-the log forms so they can be checked against brute-force enumeration.
+optimization.  Exponents are base-2 logarithms; impossible events are
+float("-inf"), which saturates correctly under addition and comparison.
+The parameter choice reads exact per-block survival tables, which
+verify_survival_counts checks against enumeration.
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitvec import WORD_BITS, BlockSpec, n_words
-from .solver import _ELEM_BUDGET, _PAIR_BUDGET, EXACT, SolverParams, Strategy, round_nearest
+from .bitvec import BlockSpec, n_words
+from .solver import _ELEM_BUDGET, _PAIR_BUDGET, AT_MOST, EXACT, SolverParams, Strategy, deviation, round_nearest
 
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
-
-
-def round_even(x: float) -> int:
-    """Nearest even integer."""
-    return 2 * int(math.floor(x / 2.0 + 0.5))
 
 
 def binary_entropy(x: float) -> float:
@@ -63,131 +58,6 @@ def inverse_entropy(y: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def _log2_comb(n: int, m: int) -> float:
-    if m < 0 or m > n:
-        return NEG_INF
-    if n <= 4096:
-        return math.log2(math.comb(n, m))
-    # Stirling via lgamma; relative error ~1e-14, plenty below any tolerance
-    # used on the asymptotic side.
-    return (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)) / _LN2
-
-
-# --- exact counting twins ---------------------------------------------------
-
-
-def bucket_count(k: int, delta_count: int) -> int:
-    """#{z in F_2^k : wt(x + z) = delta_count}, independent of x."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0 <= delta_count <= k:
-        return 0
-    return math.comb(k, delta_count)
-
-
-def pair_survival_count(k: int, gamma_count: int, delta_count: int) -> int:
-    """#{z : wt(x + z) = wt(y + z) = delta_count} for any x, y at distance gamma_count.
-
-    Zero when gamma_count is odd (the two weights differ mod 2) or when the
-    split is otherwise infeasible.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0 <= gamma_count <= k or not 0 <= delta_count <= k:
-        return 0
-    if gamma_count % 2:
-        return 0
-    b = gamma_count // 2
-    a = delta_count - b
-    if a < 0 or a > k - gamma_count:
-        return 0
-    return math.comb(gamma_count, b) * math.comb(k - gamma_count, a)
-
-
-def enumerate_pq_oracle(k: int, gamma_count: int, delta_count: int) -> tuple[int, int]:
-    """Brute-force (p_count, q_count) by enumerating all 2^k values of z.
-
-    Places x = 0 and y = the first gamma_count coordinates; by symmetry the
-    counts do not depend on that choice.  Guarded to k <= 20.
-    """
-    if not 1 <= k <= 20:
-        raise ValueError("enumeration oracle is limited to 1 <= k <= 20")
-    if not 0 <= gamma_count <= k:
-        raise ValueError("gamma_count outside [0, k]")
-    if not 0 <= delta_count <= k:
-        raise ValueError("delta_count outside [0, k]")
-    z = np.arange(1 << k, dtype=np.uint64)
-    wz = np.bitwise_count(z)
-    y = np.uint64((1 << gamma_count) - 1)
-    wyz = np.bitwise_count(z ^ y)
-    hit_p = wz == delta_count
-    p_count = int(hit_p.sum())
-    q_count = int((hit_p & (wyz == delta_count)).sum())
-    return p_count, q_count
-
-
-def verify_survival_counts(kmax: int = 14) -> tuple[int, list[str]]:
-    """Check the closed-form counts against enumeration for every k <= kmax.
-
-    Returns (cases_checked, mismatch_descriptions); an empty second element
-    means the closed forms are exact on the whole range.
-    """
-    if not 2 <= kmax <= 20:
-        raise ValueError("kmax must be in [2, 20]")
-    mismatches: list[str] = []
-    cases = 0
-    for k in range(2, kmax + 1):
-        for g in range(0, k + 1, 2):
-            for m in range(0, k + 1):
-                p_cnt, q_cnt = enumerate_pq_oracle(k, g, m)
-                cases += 1
-                if p_cnt != bucket_count(k, m):
-                    mismatches.append(f"p mismatch at k={k} m={m}: {bucket_count(k, m)} != {p_cnt}")
-                if q_cnt != pair_survival_count(k, g, m):
-                    mismatches.append(
-                        f"q mismatch at k={k} g={g} m={m}: {pair_survival_count(k, g, m)} != {q_cnt}"
-                    )
-    return cases, mismatches
-
-
-# --- log-probabilities ------------------------------------------------------
-
-
-def bucket_prob_p(k: int, delta: float) -> float:
-    """log2 Pr[wt(x + z) = round(delta k)] over uniform z in F_2^k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta outside [0, 1]: {delta}")
-    m = min(round_nearest(delta * k), k)
-    return _log2_comb(k, m) - k
-
-
-def pair_survival_prob_q(k: int, gamma: float, delta: float) -> float:
-    """log2 Pr[wt(x + z) = wt(y + z) = round(delta k)] for dist(x, y) = gamma k.
-
-    The planted distance is forced to the nearest even integer g.  The target
-    weight rounds the same way bucket_prob_p rounds it, and the weight outside
-    the difference support is what remains, a = round(delta k) - g/2; deriving
-    a independently from (delta - gamma/2) k can disagree with the bucket
-    weight by one and push q above p, which a joint probability of nested
-    events must never do.  Returns -inf when the split is infeasible.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma outside [0, 1]: {gamma}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta outside [0, 1]: {delta}")
-    g = round_even(gamma * k)
-    if g < 0 or g > k:
-        return NEG_INF
-    a = round_nearest(delta * k) - g // 2
-    if a < 0 or a > k - g:
-        return NEG_INF
-    return _log2_comb(g, g // 2) + _log2_comb(k - g, a) - k
 
 
 # --- asymptotic exponents ---------------------------------------------------
@@ -480,14 +350,6 @@ def _log_comb_arr(lf: np.ndarray, n, m) -> np.ndarray:
     return np.where((0 <= m) & (m <= n), val, -np.inf)
 
 
-def _accept_window(delta_count: int, strategy: Strategy, width: int) -> tuple[int, int]:
-    """The block weights [lo, hi] that bucket_accept lets through, within [0, width]."""
-    if strategy.kind == "atmost":
-        return 0, min(delta_count, width)
-    # exact is the window of width 0
-    return max(delta_count - strategy.eps, 0), min(delta_count + strategy.eps, width)
-
-
 # The tables below and predicted_cost are cached: choose_params meets the
 # same blocks at several depths, and callers repeat the same configuration.
 
@@ -502,7 +364,7 @@ def _survival_by_split(width: int, delta_count: int, strategy: Strategy, gmax: i
     the binomial CDF of width - g.
     """
     lf = _log_factorials(max(width, gmax))
-    lo, hi = _accept_window(delta_count, strategy, width)
+    lo, hi = strategy.window(delta_count)
     g = np.arange(gmax + 1)[:, None]
     t = np.arange(gmax + 1)[None, :]
     rest = width - g
@@ -544,6 +406,53 @@ def block_survival(d: int, gamma_count: int, width: int, delta_count: int, strat
         raise ValueError(f"gamma_count outside [0, {d}]: {gamma_count}")
     split = _split_probs(d, width, gamma_count)[gamma_count]
     return float(split @ _survival_by_split(width, delta_count, strategy, gamma_count))
+
+
+def verify_survival_counts(kmax: int = 14) -> tuple[int, list[str]]:
+    """Check the survival table against enumeration for every k <= kmax.
+
+    A case is a block width k in [2, kmax], an even distance g and a target
+    weight m in [0, k].  For each of exact, dev:1 and atmost, 2^k times the
+    table's entry at g = 0 (p) and at g (q) must round to the number of z
+    enumerated whose weights pass the rule, within a relative 1e-9.  The z
+    are enumerated once per (k, g), with x = 0 and y the first g
+    coordinates, as a joint histogram of (wt(x + z), wt(y + z)); the counts
+    for every m are differences of its prefix sums.
+
+    Returns (cases_checked, mismatch_descriptions); an empty second element
+    means the table is exact on the whole range.
+    """
+    if not 2 <= kmax <= 20:
+        raise ValueError("kmax must be in [2, 20]")
+    mismatches: list[str] = []
+    cases = 0
+    for k in range(2, kmax + 1):
+        z = np.arange(1 << k, dtype=np.uint64)
+        wx = np.bitwise_count(z).astype(np.int64) * (k + 1)
+        # per rule: the windows [lo, end) for every target m, cut to the
+        # weights 0..k, and 2^k times the table at every m
+        rules = []
+        for strategy in (EXACT, deviation(1), AT_MOST):
+            lo, hi = np.array([strategy.window(m) for m in range(k + 1)]).T
+            table = np.stack([_survival_by_split(k, m, strategy, k) for m in range(k + 1)]) * 2.0**k
+            rules.append((strategy, lo, np.minimum(hi, k) + 1, table))
+        for g in range(0, k + 1, 2):
+            wy = np.bitwise_count(z ^ np.uint64((1 << g) - 1))
+            hist = np.bincount(wx + wy, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+            # below[a, b]: the z with wt(x + z) < a and wt(y + z) < b
+            below = np.zeros((k + 2, k + 2), dtype=np.int64)
+            below[1:, 1:] = hist.cumsum(0).cumsum(1)
+            cases += k + 1
+            for strategy, lo, end, table in rules:
+                p = below[end, -1] - below[lo, -1]
+                q = below[end, end] - below[lo, end] - below[end, lo] + below[lo, lo]
+                for name, count, got in (("p", p, table[:, 0]), ("q", q, table[:, g])):
+                    for m in np.flatnonzero((np.rint(got) != count) | (abs(got - count) > 1e-9 * count)):
+                        mismatches.append(
+                            f"{name} mismatch at k={k} g={g} m={m} {strategy.token()}: "
+                            f"table gives {float(got[m])!r}, enumeration {count[m]}"
+                        )
+    return cases, mismatches
 
 
 def _first_hit(s: np.ndarray, tries: int, slab: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -596,13 +505,11 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
     # top-down: the rows per side at each level, down to the level whose children are leaves
     levels, rows = [], n
     for i in range(1, params.depth + 1):
-        width, (start, stop) = spec.width(i), spec.bounds(i)
-        target = round_nearest(params.delta * width)
-        lo, hi = _accept_window(target, strategy, width)
-        p = sum(math.comb(width, w) for w in range(lo, hi + 1)) / 2**width
-        span = n_words(stop) - start // WORD_BITS
-        levels.append((width, target, d - start, rows, span))
-        rows *= p
+        width = spec.width(i)
+        survival = _survival_by_split(width, round_nearest(params.delta * width), strategy, g_all)
+        levels.append((width, survival, d - spec.bounds(i)[0], rows))
+        # a row is a pair at distance 0: p is the table's first entry
+        rows *= survival[0]
         if rows <= params.naive_threshold:
             break
     # bottom-up over the pair's remaining differing coordinates r: Pr[the
@@ -614,13 +521,13 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
         full = _BATCH_PAIR_S * x
     found = np.ones(g_all + 1)
     found_cost = np.full(g_all + 1, full)
-    for width, target, rest, rows, span in reversed(levels):
+    for width, survival, rest, rows in reversed(levels):
         # the root holds all g_all of them, a deeper node any number
         r = np.arange(g_all + 1) if rest < d else np.array([g_all])
         below = np.maximum(r[:, None] - np.arange(g_all + 1), 0)
-        slab = max(1, _ELEM_BUDGET // max(1, round(2 * rows) * span))
+        slab = max(1, _ELEM_BUDGET // max(1, round(2 * rows) * n_words(width)))
         per_z = _FILTER_S * 2 * rows * n_words(width)
-        survive = _survival_by_split(width, target, strategy, g_all) * found[below]
+        survive = survival * found[below]
         hit, first, filtered = _first_hit(survive, tries, slab)
         walk = (_NODE_S + filtered * _SLAB_S + np.minimum(tries, filtered * slab) * per_z
                 + (first - 1) * full + found_cost[below])
@@ -687,7 +594,7 @@ def choose_params(
         # both weights of a kept pair lie in the window, so a block keeps at most 2 hi of its differences
         room = 0
         for i in range(1, r + 1):
-            _, hi = _accept_window(round_nearest(delta * spec.width(i)), strategy, spec.width(i))
+            _, hi = strategy.window(round_nearest(delta * spec.width(i)))
             room += min(2 * hi, spec.width(i))
         if room < g_all:
             return None

@@ -149,25 +149,6 @@ class BlockSpec:
             raise ValueError(f"block index {i} outside [1, {self.r}]")
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on coordinates; map[j-1] is the image of coordinate j."""
-
-    dim: int
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        m = tuple(int(x) for x in self.map)
-        object.__setattr__(self, "map", m)
-        if sorted(m) != list(range(1, self.dim + 1)):
-            raise ValueError("map is not a bijection on [1, dim]")
-
-    @classmethod
-    def identity(cls, dim: int) -> "Permutation":
-        return cls(dim, tuple(range(1, dim + 1)))
-
-
 # --- seeded randomness -----------------------------------------------------
 #
 # Philox is counter-based, so independent streams are cheap and every draw
@@ -185,8 +166,9 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def random_permutation(rng: np.random.Generator, dim: int) -> Permutation:
-    return Permutation(dim, tuple(int(j) + 1 for j in rng.permutation(dim)))
+def random_permutation(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Uniform coordinate permutation as a 0-based index array: perm[j] is the image of j."""
+    return rng.permutation(dim)
 
 
 # --- packed matrix layer ---------------------------------------------------
@@ -232,13 +214,11 @@ def unpack_bit_matrix(mat: np.ndarray, dim: int) -> np.ndarray:
     return bits[:, :dim]
 
 
-def permute_columns(mat: np.ndarray, perm: Permutation) -> np.ndarray:
-    """Apply a coordinate permutation to every row of a packed matrix."""
-    dim = perm.dim
-    bits = unpack_bit_matrix(mat, dim)
+def permute_columns(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Apply a coordinate permutation (random_permutation's index array) to every row."""
+    bits = unpack_bit_matrix(mat, perm.size)
     out = np.empty_like(bits)
-    idx = np.asarray(perm.map, dtype=np.int64) - 1
-    out[:, idx] = bits
+    out[:, perm] = bits
     return pack_bit_matrix(out)
 
 

@@ -12,6 +12,7 @@ import math
 import re
 import statistics
 import sys
+import time
 
 import numpy as np
 
@@ -94,8 +95,6 @@ def cmd_solve(args) -> int:
 
 def cmd_naive(args) -> int:
     inst = read_instance(args.infile)
-    import time
-
     t0 = time.perf_counter()
     matches = naive_search(inst)
     elapsed = time.perf_counter() - t0
@@ -220,7 +219,10 @@ def cmd_verify(args) -> int:
             print(f"error: {line}", file=sys.stderr)
         print(f"error: {len(mismatches)} mismatches in {cases} cases", file=sys.stderr)
         return 1
-    print(f"ok: closed-form p and q match enumeration for all k <= {args.kmax} ({cases} cases)")
+    print(
+        f"ok: survival tables p and q match enumeration for exact, dev:1 and atmost, "
+        f"all k <= {args.kmax} ({cases} cases)"
+    )
     return 0
 
 
@@ -267,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=65, help="sweep resolution")
     p.set_defaults(func=cmd_exponent)
 
-    p = sub.add_parser("verify", help="check closed-form p/q against enumeration")
+    p = sub.add_parser(
+        "verify", help="check the survival tables p/q against enumeration for exact, dev:1 and atmost"
+    )
     p.add_argument("--kmax", type=int, default=14)
     p.set_defaults(func=cmd_verify)
 

@@ -51,7 +51,6 @@ from .bitvec import (
     block_local_rows,
     block_weights_batch,
     draw_block_zs,
-    n_words,
     pack_rows,
     permute_columns,
     random_permutation,
@@ -92,6 +91,13 @@ class Strategy:
     def token(self) -> str:
         return f"dev:{self.eps}" if self.kind == "deviation" else self.kind
 
+    def window(self, delta_count: int) -> tuple[int, int]:
+        """The block weights [lo, hi] this rule accepts around the target delta_count."""
+        if self.kind == "atmost":
+            return 0, delta_count
+        # exact is the window of width 0
+        return max(delta_count - self.eps, 0), delta_count + self.eps
+
     @classmethod
     def from_token(cls, token: str) -> "Strategy":
         if token in ("exact", "atmost"):
@@ -113,28 +119,16 @@ def deviation(eps: int = 1) -> Strategy:
     return Strategy("deviation", eps)
 
 
-def bucket_accept(wt: int, delta_count: int, strategy: Strategy) -> bool:
-    """Whether a block weight wt passes the bucket criterion."""
-    if strategy.kind == "exact":
-        return wt == delta_count
-    if strategy.kind == "deviation":
-        return abs(wt - delta_count) <= strategy.eps
-    return wt <= delta_count
-
-
-def _accept_mask(weights: np.ndarray, delta_count: int, strategy: Strategy) -> np.ndarray:
-    if strategy.kind == "exact":
-        return weights == delta_count
-    if strategy.kind == "deviation":
-        # |w - delta_count| <= eps as one unsigned compare: below the window,
-        # w - lo wraps around to a value above hi - lo
-        unsigned = weights.view(f"u{weights.itemsize}")
-        lo = max(delta_count - strategy.eps, 0)
-        hi = min(delta_count + strategy.eps, int(np.iinfo(unsigned.dtype).max))
-        if lo > hi:
-            return np.zeros(weights.shape, dtype=bool)
-        return unsigned - lo <= hi - lo
-    return weights <= delta_count
+def _accept_mask(weights: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Which block weights lie in the window [lo, hi] (Strategy.window)."""
+    if lo == hi:
+        return weights == lo
+    if lo == 0:
+        return weights <= hi
+    # lo <= w <= hi as one unsigned compare: below the window, w - lo wraps
+    # around to a value above hi - lo, once hi is cut to the largest weight
+    unsigned = weights.view(f"u{weights.itemsize}")
+    return unsigned - lo <= min(hi, (1 << 8 * unsigned.itemsize) - 1) - lo
 
 
 @dataclass(frozen=True)
@@ -316,17 +310,9 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     d, gamma = inst.d, inst.gamma_count
     base_a, base_b = inst.mat1, inst.mat2
     spec = BlockSpec(d, params.depth)
-    level_target = [
-        round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
-    ]
-    # z batches split into slabs by the words a block spans in the packed rows,
-    # not by its block-local words.  Where the slabs end decides how many block
-    # weights a stop-on-first walk computes before it stops; these sizes keep
-    # that count (bitvec.block_weights) equal to the packed-row filter's, so
-    # the filter's time per weight compares like for like.  Local sizing ran
-    # about 6% faster end to end on solve-d128-fixed (ROADMAP item 1).
-    level_span = [
-        n_words(spec.bounds(i)[1]) - spec.bounds(i)[0] // WORD_BITS for i in range(1, params.depth + 1)
+    level_window = [
+        params.strategy.window(round_nearest(params.delta * spec.width(i)))
+        for i in range(1, params.depth + 1)
     ]
 
     found: set[tuple[int, int]] = set()
@@ -373,17 +359,18 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         nonlocal nodes
         nodes += 1
         zs = draw_block_zs(rng, params.branching, spec.width(level + 1))
-        target = level_target[level]
+        lo, hi = level_window[level]
         sub_a = local_a[level].take(ia, 0)
         sub_b = local_b[level].take(ib, 0)
-        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * level_span[level]))
+        # zs has the block-local words of the rows' block
+        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * zs.shape[1]))
         for s0 in range(0, params.branching, slab):
             za = zs[s0 : s0 + slab]
             # z-major accept matrices (the weight helper is symmetric in its
             # arguments), so each bucket's members sit contiguously after one
             # flatnonzero pass instead of a boolean gather per bucket
-            acc_a = _accept_mask(block_weights_batch(za, sub_a), target, params.strategy)
-            acc_b = _accept_mask(block_weights_batch(za, sub_b), target, params.strategy)
+            acc_a = _accept_mask(block_weights_batch(za, sub_a), lo, hi)
+            acc_b = _accept_mask(block_weights_batch(za, sub_b), lo, hi)
             flat_a = np.flatnonzero(acc_a)
             flat_b = np.flatnonzero(acc_b)
             if flat_a.size == 0 or flat_b.size == 0:

@@ -7,8 +7,9 @@ The per-leaf solver at the end is the reference for solve()'s batched leaf
 scans: same matches, counters and random draws; the unpruned cross scan
 before it is the reference for the solver's pruned scans.  The weighted row
 samplers are the references for the generator's slab samplers: same random
-stream, same rows.  The survival count last of all is the exact integer
-reference for the analysis' per-split survival.
+stream, same rows.  The survival count and the z enumeration last of all are
+the exact integer references for the analysis' survival tables, and
+bucket_accept is the scalar form of the bucket rule they share.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hambucket.bitvec import (
     WORD_BITS,
     BitVector,
     BlockSpec,
-    Permutation,
     align_block_zs,
     block_weights_batch,
     draw_block_zs,
@@ -41,7 +41,6 @@ from hambucket.solver import (
     SolverParams,
     Strategy,
     _accept_mask,
-    bucket_accept,
     round_nearest,
 )
 
@@ -91,13 +90,22 @@ def block_weight(v: BitVector, z: BitVector, spec: BlockSpec, i: int) -> int:
     return distance(blk, z)
 
 
-def apply_permutation(v: BitVector, perm: Permutation) -> BitVector:
-    """Vector whose coordinate perm.map[j-1] equals coordinate j of v."""
-    if v.dim != perm.dim:
+def bucket_accept(wt: int, delta_count: int, strategy: Strategy) -> bool:
+    """Whether a block weight wt passes the bucket rule: the reference for Strategy.window."""
+    if strategy.kind == "exact":
+        return wt == delta_count
+    if strategy.kind == "deviation":
+        return abs(wt - delta_count) <= strategy.eps
+    return wt <= delta_count
+
+
+def apply_permutation(v: BitVector, perm: np.ndarray) -> BitVector:
+    """Vector whose coordinate perm[j-1] + 1 equals coordinate j of v (perm is 0-based)."""
+    if v.dim != len(perm):
         raise ValueError("dimension mismatch")
     value = 0
     for j in v.support():
-        value |= 1 << (perm.map[j - 1] - 1)
+        value |= 1 << int(perm[j - 1])
     return BitVector.from_int(v.dim, value)
 
 
@@ -178,7 +186,7 @@ def partition_in_place(
         return lo
     aligned, w0, w1, mask = align_block_zs(z.reshape(1, -1), spec, block_index)
     weights = block_weights_batch(data[seg, w0:w1] & mask, aligned)[:, 0]
-    acc = _accept_mask(weights, delta_count, strategy)
+    acc = _accept_mask(weights, *strategy.window(delta_count))
     order[lo:hi] = np.concatenate([seg[acc], seg[~acc]])
     return lo + int(acc.sum())
 
@@ -218,11 +226,11 @@ def row_weights(mat: np.ndarray) -> np.ndarray:
     return np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
 
 
-def inverse_permutation(perm: Permutation) -> Permutation:
-    inv = [0] * perm.dim
-    for j, image in enumerate(perm.map, start=1):
-        inv[image - 1] = j
-    return Permutation(perm.dim, tuple(inv))
+def inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    inv = [0] * len(perm)
+    for j, image in enumerate(perm):
+        inv[int(image)] = j
+    return np.array(inv)
 
 
 # --- the unpruned cross scan -------------------------------------------------
@@ -384,11 +392,10 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
 def strategy_survival_count(k: int, gamma_count: int, delta_count: int, strategy: Strategy) -> int:
     """#{z : both block weights pass the bucket rule} for x, y at distance gamma_count.
 
-    Generalizes analysis.pair_survival_count: the rule need not pin both
-    weights to the same value, so the split over the differing coordinates
-    may be uneven.  With wt(x + z) = t + m and wt(y + z) = (gamma_count - t)
-    + m, sum over the t coordinates where z sides with y and the m agreeing
-    coordinates it flips.
+    The rule need not pin both weights to the same value, so the split over
+    the differing coordinates may be uneven.  With wt(x + z) = t + m and
+    wt(y + z) = (gamma_count - t) + m, sum over the t coordinates where z
+    sides with y and the m agreeing coordinates it flips.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -403,3 +410,19 @@ def strategy_survival_count(k: int, gamma_count: int, delta_count: int, strategy
             ):
                 total += ct * math.comb(k - gamma_count, m)
     return total
+
+
+def enumerate_survival(k: int, gamma_count: int, delta_count: int, strategy: Strategy) -> tuple[int, int]:
+    """Brute-force (p_count, q_count) over all 2^k values of z.
+
+    x = 0 and y = the first gamma_count coordinates; p_count counts the z
+    whose weight wt(x + z) passes the bucket rule, q_count those where
+    wt(y + z) passes as well.  By symmetry neither depends on that choice.
+    """
+    y = (1 << gamma_count) - 1
+    p_count = q_count = 0
+    for z in range(1 << k):
+        if bucket_accept(z.bit_count(), delta_count, strategy):
+            p_count += 1
+            q_count += bucket_accept((z ^ y).bit_count(), delta_count, strategy)
+    return p_count, q_count

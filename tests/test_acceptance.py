@@ -17,7 +17,6 @@ from hambucket.analysis import (
     choose_params,
     delta_gamma_star,
     inverse_entropy,
-    pair_survival_count,
     theta_distribution,
     theta_uniform,
     verify_survival_counts,
@@ -33,7 +32,7 @@ from hambucket.solver import (
     naive_search,
     solve,
 )
-from oracle import survival_rate_probe
+from oracle import strategy_survival_count, survival_rate_probe
 
 UNIFORM = DistributionModel.uniform()
 
@@ -49,7 +48,8 @@ def test_criterion_1_counts_match_enumeration():
     elapsed = time.perf_counter() - t0
     # every k in [2, 14], every delta_count in [0, k], every even
     # gamma_count in [0, k]: sum of (k+1) * (k//2 + 1) = 649 triples,
-    # each comparing both closed-form counts against enumeration
+    # each comparing the survival table's p and q against enumeration
+    # for exact, dev:1 and atmost
     ok = not mismatches and cases == 649 and elapsed < 60
     _report(1, "count oracle", ok,
             f"{cases} cases, {len(mismatches)} mismatches, {elapsed:.1f}s")
@@ -144,7 +144,7 @@ def test_criterion_6_survival_probe():
         k = int(rng.integers(10, 21))
         g = 2 * int(rng.integers(1, k // 4 + 1))
         dc = int(rng.integers(g // 2, k - g // 2 + 1))
-        q = pair_survival_count(k, g, dc) / 2.0**k
+        q = strategy_survival_count(k, g, dc, EXACT) / 2.0**k
         if not 0.001 <= q <= 0.5:
             continue
         inst = gen_instance(k, 2, g, UNIFORM, seed=derive_seed(6, checked, 0))

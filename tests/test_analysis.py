@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,28 +10,24 @@ from hambucket import analysis
 from hambucket.analysis import (
     DistributionModel,
     Regime,
+    _survival_by_split,
     binary_entropy,
     block_survival,
-    bucket_count,
-    bucket_prob_p,
     choose_params,
     delta_gamma_star,
-    enumerate_pq_oracle,
     epsilon_distribution,
     expected_pairs_exponent,
     inverse_entropy,
     log_pair_weight_prob,
     lower_bound_exponent,
-    pair_survival_count,
-    pair_survival_prob_q,
     predicted_cost,
-    round_even,
     theta_distribution,
     theta_uniform,
+    verify_survival_counts,
 )
 from hambucket.bitvec import BlockSpec
-from hambucket.solver import AT_MOST, EXACT, Strategy, bucket_accept, deviation, round_nearest
-from oracle import strategy_survival_count
+from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest
+from oracle import bucket_accept, enumerate_survival, strategy_survival_count
 
 UNIFORM = DistributionModel.uniform()
 
@@ -69,26 +66,26 @@ def test_inverse_entropy_roundtrip(x):
 def test_rounding_helpers():
     assert round_nearest(2.5) == 3
     assert round_nearest(2.49) == 2
-    assert round_even(7.0) == 8
-    assert round_even(6.9) == 6
-    assert round_even(5.0) == 4 or round_even(5.0) == 6  # ties go to an even value
-    assert round_even(5.0) % 2 == 0
 
 
-# --- closed-form counts against enumeration -----------------------------------
+# --- survival tables against enumeration ----------------------------------------
+
+RULES = (EXACT, deviation(1), AT_MOST)
 
 
 def test_oracle_example_counts():
-    p_count, q_count = enumerate_pq_oracle(8, 2, 4)
-    assert (p_count, q_count) == (70, 40)
-    assert bucket_count(8, 4) == 70
-    assert pair_survival_count(8, 2, 4) == 40
+    assert enumerate_survival(8, 2, 4, EXACT) == (70, 40)
+    assert strategy_survival_count(8, 2, 4, EXACT) == 40
+    table = _survival_by_split(8, 4, EXACT, 2)
+    assert table[0] * 2**8 == pytest.approx(70, rel=1e-12)
+    assert table[2] * 2**8 == pytest.approx(40, rel=1e-12)
 
 
 def test_odd_distance_never_survives():
     for k in (5, 9, 12):
         for dc in range(k + 1):
-            assert pair_survival_count(k, 3, dc) == 0
+            assert strategy_survival_count(k, 3, dc, EXACT) == 0
+            assert _survival_by_split(k, dc, EXACT, 3)[3] == 0.0
 
 
 @given(st.integers(2, 12), st.data())
@@ -96,35 +93,68 @@ def test_odd_distance_never_survives():
 def test_counts_match_enumeration(k, data):
     g = data.draw(st.integers(0, k // 2)) * 2
     dc = data.draw(st.integers(0, k))
-    p_count, q_count = enumerate_pq_oracle(k, g, dc)
-    assert p_count == bucket_count(k, dc)
-    assert q_count == pair_survival_count(k, g, dc)
+    strategy = data.draw(st.sampled_from(RULES))
+    p_count, q_count = enumerate_survival(k, g, dc, strategy)
+    assert q_count == strategy_survival_count(k, g, dc, strategy)
+    table = _survival_by_split(k, dc, strategy, g)
+    assert table[0] * 2**k == pytest.approx(p_count, rel=1e-9)
+    assert table[g] * 2**k == pytest.approx(q_count, rel=1e-9)
 
 
 def test_log_prob_examples():
     # k=64: p = C(64,16)/2^64, q = C(16,8)*C(48,8)/2^64
-    assert bucket_prob_p(64, 0.25) == pytest.approx(-15.20456855785882, abs=1e-9)
-    assert pair_survival_prob_q(64, 0.25, 0.25) == pytest.approx(-21.856951379757497, abs=1e-9)
+    assert math.log2(_survival_by_split(64, 16, EXACT, 0)[0]) == pytest.approx(-15.20456855785882, abs=1e-9)
+    assert math.log2(block_survival(64, 16, 64, 16, EXACT)) == pytest.approx(-21.856951379757497, abs=1e-9)
 
 
 def test_infeasible_q_is_minus_inf():
-    assert pair_survival_prob_q(32, 0.4, 0.05) == -math.inf
+    # a pair 12 apart has weights t + m and 12 - t + m, which cannot both be 2
+    assert _survival_by_split(32, 2, EXACT, 12)[12] == 0.0
+    with np.errstate(divide="ignore"):
+        assert np.log2(block_survival(32, 12, 32, 2, EXACT)) == -math.inf
 
 
 @given(st.integers(4, 64), st.data())
 def test_survival_never_beats_bucket(k, data):
-    gamma = data.draw(st.floats(0.0, 0.5))
-    delta = data.draw(st.floats(0.0, 0.5))
-    q = pair_survival_prob_q(k, gamma, delta)
-    if math.isfinite(q):
-        assert q <= bucket_prob_p(k, delta) + 1e-12
+    """q <= p: a pair that survives a z has its first row taken by that z's bucket."""
+    g = data.draw(st.integers(0, k))
+    dc = data.draw(st.integers(0, k))
+    table = _survival_by_split(k, dc, data.draw(st.sampled_from(RULES)), g)
+    assert table[g] <= table[0] * (1 + 1e-12)
 
 
 def test_strategy_survival_exact_matches_closed_form():
+    """Under exact both weights are dc: g/2 of the differences flip each way, dc - g/2 of the rest."""
     for k in (6, 11, 16):
         for g in range(0, k + 1, 2):
             for dc in range(k + 1):
-                assert strategy_survival_count(k, g, dc, EXACT) == pair_survival_count(k, g, dc)
+                a = dc - g // 2
+                closed = math.comb(g, g // 2) * math.comb(k - g, a) if 0 <= a <= k - g else 0
+                assert strategy_survival_count(k, g, dc, EXACT) == closed
+
+
+@pytest.mark.parametrize("entry", ["p", "q"])
+def test_verify_reports_a_perturbed_table_entry(monkeypatch, entry):
+    """verify_survival_counts is not vacuous: a relative 1e-6 in one table entry is a mismatch."""
+    k, g, m, strategy = 9, 4, 3, deviation(1)
+    index = 0 if entry == "p" else g
+    real = analysis._survival_by_split
+
+    def perturbed(width, delta_count, rule, gmax):
+        table = real(width, delta_count, rule, gmax)
+        if (width, delta_count, rule) == (k, m, strategy):
+            table = table.copy()
+            table[index] *= 1 + 1e-6
+        return table
+
+    assert verify_survival_counts(10) == (268, [])
+    monkeypatch.setattr(analysis, "_survival_by_split", perturbed)
+    cases, mismatches = verify_survival_counts(10)
+    assert cases == 268
+    assert f"{entry} mismatch at k={k} g={g} m={m} dev:1: " in "\n".join(mismatches)
+    # every mismatch names the perturbed block and rule; p is also q at g = 0
+    want = {f"k={k} g={h} m={m} dev:1" for h in (range(0, k + 1, 2) if entry == "p" else [g])}
+    assert {line.split(" at ")[1].split(": table")[0] for line in mismatches} == want
 
 
 def test_strategy_survival_widening():
@@ -163,7 +193,7 @@ def test_block_survival_matches_enumeration(d, r):
 
     (8, 2) has blocks of 4; (9, 2) and (10, 3) have a last block wider than
     the others.  The planted difference splits over the blocks, so no
-    single per-block distance, round_even(gamma k) or other, reproduces it.
+    single per-block distance reproduces it.
     """
     spec = BlockSpec(d, r)
     for i in (1, r):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hambucket.bitvec import (
     BitVector,
     BlockSpec,
-    Permutation,
     align_block_zs,
     block_local_rows,
     block_weights_batch,
@@ -148,12 +147,12 @@ def test_permutation_preserves_weight(data):
 
 def test_identity_permutation():
     v = BitVector.from_coords(6, [2, 3])
-    assert apply_permutation(v, Permutation.identity(6)) == v
+    assert apply_permutation(v, np.arange(6)) == v
 
 
 def test_apply_permutation_moves_coords():
-    # coordinate j of the input lands at map[j-1]
-    perm = Permutation(4, (2, 3, 4, 1))
+    # coordinate j of the input lands at perm[j-1] + 1: perm is 0-based
+    perm = np.array([1, 2, 3, 0])
     v = BitVector.from_coords(4, [1, 4])
     assert apply_permutation(v, perm) == BitVector.from_coords(4, [2, 1])
 
@@ -201,6 +200,7 @@ def test_permute_columns_matches_scalar():
     d = 77
     vs = [random_vector(rng, d) for _ in range(10)]
     perm = random_permutation(rng, d)
+    assert sorted(perm.tolist()) == list(range(d))
     permuted = permute_columns(pack_rows(vs), perm)
     assert rows_to_vectors(d, permuted) == tuple(apply_permutation(v, perm) for v in vs)
 

@@ -87,5 +87,5 @@ def test_block_weights_before_the_first_hit(monkeypatch):
         weighed = 0
         rep = solver.solve(inst, params, make_rng(seed))
         got.append((rep.nodes_visited, rep.naive_comparisons, weighed, rep.planted_found))
-    assert got == [(560, 293863, 499712, True), (185, 44776, 392764, True),
+    assert got == [(560, 293863, 499712, True), (185, 44776, 524006, True),
                    (2901, 716247, 1572352, True), (1320, 161120, 737792, True)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hambucket.analysis import DistributionModel, choose_params, pair_survival_count
+from hambucket.analysis import DistributionModel, choose_params
 from hambucket import bitvec
 from hambucket.bitvec import (
     BitVector,
@@ -27,7 +27,6 @@ from hambucket.solver import (
     _scan_pairs,
     SolverParams,
     Strategy,
-    bucket_accept,
     deviation,
     naive_count,
     naive_search,
@@ -36,10 +35,12 @@ from hambucket.solver import (
 )
 from oracle import (
     block_weight,
+    bucket_accept,
     distance,
     partition_in_place,
     random_vector,
     reference_solve,
+    strategy_survival_count,
     survival_rate_probe,
     unpack_row,
     unpruned_scan_pairs,
@@ -169,10 +170,11 @@ def test_accept_mask_matches_bucket_accept(dtype, width, strategy):
         if not 0 <= dc <= width:
             continue
         want = [bucket_accept(w, dc, strategy) for w in range(width + 1)]
-        assert _accept_mask(weights, dc, strategy).tolist() == want
+        lo, hi = strategy.window(dc)
+        assert _accept_mask(weights, lo, hi).tolist() == want
         # z-major slabs are 2-D; a strided view must give the same answer
         strided = np.vstack([weights, weights])[:, ::-1]
-        assert _accept_mask(strided, dc, strategy).tolist() == [want[::-1]] * 2
+        assert _accept_mask(strided, lo, hi).tolist() == [want[::-1]] * 2
 
 
 def test_strategy_tokens():
@@ -186,6 +188,10 @@ def test_strategy_tokens():
 
 
 def test_bucket_accept_rules():
+    assert EXACT.window(4) == (4, 4)
+    assert deviation(1).window(4) == (3, 5)
+    assert deviation(5).window(4) == (0, 9)
+    assert AT_MOST.window(4) == (0, 4)
     assert bucket_accept(4, 4, EXACT) and not bucket_accept(5, 4, EXACT)
     assert bucket_accept(5, 4, deviation(1)) and bucket_accept(3, 4, deviation(1))
     assert not bucket_accept(6, 4, deviation(1))
@@ -395,7 +401,7 @@ def test_probe_matches_closed_form():
     params = all_params(delta=dc / k, strategy=EXACT)
     trials = 10_000
     rate = survival_rate_probe(inst, params, make_rng(17), trials)
-    q = pair_survival_count(k, g, dc) / 2.0**k
+    q = strategy_survival_count(k, g, dc, EXACT) / 2.0**k
     sigma = math.sqrt(q * (1 - q) / trials)
     assert abs(rate - q) <= 3 * sigma
 
