@@ -20,10 +20,8 @@ from .analysis import (
     binary_entropy,
     choose_params,
     delta_gamma_star,
-    epsilon_distribution,
     expected_pairs_exponent,
     inverse_entropy,
-    log_pair_weight_prob,
     lower_bound_exponent,
     theta_distribution,
     theta_uniform,

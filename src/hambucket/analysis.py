@@ -166,18 +166,6 @@ class DistributionModel:
     def uniform(cls) -> "DistributionModel":
         return cls("uniform")
 
-    @classmethod
-    def fixed_weight(cls, eta: float) -> "DistributionModel":
-        return cls("fixed", eta)
-
-    @classmethod
-    def bernoulli(cls, mu: float) -> "DistributionModel":
-        return cls("bernoulli", mu)
-
-    @classmethod
-    def poisson_weight(cls, mean_fraction: float) -> "DistributionModel":
-        return cls("poisson", mean_fraction)
-
     def token(self) -> str:
         """Wire form: uniform | fixed:<eta> | bernoulli:<mu> | poisson:<f>."""
         if self.kind == "uniform":
@@ -227,13 +215,6 @@ def _lpw_arr(model: DistributionModel, eta: np.ndarray) -> np.ndarray:
     return np.where(feas, val, NEG_INF)
 
 
-def log_pair_weight_prob(model: DistributionModel, eta: float) -> float:
-    """Scalar form of the pair-weight exponent at relative distance eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta outside [0, 1]: {eta}")
-    return float(_lpw_arr(model, np.array([eta]))[0])
-
-
 # Each zoom step grids a bracket with _ZOOM_POINTS points and keeps the two
 # cells around the argmin, shrinking it 32-fold; _ZOOM_STEPS steps bring an
 # initial bracket of width 1 down to a last grid spacing below 1e-12.
@@ -262,7 +243,14 @@ def _zoom_min(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _stray_exponent(lam: float, deltas: np.ndarray, model: DistributionModel) -> np.ndarray:
-    """epsilon_distribution for every bucket radius in deltas, in one zoom."""
+    """Exponent of expected bucket collisions beyond the planted pair, per bucket radius.
+
+    epsilon = 2 lambda - min over feasible pair distances eta in [0, 2 delta]
+    of [bucket exponent at eta minus the pair-weight exponent], for every
+    radius in deltas in one zoom.  The objective can be non-convex, so the
+    minimum is found by zooming a grid over eta (_zoom_min) rather than by a
+    local descent.
+    """
     d = np.ravel(deltas)
 
     def cost(etas: np.ndarray) -> np.ndarray:
@@ -272,27 +260,12 @@ def _stray_exponent(lam: float, deltas: np.ndarray, model: DistributionModel) ->
     return (2.0 * lam - best).reshape(np.shape(deltas))
 
 
-def epsilon_distribution(lam: float, delta: float, model: DistributionModel) -> float:
-    """Exponent of expected bucket collisions beyond the planted pair.
-
-    epsilon = 2 lambda - min over feasible pair distances eta in [0, 2 delta]
-    of [bucket exponent at eta minus the pair-weight exponent].  The
-    objective can be non-convex, so the minimum is found by zooming a grid
-    over eta (_zoom_min) rather than by a local descent.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda outside [0, 1]: {lam}")
-    if not 0.0 <= delta <= 0.5:
-        raise ValueError(f"delta outside [0, 1/2]: {delta}")
-    return float(_stray_exponent(lam, np.array([delta]), model)[0])
-
-
 def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> ExponentResult:
     """Runtime exponent for lists drawn from an arbitrary weight model.
 
     Minimizes, over bucket radii delta in [gamma/2, 1/2], the largest of the
     three tree costs: pair survival, list traversal, and stray collisions
-    (epsilon_distribution) on top of survival.  The search zooms a grid over
+    (_stray_exponent) on top of survival.  The search zooms a grid over
     delta (_zoom_min); every delta it evaluates gets its stray term from a
     full zoom over the pair distance, so the reported minimum is the exact
     objective at the reported radius.  For the uniform model this reproduces
@@ -562,8 +535,8 @@ def choose_params(
 
     Every keyword given overrides the corresponding default; the rest are:
 
-    - delta: delta_star below gamma_star, else the smallest radius that keeps
-      pair survival possible, (1 - sqrt(1 - 2 gamma)) / 2
+    - delta: theta_uniform's radius, delta_star below gamma_star, else the
+      smallest radius that keeps pair survival possible, (1 - sqrt(1 - 2 gamma)) / 2
     - depth: the one in [1, min(8, d // 4)] (1 when d < 4) with the least
       predicted_cost, the seconds per success the walk model predicts for
       uniform rows of 2^(lam d) each; rows drawn otherwise get the depth
@@ -582,9 +555,8 @@ def choose_params(
         raise ValueError(f"lambda outside [0, 1]: {lam}")
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
-    ds, gs = delta_gamma_star(lam)
     if delta is None:
-        delta = ds if gamma <= gs else 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * gamma))
+        delta = theta_uniform(lam, gamma).delta
     strategy = EXACT if strategy is None else strategy
     g_all = round_nearest(gamma * d)
 

@@ -5,14 +5,15 @@ of word (j-1) // 64, i.e. LSB-first inside little-endian uint64 words.
 Unused bits of the last word are always zero, so word tuples compare and
 hash canonically.
 
-Lists live as (n, words) uint64 matrices; BitVector is the scalar row view
-that Instance.list1/list2 hand out to callers who want one row at a time.
+Lists live as (n, words) uint64 matrices; BitVector is the validated row
+view that Instance.list1/list2 hand out, one word tuple per row.  Scalar
+constructors and accessors for it are test oracles (tests/oracle.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,10 +26,6 @@ def n_words(dim: int) -> int:
     return (dim + WORD_BITS - 1) // WORD_BITS
 
 
-def _dim_mask(dim: int) -> int:
-    return (1 << dim) - 1
-
-
 def _check_dim(dim: int) -> None:
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
@@ -36,10 +33,7 @@ def _check_dim(dim: int) -> None:
 
 @dataclass(frozen=True)
 class BitVector:
-    """An element of F_2^dim, packed into 64-bit words.
-
-    Immutable; all operations return fresh vectors.
-    """
+    """An element of F_2^dim, packed into 64-bit words; immutable, checked on construction."""
 
     dim: int
     words: tuple[int, ...]
@@ -56,62 +50,6 @@ class BitVector:
                 raise ValueError("word out of uint64 range")
         if pad and w[-1] >> pad:
             raise ValueError("padding bits beyond the dimension must be zero")
-
-    @classmethod
-    def zeros(cls, dim: int) -> "BitVector":
-        return cls(dim, (0,) * n_words(dim))
-
-    @classmethod
-    def from_int(cls, dim: int, value: int) -> "BitVector":
-        _check_dim(dim)
-        if not 0 <= value <= _dim_mask(dim):
-            raise ValueError("value does not fit in the dimension")
-        words = tuple((value >> (WORD_BITS * t)) & ((1 << WORD_BITS) - 1) for t in range(n_words(dim)))
-        return cls(dim, words)
-
-    @classmethod
-    def from_coords(cls, dim: int, coords: Iterable[int]) -> "BitVector":
-        """Vector with ones exactly at the given 1-indexed coordinates."""
-        value = 0
-        for j in coords:
-            if not 1 <= j <= dim:
-                raise ValueError(f"coordinate {j} outside [1, {dim}]")
-            value |= 1 << (j - 1)
-        return cls.from_int(dim, value)
-
-    @classmethod
-    def from_bits(cls, bits: str | Sequence[int]) -> "BitVector":
-        """Build from a coordinate-order bit string such as "1100"."""
-        seq = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in seq):
-            raise ValueError("bits must be 0 or 1")
-        return cls.from_coords(len(seq), (j + 1 for j, b in enumerate(seq) if b))
-
-    def to_int(self) -> int:
-        value = 0
-        for t, word in enumerate(self.words):
-            value |= word << (WORD_BITS * t)
-        return value
-
-    def coord(self, j: int) -> int:
-        """The 1-indexed coordinate j, as 0 or 1."""
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"coordinate {j} outside [1, {self.dim}]")
-        return (self.words[(j - 1) // WORD_BITS] >> ((j - 1) % WORD_BITS)) & 1
-
-    def support(self) -> tuple[int, ...]:
-        """Ascending 1-indexed coordinates that are set."""
-        out, value, base = [], self.to_int(), 0
-        while value:
-            low = value & -value
-            out.append(base + low.bit_length())
-            # strip everything through the lowest set bit
-            base += low.bit_length()
-            value >>= low.bit_length()
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return "".join(str(self.coord(j)) for j in range(1, self.dim + 1))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 from .analysis import (
     DistributionModel,
     choose_params,
@@ -34,27 +32,18 @@ from .solver import Strategy, naive_search, solve
 def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, help="tree depth (number of blocks)")
     p.add_argument("--branching", type=int, help="z draws per node")
-    p.add_argument("--perms", type=int, help="permutation rounds")
+    p.add_argument("--perms", dest="permutations", type=int, help="permutation rounds")
     p.add_argument("--delta", type=float, help="relative bucket radius")
     p.add_argument("--strategy", default="exact", help="exact | dev:<eps> | atmost")
-    p.add_argument("--threshold", type=int, help="sublist size handed to the quadratic scan")
+    p.add_argument("--threshold", dest="naive_threshold", type=int, help="sublist size handed to the quadratic scan")
     p.add_argument("--seed", type=int, default=0, help="solver randomness seed")
     p.add_argument("--all", action="store_true", help="collect every match instead of stopping at the first")
 
 
 def _tuning_overrides(args) -> dict:
-    out = {}
-    if args.depth is not None:
-        out["depth"] = args.depth
-    if args.branching is not None:
-        out["branching"] = args.branching
-    if args.perms is not None:
-        out["permutations"] = args.perms
-    if args.delta is not None:
-        out["delta"] = args.delta
-    if args.threshold is not None:
-        out["naive_threshold"] = args.threshold
-    return out
+    """The tuning flags given, as choose_params keywords."""
+    names = ("depth", "branching", "permutations", "delta", "naive_threshold")
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _print_matches(matches, summary: str) -> None:
@@ -109,33 +98,37 @@ def cmd_naive(args) -> int:
     return 0
 
 
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _parse_sweep(text: str):
-    """a:b:step inclusive sweep, or a single value."""
+    """Relative gammas in [0, 1/2]: an a:b:step inclusive sweep, or one value.
+
+    The sweep's values are a + i step for i = 0, 1, ... up to b, rounded to 12 decimals.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"malformed sweep {text!r}, want a:b:step")
     values = [float(x) for x in parts]
     if not all(math.isfinite(x) for x in values):
         raise ValueError(f"malformed sweep {text!r}: values must be finite")
-    if len(values) == 1:
-        return values
-    a, b, step = values
-    if step <= 0 or b < a:
-        raise ValueError(f"malformed sweep {text!r}: need step > 0 and b >= a")
-    out = []
-    g = a
-    while g <= b + 1e-9:
-        out.append(round(g, 12))
-        g += step
-    return out
+    if len(values) == 3:
+        a, b, step = values
+        if step <= 0 or b < a:
+            raise ValueError(f"malformed sweep {text!r}: need step > 0 and b >= a")
+        span = (b + 1e-9 - a) / step
+        if not span < _MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep {text!r} has {span + 1:.6g} points, more than {_MAX_SWEEP_POINTS}")
+        values = [round(a + i * step, 12) for i in range(math.floor(span) + 1)]
+    for g in values:
+        if not 0.0 <= g <= 0.5:
+            raise ValueError(f"gamma outside [0, 1/2]: {g}")
+    return values
 
 
 def cmd_bench(args) -> int:
     model = DistributionModel.from_token(args.model)
     gammas = _parse_sweep(args.gamma_sweep)
-    for g in gammas:
-        if not 0.0 <= g <= 0.5:
-            raise ValueError(f"gamma outside [0, 1/2]: {g}")
     records = run_bench(
         args.d,
         args.n,
@@ -178,8 +171,7 @@ def bench_summary(gamma: float, rows) -> str:
 
 
 def cmd_exponent(args) -> int:
-    if args.sweep and args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    gammas = _parse_sweep(args.gamma)
     model = DistributionModel.from_token(args.model) if args.model else None
     if model is not None and model.kind == "poisson":
         print("# poisson weight treated as fixed weight at its mean (approximation)")
@@ -189,26 +181,27 @@ def cmd_exponent(args) -> int:
             return theta_uniform(args.lam, gamma)
         return theta_distribution(args.lam, gamma, model)
 
-    if args.sweep:
+    if ":" in args.gamma:
         print("gamma,theta,delta,regime,lower_bound,pairs_exponent")
-        for gamma in np.linspace(0.0, 0.5, args.points):
-            res = result_at(float(gamma))
+        for gamma in gammas:
+            res = result_at(gamma)
             print(
                 f"{gamma:.6f},{res.theta:.9f},{res.delta:.9f},{res.regime.value},"
-                f"{lower_bound_exponent(args.lam, float(gamma)):.9f},"
-                f"{expected_pairs_exponent(args.lam, float(gamma)):.9f}"
+                f"{lower_bound_exponent(args.lam, gamma):.9f},"
+                f"{expected_pairs_exponent(args.lam, gamma):.9f}"
             )
         return 0
-    res = result_at(args.gamma)
+    [gamma] = gammas
+    res = result_at(gamma)
     print(f"lambda          {args.lam:g}")
-    print(f"gamma           {args.gamma:g}")
+    print(f"gamma           {gamma:g}")
     print(f"theta           {res.theta:.12f}")
     print(f"delta           {res.delta:.12f}")
     print(f"regime          {res.regime.value}")
     print(f"delta_star      {res.delta_star:.12f}")
     print(f"gamma_star      {res.gamma_star:.12f}")
-    print(f"lower_bound     {lower_bound_exponent(args.lam, args.gamma):.12f}")
-    print(f"pairs_exponent  {expected_pairs_exponent(args.lam, args.gamma):.12f}")
+    print(f"lower_bound     {lower_bound_exponent(args.lam, gamma):.12f}")
+    print(f"pairs_exponent  {expected_pairs_exponent(args.lam, gamma):.12f}")
     return 0
 
 
@@ -263,10 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponent", help="asymptotic runtime exponents")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="list size exponent")
-    p.add_argument("--gamma", type=float, default=0.0, help="relative planted distance")
+    p.add_argument("--gamma", default="0",
+                   help="relative planted distance, or a:b:step for a CSV curve over gamma")
     p.add_argument("--model", help="weight model (default: uniform closed form)")
-    p.add_argument("--sweep", action="store_true", help="emit a gamma curve as CSV")
-    p.add_argument("--points", type=int, default=65, help="sweep resolution")
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser(
@@ -279,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_sweeps(argv: list[str]) -> list[str]:
-    """Join a --gamma-sweep value that starts with '-' to its flag.
+    """Join a --gamma-sweep or --gamma value that starts with '-' to its flag.
 
     argparse takes a plain negative number such as -0.1 as an option's value,
     but reads -0.05:0.1:0.05 as an unknown flag; --gamma-sweep=-0.05:0.1:0.05
-    reaches cmd_bench's range check.
+    reaches the range check in _parse_sweep.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--gamma-sweep" and re.match(r"-[\d.]", arg):
-            out[-1] = f"--gamma-sweep={arg}"
+        if out and out[-1] in ("--gamma-sweep", "--gamma") and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -298,7 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_negative_sweeps(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,8 @@
 The library keeps whole lists as (n, words) uint64 matrices.  These helpers
 work one BitVector at a time through Python big ints (exact, no overflow
 anywhere), so they make independent oracles for the batched code paths.
+They begin with the scalar constructors and accessors of BitVector, which
+the library keeps only as a validated word tuple.
 The per-leaf solver at the end is the reference for solve()'s batched leaf
 scans: same matches, counters and random draws; the unpruned cross scan
 before it is the reference for the solver's pruned scans.  The weighted row
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from hambucket.bitvec import (
     WORD_BITS,
     BitVector,
     BlockSpec,
+    _check_dim,
     align_block_zs,
     block_weights_batch,
     draw_block_zs,
@@ -52,6 +55,67 @@ def _dim_mask(dim: int) -> int:
     return (1 << dim) - 1
 
 
+def zeros(dim: int) -> BitVector:
+    return BitVector(dim, (0,) * n_words(dim))
+
+
+def from_int(dim: int, value: int) -> BitVector:
+    _check_dim(dim)
+    if not 0 <= value <= _dim_mask(dim):
+        raise ValueError("value does not fit in the dimension")
+    words = tuple((value >> (WORD_BITS * t)) & ((1 << WORD_BITS) - 1) for t in range(n_words(dim)))
+    return BitVector(dim, words)
+
+
+def from_coords(dim: int, coords: Iterable[int]) -> BitVector:
+    """Vector with ones exactly at the given 1-indexed coordinates."""
+    value = 0
+    for j in coords:
+        if not 1 <= j <= dim:
+            raise ValueError(f"coordinate {j} outside [1, {dim}]")
+        value |= 1 << (j - 1)
+    return from_int(dim, value)
+
+
+def from_bits(bits: str | Sequence[int]) -> BitVector:
+    """Build from a coordinate-order bit string such as "1100"."""
+    seq = [int(b) for b in bits]
+    if any(b not in (0, 1) for b in seq):
+        raise ValueError("bits must be 0 or 1")
+    return from_coords(len(seq), (j + 1 for j, b in enumerate(seq) if b))
+
+
+def to_int(v: BitVector) -> int:
+    value = 0
+    for t, word in enumerate(v.words):
+        value |= word << (WORD_BITS * t)
+    return value
+
+
+def coord(v: BitVector, j: int) -> int:
+    """The 1-indexed coordinate j, as 0 or 1."""
+    if not 1 <= j <= v.dim:
+        raise ValueError(f"coordinate {j} outside [1, {v.dim}]")
+    return (v.words[(j - 1) // WORD_BITS] >> ((j - 1) % WORD_BITS)) & 1
+
+
+def support(v: BitVector) -> tuple[int, ...]:
+    """Ascending 1-indexed coordinates that are set."""
+    out, value, base = [], to_int(v), 0
+    while value:
+        low = value & -value
+        out.append(base + low.bit_length())
+        # strip everything through the lowest set bit
+        base += low.bit_length()
+        value >>= low.bit_length()
+    return tuple(out)
+
+
+def bit_string(v: BitVector) -> str:
+    """Coordinates 1..dim as a left-to-right 0/1 string."""
+    return "".join(str(coord(v, j)) for j in range(1, v.dim + 1))
+
+
 def weight(v: BitVector) -> int:
     """Hamming weight of v."""
     return sum(w.bit_count() for w in v.words)
@@ -71,7 +135,7 @@ def distance(v: BitVector, w: BitVector) -> int:
 
 
 def complement(v: BitVector) -> BitVector:
-    return BitVector.from_int(v.dim, v.to_int() ^ _dim_mask(v.dim))
+    return from_int(v.dim, to_int(v) ^ _dim_mask(v.dim))
 
 
 def block_project(v: BitVector, spec: BlockSpec, i: int) -> BitVector:
@@ -79,7 +143,7 @@ def block_project(v: BitVector, spec: BlockSpec, i: int) -> BitVector:
     if v.dim != spec.dim:
         raise ValueError("dimension mismatch")
     start, stop = spec.bounds(i)
-    return BitVector.from_int(stop - start, (v.to_int() >> start) & _dim_mask(stop - start))
+    return from_int(stop - start, (to_int(v) >> start) & _dim_mask(stop - start))
 
 
 def block_weight(v: BitVector, z: BitVector, spec: BlockSpec, i: int) -> int:
@@ -104,9 +168,9 @@ def apply_permutation(v: BitVector, perm: np.ndarray) -> BitVector:
     if v.dim != len(perm):
         raise ValueError("dimension mismatch")
     value = 0
-    for j in v.support():
+    for j in support(v):
         value |= 1 << int(perm[j - 1])
-    return BitVector.from_int(v.dim, value)
+    return from_int(v.dim, value)
 
 
 def random_vector(rng: np.random.Generator, dim: int) -> BitVector:
@@ -119,8 +183,8 @@ def random_weight_vector(rng: np.random.Generator, dim: int, w: int) -> BitVecto
     """Uniform vector on the weight-w sphere (truncated Fisher-Yates support)."""
     if not 0 <= w <= dim:
         raise ValueError(f"weight must be in [0, {dim}], got {w}")
-    support = rng.permutation(dim)[:w]
-    return BitVector.from_coords(dim, (int(j) + 1 for j in support))
+    ones = rng.permutation(dim)[:w]
+    return from_coords(dim, (int(j) + 1 for j in ones))
 
 
 def unpack_row(dim: int, row: np.ndarray) -> BitVector:
@@ -129,7 +193,7 @@ def unpack_row(dim: int, row: np.ndarray) -> BitVector:
 
 def hex_row(v: BitVector) -> str:
     """A row as the instance file writes it: digit t holds coordinates 4t+1..4t+4, lowest in bit 0."""
-    value = v.to_int()
+    value = to_int(v)
     return "".join("0123456789abcdef"[(value >> (4 * t)) & 0xF] for t in range((v.dim + 3) // 4))
 
 

@@ -90,7 +90,7 @@ def test_criterion_4_distribution_consistency():
                        - theta_uniform(float(lam), float(gam)).theta)
             worst_u = max(worst_u, diff)
 
-    fw_half = DistributionModel.fixed_weight(0.5)
+    fw_half = DistributionModel("fixed", 0.5)
     worst_h = max(
         abs(theta_distribution(l, g, fw_half).theta - theta_uniform(l, g).theta)
         for l in (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -98,14 +98,14 @@ def test_criterion_4_distribution_consistency():
     )
 
     lam = 0.1
-    fw3 = DistributionModel.fixed_weight(0.3)
+    fw3 = DistributionModel("fixed", 0.3)
     gammas = [i / 64 for i in range(33)]
     reach_u = next(g for g in gammas
                    if theta_uniform(lam, g).theta >= 2 * lam - 1e-9)
     reach_f = next(g for g in gammas
                    if theta_distribution(lam, g, fw3).theta >= 2 * lam - 1e-9)
 
-    sparse = theta_distribution(0.1, 0.0, DistributionModel.fixed_weight(0.1)).theta
+    sparse = theta_distribution(0.1, 0.0, DistributionModel("fixed", 0.1)).theta
 
     ok = worst_u < 1e-9 and worst_h < 1e-9 and reach_f < reach_u and sparse > 0.1
     _report(4, "distribution analysis", ok,

@@ -10,15 +10,15 @@ from hambucket import analysis
 from hambucket.analysis import (
     DistributionModel,
     Regime,
+    _lpw_arr,
+    _stray_exponent,
     _survival_by_split,
     binary_entropy,
     block_survival,
     choose_params,
     delta_gamma_star,
-    epsilon_distribution,
     expected_pairs_exponent,
     inverse_entropy,
-    log_pair_weight_prob,
     lower_bound_exponent,
     predicted_cost,
     theta_distribution,
@@ -30,6 +30,11 @@ from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest
 from oracle import bucket_accept, enumerate_survival, strategy_survival_count
 
 UNIFORM = DistributionModel.uniform()
+
+
+def pair_weight_exponent(model: DistributionModel, eta: float) -> float:
+    """_lpw_arr at one relative pair distance."""
+    return float(_lpw_arr(model, np.array([eta]))[0])
 
 
 def test_entropy_anchor_values():
@@ -273,9 +278,9 @@ def test_lower_bound_exponent():
 def test_model_tokens_roundtrip():
     for m in (
         DistributionModel.uniform(),
-        DistributionModel.fixed_weight(0.3),
-        DistributionModel.bernoulli(0.2),
-        DistributionModel.poisson_weight(0.25),
+        DistributionModel("fixed", 0.3),
+        DistributionModel("bernoulli", 0.2),
+        DistributionModel("poisson", 0.25),
     ):
         assert DistributionModel.from_token(m.token()) == m
 
@@ -290,25 +295,25 @@ def test_model_validation():
 
 
 def test_pair_weight_prob_uniform():
-    assert log_pair_weight_prob(UNIFORM, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert log_pair_weight_prob(UNIFORM, 0.25) == pytest.approx(
+    assert pair_weight_exponent(UNIFORM, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert pair_weight_exponent(UNIFORM, 0.25) == pytest.approx(
         binary_entropy(0.25) - 1.0, abs=1e-12
     )
 
 
 @given(st.floats(0.0, 1.0))
 def test_bernoulli_half_equals_uniform(eta):
-    b = log_pair_weight_prob(DistributionModel.bernoulli(0.5), eta)
-    u = log_pair_weight_prob(UNIFORM, eta)
+    b = pair_weight_exponent(DistributionModel("bernoulli", 0.5), eta)
+    u = pair_weight_exponent(UNIFORM, eta)
     assert b == pytest.approx(u, abs=1e-12)
 
 
 def test_fixed_weight_mode_and_support():
-    m = DistributionModel.fixed_weight(0.3)
+    m = DistributionModel("fixed", 0.3)
     # most likely distance between two weight-0.3 vectors: eta = 2f(1-f) = 0.42
-    assert log_pair_weight_prob(m, 0.42) == pytest.approx(0.0, abs=1e-12)
-    assert log_pair_weight_prob(m, 0.2) < 0.0
-    assert log_pair_weight_prob(m, 0.7) == -math.inf  # beyond 2*min(f, 1-f)
+    assert pair_weight_exponent(m, 0.42) == pytest.approx(0.0, abs=1e-12)
+    assert pair_weight_exponent(m, 0.2) < 0.0
+    assert pair_weight_exponent(m, 0.7) == -math.inf  # beyond 2*min(f, 1-f)
 
 
 def test_fixed_weight_matches_finite_combinatorics():
@@ -321,15 +326,15 @@ def test_fixed_weight_matches_finite_combinatorics():
         + math.log2(math.comb(d - w, w - overlap))
         - math.log2(math.comb(d, w))
     ) / d
-    got = log_pair_weight_prob(DistributionModel.fixed_weight(f), eta)
+    got = pair_weight_exponent(DistributionModel("fixed", f), eta)
     assert got == pytest.approx(exact, abs=0.01)
 
 
 def test_poisson_delegates_to_mean_weight():
-    p = DistributionModel.poisson_weight(0.3)
-    f = DistributionModel.fixed_weight(0.3)
+    p = DistributionModel("poisson", 0.3)
+    f = DistributionModel("fixed", 0.3)
     for eta in (0.1, 0.3, 0.42):
-        assert log_pair_weight_prob(p, eta) == log_pair_weight_prob(f, eta)
+        assert pair_weight_exponent(p, eta) == pair_weight_exponent(f, eta)
 
 
 def test_epsilon_uniform_closed_form():
@@ -337,7 +342,7 @@ def test_epsilon_uniform_closed_form():
     for lam in (0.1, 0.25, 0.6):
         for delta in (0.1, 0.3, 0.45, 0.5):
             want = 2 * lam - 2 * (1 - binary_entropy(delta))
-            assert epsilon_distribution(lam, delta, UNIFORM) == pytest.approx(want, abs=1e-7)
+            assert _stray_exponent(lam, np.array([delta]), UNIFORM)[0] == pytest.approx(want, abs=1e-7)
 
 
 def test_theta_distribution_uniform_consistency_spot():
@@ -350,7 +355,7 @@ def test_theta_distribution_uniform_consistency_spot():
 def test_theta_distribution_sparse_model_penalty():
     # lists concentrated on low-weight vectors leave no room to hide:
     # even at gamma = 0 the exponent exceeds the list rate
-    r = theta_distribution(0.1, 0.0, DistributionModel.fixed_weight(0.1))
+    r = theta_distribution(0.1, 0.0, DistributionModel("fixed", 0.1))
     assert r.theta > 0.1 + 0.01
 
 
@@ -481,8 +486,7 @@ def test_single_vector_lists_are_in_the_domain():
     assert expected_pairs_exponent(0.0, 0.1) == 0.0
     assert lower_bound_exponent(0.0, 0.1) == 0.0
     assert theta_uniform(0.0, 0.1).theta >= 0.0
-    assert theta_distribution(0.0, 0.1, DistributionModel.fixed_weight(0.3)).theta >= 0.0
-    for fn in (delta_gamma_star, lambda lam: expected_pairs_exponent(lam, 0.1),
-               lambda lam: epsilon_distribution(lam, 0.2, UNIFORM)):
+    assert theta_distribution(0.0, 0.1, DistributionModel("fixed", 0.3)).theta >= 0.0
+    for fn in (delta_gamma_star, lambda lam: expected_pairs_exponent(lam, 0.1)):
         with pytest.raises(ValueError):
             fn(-0.01)

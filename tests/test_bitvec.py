@@ -23,17 +23,25 @@ from hambucket.bitvec import (
 )
 from oracle import (
     apply_permutation,
+    bit_string,
     block_project,
     block_weight,
     complement,
+    coord,
     distance,
+    from_bits,
+    from_coords,
+    from_int,
     inverse_permutation,
     random_vector,
     random_weight_vector,
     row_weights,
+    support,
+    to_int,
     unpack_row,
     weight,
     xor,
+    zeros,
 )
 
 dims = st.integers(min_value=1, max_value=200)
@@ -43,32 +51,32 @@ dims = st.integers(min_value=1, max_value=200)
 def vectors(draw, dim=None):
     d = dim if dim is not None else draw(dims)
     val = draw(st.integers(min_value=0, max_value=2**d - 1))
-    return BitVector.from_int(d, val)
+    return from_int(d, val)
 
 
 def test_weight_xor_distance_basics():
-    v = BitVector.from_coords(8, [1, 2, 5])
-    w = BitVector.from_coords(8, [2, 5, 8])
+    v = from_coords(8, [1, 2, 5])
+    w = from_coords(8, [2, 5, 8])
     assert weight(v) == 3
-    assert xor(v, w) == BitVector.from_coords(8, [1, 8])
+    assert xor(v, w) == from_coords(8, [1, 8])
     assert distance(v, w) == 2
     assert distance(v, v) == 0
 
 
 def test_coordinate_one_is_lsb():
-    v = BitVector.from_coords(8, [1])
-    assert v.to_int() == 1
-    assert v.coord(1) == 1 and v.coord(8) == 0
-    # str lists coordinates 1..d left to right
-    assert str(BitVector.from_int(8, 0xF0)) == "00001111"
+    v = from_coords(8, [1])
+    assert to_int(v) == 1
+    assert coord(v, 1) == 1 and coord(v, 8) == 0
+    # bit_string lists coordinates 1..d left to right
+    assert bit_string(from_int(8, 0xF0)) == "00001111"
 
 
 def test_from_bits_roundtrip():
     bits = [1, 0, 1, 1, 0]
-    v = BitVector.from_bits(bits)
+    v = from_bits(bits)
     assert v.dim == 5
-    assert [v.coord(j) for j in range(1, 6)] == bits
-    assert v.support() == (1, 3, 4)
+    assert [coord(v, j) for j in range(1, 6)] == bits
+    assert support(v) == (1, 3, 4)
 
 
 def test_padding_is_canonical():
@@ -76,11 +84,11 @@ def test_padding_is_canonical():
         BitVector(5, (0xFF,))
     with pytest.raises(ValueError):
         BitVector(5, (1, 2))
-    assert BitVector.zeros(70).words == (0, 0)
+    assert zeros(70).words == (0, 0)
 
 
 def test_complement_respects_padding():
-    v = BitVector.zeros(5)
+    v = zeros(5)
     c = complement(v)
     assert weight(c) == 5
     assert complement(c) == v
@@ -88,7 +96,7 @@ def test_complement_respects_padding():
 
 @given(vectors())
 def test_xor_self_is_zero(v):
-    assert xor(v, v) == BitVector.zeros(v.dim)
+    assert xor(v, v) == zeros(v.dim)
 
 
 @given(st.data())
@@ -112,11 +120,11 @@ def test_block_spec_widths():
 
 def test_block_weight_example():
     spec = BlockSpec(8, 2)
-    v = BitVector.from_coords(8, [1, 2, 5])
-    z = BitVector.from_coords(4, [1])
+    v = from_coords(8, [1, 2, 5])
+    z = from_coords(4, [1])
     # block 1 of v is 1100 -> xor with 1000 leaves weight 1
     assert block_weight(v, z, spec, 1) == 1
-    z2 = BitVector.zeros(4)
+    z2 = zeros(4)
     assert block_weight(v, z2, spec, 2) == 1
 
 
@@ -129,7 +137,7 @@ def test_block_weights_sum_to_distance(data):
     spec = BlockSpec(d, r)
     diff = xor(u, v)
     total = sum(
-        block_weight(block_project(diff, spec, i), BitVector.zeros(spec.width(i)), BlockSpec(spec.width(i), 1), 1)
+        block_weight(block_project(diff, spec, i), zeros(spec.width(i)), BlockSpec(spec.width(i), 1), 1)
         for i in range(1, r + 1)
     )
     assert total == distance(u, v)
@@ -146,15 +154,15 @@ def test_permutation_preserves_weight(data):
 
 
 def test_identity_permutation():
-    v = BitVector.from_coords(6, [2, 3])
+    v = from_coords(6, [2, 3])
     assert apply_permutation(v, np.arange(6)) == v
 
 
 def test_apply_permutation_moves_coords():
     # coordinate j of the input lands at perm[j-1] + 1: perm is 0-based
     perm = np.array([1, 2, 3, 0])
-    v = BitVector.from_coords(4, [1, 4])
-    assert apply_permutation(v, perm) == BitVector.from_coords(4, [2, 1])
+    v = from_coords(4, [1, 4])
+    assert apply_permutation(v, perm) == from_coords(4, [2, 1])
 
 
 # --- packed matrix layer ------------------------------------------------------
@@ -230,8 +238,8 @@ def test_block_weights_batch_wide_and_word_crossing_blocks(d, r):
     """Counts past 255 must not wrap; spans of at most three words stay uint8."""
     spec = BlockSpec(d, r)
     rng = make_rng(d + r)
-    ones = complement(BitVector.zeros(d))
-    vs = [BitVector.zeros(d), ones] + [random_vector(rng, d) for _ in range(4)]
+    ones = complement(zeros(d))
+    vs = [zeros(d), ones] + [random_vector(rng, d) for _ in range(4)]
     mat = pack_rows(vs)
     for i in range(1, r + 1):
         width = spec.width(i)
@@ -247,7 +255,7 @@ def test_block_weights_batch_wide_and_word_crossing_blocks(d, r):
 def check_block_local_rows(spec: BlockSpec, i: int, rng) -> None:
     """block_local_rows against block_project and block_weight, row by row and z by z."""
     d, width = spec.dim, spec.width(i)
-    vs = [BitVector.zeros(d), complement(BitVector.zeros(d))] + [random_vector(rng, d) for _ in range(3)]
+    vs = [zeros(d), complement(zeros(d))] + [random_vector(rng, d) for _ in range(3)]
     local = block_local_rows(pack_rows(vs), spec, i)
     assert [unpack_row(width, row) for row in local] == [block_project(v, spec, i) for v in vs]
     zs = np.vstack([np.zeros((1, n_words(width)), dtype=np.uint64), draw_block_zs(rng, 3, width)])

@@ -13,11 +13,42 @@ from hambucket.generator import DistributionModel, read_instance
 from hambucket.solver import EXACT
 
 
-def run_cli(*args, **kw):
+def run_cli(*args, timeout=300, **kw):
     return subprocess.run(
         [sys.executable, "-m", "hambucket", *args],
-        capture_output=True, text=True, timeout=300, **kw,
+        capture_output=True, text=True, timeout=timeout, **kw,
     )
+
+
+# The two flags that take a gamma sweep, each after the rest of its command line.
+BENCH_SWEEP = ("bench", "--d", "32", "--n", "64", "--trials", "1", "--gamma-sweep")
+EXPONENT_SWEEP = ("exponent", "--lambda", "0.25", "--gamma")
+
+
+def over_sweep_flags(*cases):
+    """Each case for bench --gamma-sweep (id: the case) and for exponent --gamma (id: exponent-case)."""
+    out = []
+    for case in cases:
+        case_id = "-".join(case)
+        out.append(pytest.param(BENCH_SWEEP, *case, id=case_id))
+        out.append(pytest.param(EXPONENT_SWEEP, *case, id=f"exponent-{case_id}"))
+    return out
+
+
+# The 9-point curve at lambda 0.3 as `exponent --sweep --points 9` printed it;
+# `--gamma 0:0.5:0.0625` must print the same bytes.
+EXPONENT_SWEEP_L03 = """\
+gamma,theta,delta,regime,lower_bound,pairs_exponent
+0.000000,0.300000000,0.189297705,below-gamma-star,0.300000000,0.000000000
+0.062500,0.323947686,0.189297705,below-gamma-star,0.320000000,0.000000000
+0.125000,0.352660989,0.189297705,below-gamma-star,0.342857143,0.143564443
+0.187500,0.388038338,0.189297705,below-gamma-star,0.369230769,0.296212260
+0.250000,0.433458664,0.189297705,below-gamma-star,0.411278124,0.411278124
+0.312500,0.496038233,0.193813782,above-gamma-star,0.496038233,0.496038233
+0.375000,0.554434003,0.250000000,above-gamma-star,0.554434003,0.554434003
+0.437500,0.588699408,0.323223305,above-gamma-star,0.588699408,0.588699408
+0.500000,0.600000000,0.500000000,above-gamma-star,0.600000000,0.600000000
+"""
 
 
 def test_gen_solve_naive_pipeline(tmp_path):
@@ -82,14 +113,9 @@ def test_exponent_report_values():
 
 
 def test_exponent_sweep_csv():
-    r = run_cli("exponent", "--lambda", "0.3", "--sweep", "--points", "9")
-    assert r.returncode == 0
-    lines = r.stdout.strip().splitlines()
-    assert lines[0] == "gamma,theta,delta,regime,lower_bound,pairs_exponent"
-    assert len(lines) == 10
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(0.3, abs=1e-9)
+    r = run_cli("exponent", "--lambda", "0.3", "--gamma", "0:0.5:0.0625")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == EXPONENT_SWEEP_L03
 
 
 def test_exponent_poisson_notes_approximation():
@@ -145,41 +171,58 @@ def test_bad_cp_threads_exits_2():
     assert r.stderr.strip() == "error: CP_THREADS must be a positive integer, got 'abc'"
 
 
-@pytest.mark.parametrize("sweep", ["0.1:0.2:nan", "nan", "0.1:inf:0.05"])
-def test_non_finite_sweep_exits_2(sweep):
-    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", sweep, "--trials", "1")
+@pytest.mark.parametrize("command, sweep", over_sweep_flags(("0.1:0.2:nan",), ("nan",), ("0.1:inf:0.05",)))
+def test_non_finite_sweep_exits_2(command, sweep):
+    r = run_cli(*command, sweep)
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.strip() == f"error: malformed sweep {sweep!r}: values must be finite"
 
 
-@pytest.mark.parametrize("sweep, bad", [("-0.1", "-0.1"), ("-0.05:0.1:0.05", "-0.05"),
-                                        ("0.9", "0.9"), ("0.4:0.6:0.1", "0.6")])
-def test_gamma_sweep_outside_range_exits_2(sweep, bad):
-    """Each sweep value is checked before any trial runs, and the message quotes it."""
+@pytest.mark.parametrize("command, sweep, bad", over_sweep_flags(
+    ("-0.1", "-0.1"), ("-0.05:0.1:0.05", "-0.05"), ("0.9", "0.9"), ("0.4:0.6:0.1", "0.6")))
+def test_gamma_sweep_outside_range_exits_2(command, sweep, bad):
+    """Each sweep value is checked before any trial or exponent runs, and the message quotes it."""
     # the = form; the space-separated form is checked below
-    r = run_cli("bench", "--d", "32", "--n", "64", f"--gamma-sweep={sweep}", "--trials", "1")
+    r = run_cli(*command[:-1], f"{command[-1]}={sweep}")
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.strip() == f"error: gamma outside [0, 1/2]: {bad}"
 
 
-@pytest.mark.parametrize("sweep, bad", [("-0.1", "-0.1"), ("-0.05:0.1:0.05", "-0.05"),
-                                        ("-.2:0.1:0.1", "-0.2")])
-def test_negative_gamma_sweep_as_separate_argument_exits_2(sweep, bad):
+@pytest.mark.parametrize("command, sweep, bad", over_sweep_flags(
+    ("-0.1", "-0.1"), ("-0.05:0.1:0.05", "-0.05"), ("-.2:0.1:0.1", "-0.2")))
+def test_negative_gamma_sweep_as_separate_argument_exits_2(command, sweep, bad):
     """A sweep starting below 0 reaches the range check when written after a space too."""
-    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", sweep, "--trials", "1")
+    r = run_cli(*command, sweep)
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.strip() == f"error: gamma outside [0, 1/2]: {bad}"
 
 
-@pytest.mark.parametrize("points", ["-1", "0"])
-def test_exponent_sweep_rejects_empty_points(points):
-    r = run_cli("exponent", "--lambda", "0.25", "--model", "poisson:0.2", "--sweep", "--points", points)
+@pytest.mark.parametrize("command, sweep, points", over_sweep_flags(
+    ("0.4:0.5:1e-18", "1e+17"), ("0:0.5:0.00001", "50001")))
+def test_sweep_over_the_point_cap_exits_2(command, sweep, points):
+    """A step below the float spacing at a, or too fine for the cap, is refused before any point runs."""
+    r = run_cli(*command, sweep, timeout=30)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.strip() == f"error: --points must be at least 1, got {points}"
+    assert r.stderr == f"error: sweep {sweep!r} has {points} points, more than 10000\n"
+
+
+def test_impossible_sizes_exit_2(tmp_path):
+    """Allocations beyond the 128 TiB address space fail at once, as input errors."""
+    path = tmp_path / "i.cpinst"
+    r = run_cli("gen", "--d", "64", "--n", str(10**15), "--gamma", "4", "--out", str(path), timeout=30)
+    assert r.returncode == 2
+    assert r.stdout == "" and not path.exists()
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    run_cli("gen", "--d", "32", "--n", "64", "--gamma", "4", "--seed", "1", "--out", str(path))
+    # 64 rows exceed the leaf threshold, so the root draws all 10^15 z at once
+    r = run_cli("solve", "--in", str(path), "--branching", str(10**15), timeout=30)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -72,7 +72,7 @@ def test_block_weights_before_the_first_hit(monkeypatch):
     The walk stops inside a node's z batch, so these counts pin where the
     batch is split into slabs, along with the walk's own counters.
     """
-    inst = gen_instance(128, 1024, 16, DistributionModel.fixed_weight(0.3), seed=7)
+    inst = gen_instance(128, 1024, 16, DistributionModel("fixed", 0.3), seed=7)
     weighed = 0
 
     def counting(sub, zs):

@@ -1,0 +1,68 @@
+"""Library code only for the callers it has.
+
+Every public module-level function, class or classmethod in src/hambucket
+must be named somewhere other than its own definition: in a src/ module
+other than __init__.py (whose exports do not count as a use), or in any
+perfbench/ file.  A name counts when it occurs as an identifier, an
+attribute or an import.  Scalar helpers that only the tests call belong in
+tests/oracle.py.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hambucket"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, definition node) for each public module-level function, class and classmethod."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and any(isinstance(dec, ast.Name) and dec.id == "classmethod"
+                                for dec in item.decorator_list)):
+                    yield item.name, item
+
+
+def _names_used(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Every identifier, attribute and imported name in tree, with the node it sits in."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend((alias.name.rpartition(".")[2], node) for alias in node.names)
+    return out
+
+
+def _inside(node: ast.AST, definition: ast.AST) -> bool:
+    return any(child is node for child in ast.walk(definition))
+
+
+def unused_public_names() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    bench_uses = {name for path in sorted(PERFBENCH.glob("*.py"))
+                  for name, _ in _names_used(ast.parse(path.read_text(encoding="utf-8")))}
+    uses = {path: _names_used(tree) for path, tree in trees.items() if path.name != "__init__.py"}
+    unused = []
+    for path, tree in trees.items():
+        for name, definition in _public_definitions(tree):
+            if name in bench_uses:
+                continue
+            if any(used == name and not (other == path and _inside(node, definition))
+                   for other, names in uses.items() for used, node in names):
+                continue
+            unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert unused_public_names() == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hambucket.analysis import DistributionModel, choose_params
 from hambucket import bitvec
 from hambucket.bitvec import (
-    BitVector,
     BlockSpec,
     draw_block_zs,
     make_rng,
@@ -37,6 +36,7 @@ from oracle import (
     block_weight,
     bucket_accept,
     distance,
+    from_bits,
     partition_in_place,
     random_vector,
     reference_solve,
@@ -44,14 +44,15 @@ from oracle import (
     survival_rate_probe,
     unpack_row,
     unpruned_scan_pairs,
+    zeros,
 )
 
 UNIFORM = DistributionModel.uniform()
 
 
 def tiny_instance():
-    l1 = pack_rows([BitVector.from_bits([0, 0, 0]), BitVector.from_bits([0, 1, 1])])
-    l2 = pack_rows([BitVector.from_bits([0, 0, 1]), BitVector.from_bits([1, 1, 1])])
+    l1 = pack_rows([from_bits([0, 0, 0]), from_bits([0, 1, 1])])
+    l2 = pack_rows([from_bits([0, 0, 1]), from_bits([1, 1, 1])])
     return Instance(3, 2, 1, l1, l2, (0, 0), UNIFORM, 0)
 
 
@@ -256,10 +257,10 @@ def test_partition_is_stable():
 
 
 def test_partition_rejects_wrong_z_width():
-    vs = [BitVector.zeros(8)]
+    vs = [zeros(8)]
     with pytest.raises(ValueError):
         partition_in_place(pack_rows(vs), np.arange(1), 0, 1,
-                           BitVector.zeros(3), BlockSpec(8, 2), 1, 2, EXACT)
+                           zeros(3), BlockSpec(8, 2), 1, 2, EXACT)
 
 
 # --- solve --------------------------------------------------------------------
@@ -351,7 +352,7 @@ def test_solve_matches_per_leaf_reference(data):
     """Batched leaf scans give the per-leaf solver's matches, counters and draws."""
     d = data.draw(st.sampled_from([1, 63, 64, 65, 96, 128, 200]))
     n = data.draw(st.integers(1, 80))
-    model = data.draw(st.sampled_from([UNIFORM, DistributionModel.fixed_weight(0.3)]))
+    model = data.draw(st.sampled_from([UNIFORM, DistributionModel("fixed", 0.3)]))
     inst = gen_instance(d, n, data.draw(st.integers(0, min(d, 24))), model,
                         seed=data.draw(st.integers(0, 2**32)))
     params = SolverParams(
@@ -414,7 +415,7 @@ def test_probe_infeasible_split_is_zero():
 
 
 def test_probe_requires_planted_pair():
-    v = pack_rows([BitVector.zeros(8)])
+    v = pack_rows([zeros(8)])
     inst = Instance(8, 1, 0, v, v, None, UNIFORM, 0)
     with pytest.raises(ValueError):
         survival_rate_probe(inst, all_params(), make_rng(0), 10)
@@ -427,7 +428,7 @@ def test_pipeline_builds_no_bitvector(tmp_path, monkeypatch):
         raise AssertionError("BitVector constructed")
 
     monkeypatch.setattr(bitvec.BitVector, "__init__", refuse)
-    inst = gen_instance(96, 300, 10, DistributionModel.fixed_weight(0.3), seed=5)
+    inst = gen_instance(96, 300, 10, DistributionModel("fixed", 0.3), seed=5)
     path = tmp_path / "inst.cpinst"
     write_instance(inst, path)
     back = read_instance(path)
