@@ -470,8 +470,16 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
     first hit of the round that succeeds.  Without it every call walks
     every round, and the cost is a call's divided by its success
     probability.  Returns inf when no round can find the pair.
+
+    A root of at most naive_threshold rows a side is one leaf: solve scans
+    its n^2 pairs in each round it walks and always finds the pair.
     """
     n = 2.0 ** (lam * d)
+    wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
+    # 2^(lam d) is the list length up to rounding
+    if round(n) <= params.naive_threshold:
+        scans = 1 if params.stop_on_first else params.permutations
+        return _SOLVE_S + scans * (_SCAN_PAIR_S * n * n * wide + _SCAN_PASS_S)
     g_all = round_nearest(gamma * d)
     spec = BlockSpec(d, params.depth)
     tries, strategy = params.branching, params.strategy
@@ -487,7 +495,7 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
             break
     # bottom-up over the pair's remaining differing coordinates r: Pr[the
     # subtree finds the pair] and the expected cost of the walk that does
-    x = rows * rows * (1.0 if n_words(d) == 1 else _WIDE_ROW)
+    x = rows * rows * wide
     if x >= _PAIR_BUDGET / 2:
         full = _SCAN_PAIR_S * x + _SCAN_PASS_S
     else:
@@ -542,7 +550,9 @@ def choose_params(
       uniform rows of 2^(lam d) each; rows drawn otherwise get the depth
       chosen for uniform rows, and an explicit depth (--depth) overrides it.
       Depths whose blocks cannot keep the pair under any split of its
-      differing coordinates are skipped.
+      differing coordinates are skipped, unless the root holds at most
+      naive_threshold rows: solve scans such a root as one leaf, so every
+      depth costs the same and depth 1 is chosen.
     - branching: d / q for the exact survival q of the first block
       (block_survival), capped at _BRANCHING_CAP
     - naive_threshold: cost-balanced against branching so filtering a subrange
@@ -557,19 +567,15 @@ def choose_params(
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
     if delta is None:
         delta = theta_uniform(lam, gamma).delta
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta outside [0, 1]: {delta}")
     strategy = EXACT if strategy is None else strategy
     g_all = round_nearest(gamma * d)
+    n = 2.0 ** (lam * d)
 
     def at_depth(r: int) -> SolverParams | None:
         """The parameters at depth r, or None if no split lets the pair through all r blocks."""
         spec = BlockSpec(d, r)
-        # both weights of a kept pair lie in the window, so a block keeps at most 2 hi of its differences
-        room = 0
-        for i in range(1, r + 1):
-            _, hi = strategy.window(round_nearest(delta * spec.width(i)))
-            room += min(2 * hi, spec.width(i))
-        if room < g_all:
-            return None
         b = branching
         if b is None:
             width = spec.width(1)
@@ -577,7 +583,15 @@ def choose_params(
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
         t = naive_threshold
         if t is None:
-            t = max(32, min(b, int(2.0 ** (lam * d) / 8.0)))
+            t = max(32, min(b, int(n / 8.0)))
+        # both weights of a kept pair lie in the window, so a block keeps at
+        # most 2 hi of its differences; a root of at most t rows is a leaf
+        room = 0
+        for i in range(1, r + 1):
+            _, hi = strategy.window(round_nearest(delta * spec.width(i)))
+            room += min(2 * hi, spec.width(i))
+        if room < g_all and round(n) > t:
+            return None
         return SolverParams(
             depth=r,
             branching=b,

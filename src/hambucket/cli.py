@@ -29,6 +29,13 @@ from .generator import gen_instance, read_instance, write_instance
 from .solver import Strategy, naive_search, solve
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed flag: a non-negative integer."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, help="tree depth (number of blocks)")
     p.add_argument("--branching", type=int, help="z draws per node")
@@ -36,7 +43,7 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="relative bucket radius")
     p.add_argument("--strategy", default="exact", help="exact | dev:<eps> | atmost")
     p.add_argument("--threshold", dest="naive_threshold", type=int, help="sublist size handed to the quadratic scan")
-    p.add_argument("--seed", type=int, default=0, help="solver randomness seed")
+    p.add_argument("--seed", type=_seed, default=0, help="solver randomness seed")
     p.add_argument("--all", action="store_true", help="collect every match instead of stopping at the first")
 
 
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vectors per list")
     p.add_argument("--gamma", type=int, required=True, help="planted distance (absolute count)")
     p.add_argument("--model", default="uniform", help="uniform | fixed:<eta> | bernoulli:<mu> | poisson:<f>")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=cmd_gen)
 

@@ -7,26 +7,30 @@ radius of z, and recurses; sufficiently small sublists are finished by the
 quadratic scan.  Matches are verified by a final distance check, so the
 output never contains a false positive.
 
-Candidate filtering is vectorized: each node evaluates the bucket criterion
-for a whole batch of z draws in a few numpy passes over the current
-sublists (uint8 block weights, one flatnonzero over the z-major accept
-matrix), then splits the hits into per-child index ranges.  The filter
-works on block-local words: each permutation round shifts every block of
-every row to bit 0 once (bitvec.block_local_rows), the layout in which
-draw_block_zs draws z, so a node compares its rows' block with the z's as
-drawn, and a block that straddles a word boundary costs the words its
-width needs and no more.
+Both lists are walked as one stacked matrix, list 2 below list 1, since
+every node filters both with the same z draws: a node is one index array
+into the stack, its list-1 rows first.  Candidate filtering is vectorized:
+each node evaluates the bucket criterion for a whole batch of z draws in a
+few numpy passes over its rows (uint8 block weights, one flatnonzero over
+the z-major accept matrix), then splits the hits into per-child index
+ranges, each with the offset where its list-2 rows begin.  The filter
+works on block-local words: each permutation round permutes the stack and
+shifts every block of every row to bit 0 once (bitvec.block_local_rows),
+the layout in which draw_block_zs draws z, so a node compares its rows'
+block with the z's as drawn, and a block that straddles a word boundary
+costs the words its width needs and no more.
 
 Leaf buckets are scanned in batches.  A child is a leaf on the last level
 or when its smaller side has at most naive_threshold rows.  A run of
 consecutive leaf children is scanned in one gather, XOR and popcount pass
 over all of their row pairs, and the results are committed in child order:
 each child counts as a node, adds its pairs to the comparisons and its hits
-to the matches.  With stop_on_first the commit ends at the first child with
-a hit, so the counters are those of scanning leaf by leaf and stopping
-there; pairs the pass scanned beyond that child are not counted.  Leaves
-draw no random numbers, so inner children still draw their z batches in
-the same order.
+to the matches.  A run of one child is sliced at its list-2 offset; a longer
+run is split into its sides by row id.  With stop_on_first the commit ends
+at the first child with a hit, so the counters are those of scanning leaf
+by leaf and stopping there; pairs the pass scanned beyond that child are
+not counted.  Leaves draw no random numbers, so inner children still draw
+their z batches in the same order.
 
 The leaf scans and the naive baseline share one kernel, _pair_hits.  It
 compares word 0 for every pair and adds the other words one at a time.  A
@@ -247,18 +251,20 @@ def _pair_hits(dense_word, pair_rows, cols_a, cols_b, gamma_count: int, collect:
     return hit if collect else hit.size
 
 
-def _bucket_hits(a_mat, b_mat, rows_a, rows_b, na, nb, gamma_count: int):
+def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
     """Scan a run of buckets in one pass: each bucket's full cross product.
 
-    Bucket k pairs the k-th segment of rows_a (na[k] rows) with the k-th
-    segment of rows_b (nb[k] rows).  Returns (i, j, k) arrays for the pairs
-    at gamma_count, ordered by bucket: positions into rows_a and rows_b and
-    the bucket holding the pair.
+    mat holds list 1 in rows below split and list 2 from split on.  Bucket k
+    is the k-th segment of rows: na[k] list-1 rows, then nb[k] list-2 rows.
+    Returns (i, j, k) arrays for the pairs at gamma_count, ordered by bucket:
+    the pair's list-1 and list-2 row ids in mat, and the bucket holding it.
     """
-    sub_a, sub_b = a_mat.take(rows_a, 0), b_mat.take(rows_b, 0)
     if na.size == 1:
-        _, hit_i, hit_j = _scan_pairs(sub_a, sub_b, gamma_count, True)
-        return hit_i, hit_j, np.zeros(hit_i.size, dtype=np.intp)
+        sub = mat.take(rows, 0)
+        _, hit_i, hit_j = _scan_pairs(sub[: na[0]], sub[na[0] :], gamma_count, True)
+        return rows[hit_i], rows[na[0] + hit_j], np.zeros(hit_i.size, dtype=np.intp)
+    side_a = rows < split
+    rows_a, rows_b = rows[side_a], rows[~side_a]
     # flatten the pairs a-row by a-row: each a-row meets the nb[k] b-rows of
     # its own bucket k; int32 keeps this index arithmetic cheap
     na, nb = na.astype(np.int32), nb.astype(np.int32)
@@ -267,7 +273,7 @@ def _bucket_hits(a_mat, b_mat, rows_a, rows_b, na, nb, gamma_count: int):
     first_b = np.repeat(np.cumsum(nb, dtype=np.int32) - nb, na)
     pb = np.repeat(first_b - end_pair + per_row, per_row)
     pb += np.arange(pb.size, dtype=np.int32)
-    cols_a, cols_b = sub_a.T, sub_b.T
+    cols_a, cols_b = mat.take(rows_a, 0).T, mat.take(rows_b, 0).T
     hit = _pair_hits(
         lambda t: np.bitwise_count(np.repeat(cols_a[t], per_row) ^ cols_b[t].take(pb)),
         # pairs still in the running can be many: one repeat beats a search each
@@ -277,7 +283,7 @@ def _bucket_hits(a_mat, b_mat, rows_a, rows_b, na, nb, gamma_count: int):
     # the a-row of a pair is the one whose run of per_row pairs holds it
     pa = np.searchsorted(end_pair, hit, side="right")
     bucket = np.searchsorted(np.cumsum(na * nb), hit, side="right")
-    return pa, pb[hit], bucket
+    return rows_a[pa], rows_b[pb[hit]], bucket
 
 
 def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
@@ -301,14 +307,18 @@ def naive_count(inst, gamma_count: int | None = None) -> int:
 def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     """Run the bucketing search on a planted instance.
 
-    The first permutation round is the identity, later rounds redraw a fresh
-    uniform coordinate permutation for both lists.  With stop_on_first the
-    walk unwinds at the first verified match; otherwise matches from all
-    rounds are unioned and deduplicated.
+    Both lists are walked as one stacked matrix, list 2 from row split on.
+    A node is one index array into it, its list-1 rows first; a slab's
+    children are given by start (where each child begins) and mid (where its
+    list-2 rows begin).  The first permutation round is the identity, later
+    rounds redraw a fresh uniform coordinate permutation for the stack.  With
+    stop_on_first the walk unwinds at the first verified match; otherwise
+    matches from all rounds are unioned and deduplicated.
     """
     t_start = time.perf_counter()
     d, gamma = inst.d, inst.gamma_count
-    base_a, base_b = inst.mat1, inst.mat2
+    split = inst.mat1.shape[0]
+    base = np.vstack((inst.mat1, inst.mat2))
     spec = BlockSpec(d, params.depth)
     level_window = [
         params.strategy.window(round_nearest(params.delta * spec.width(i)))
@@ -319,17 +329,17 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     nodes = 0
     comparisons = 0
 
-    def scan_leaves(sel_a, sel_b, start_a, start_b, lo: int, hi: int) -> bool:
+    def scan_leaves(sel, start, mid, lo: int, hi: int) -> bool:
         """Scan children lo..hi-1 of a node, none of them inner, and commit them in order.
 
-        Child j holds rows sel_a[start_a[j]:start_a[j + 1]] and the same of
-        sel_b; a child with an empty side is no node.  One pass scans up to
-        _PAIR_BUDGET pairs.  Returns True when stop_on_first ends
-        the walk at a child with a hit; later children stay uncounted.
+        Child j holds rows sel[start[j]:start[j + 1]], its list-2 rows from
+        mid[j] on; a child with an empty side is no node.  One pass scans up
+        to _PAIR_BUDGET pairs.  Returns True when stop_on_first ends the walk
+        at a child with a hit; later children stay uncounted.
         """
         nonlocal nodes, comparisons
-        na = np.diff(start_a[lo : hi + 1])
-        nb = np.diff(start_b[lo : hi + 1])
+        na = mid[lo:hi] - start[lo:hi]
+        nb = start[lo + 1 : hi + 1] - mid[lo:hi]
         pairs = na * nb
         cum = np.concatenate(([0], np.cumsum(pairs)))
         k0 = 0
@@ -337,93 +347,71 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             k1 = int(np.searchsorted(cum, cum[k0] + _PAIR_BUDGET, side="right")) - 1
             k1 = min(max(k1, k0 + 1), hi - lo)
             if cum[k1] > cum[k0]:
-                a0, a1 = start_a[lo + k0], start_a[lo + k1]
-                b0, b1 = start_b[lo + k0], start_b[lo + k1]
-                hit_i, hit_j, hit_k = _bucket_hits(
-                    a_mat, b_mat, sel_a[a0:a1], sel_b[b0:b1], na[k0:k1], nb[k0:k1], gamma
-                )
+                rows = sel[start[lo + k0] : start[lo + k1]]
+                hit_i, hit_j, hit_k = _bucket_hits(mat, rows, na[k0:k1], nb[k0:k1], split, gamma)
                 if hit_k.size and params.stop_on_first:
                     k1 = k0 + int(hit_k[0]) + 1
                     first = hit_k == hit_k[0]
                     hit_i, hit_j = hit_i[first], hit_j[first]
                 nodes += int(np.count_nonzero(pairs[k0:k1]))
                 comparisons += int(cum[k1] - cum[k0])
-                found.update(zip(sel_a[a0 + hit_i].tolist(), sel_b[b0 + hit_j].tolist()))
+                found.update(zip(hit_i.tolist(), (hit_j - split).tolist()))
                 if params.stop_on_first and found:
                     return True
             k0 = k1
         return False
 
-    def descend(ia, ib, level: int) -> bool:
-        """Filter an inner node's rows into the buckets of its z batch and visit them."""
+    def descend(idx, na: int, level: int) -> bool:
+        """Filter an inner node's rows, list-1 rows idx[:na] first, into the buckets of its z batch."""
         nonlocal nodes
         nodes += 1
         zs = draw_block_zs(rng, params.branching, spec.width(level + 1))
         lo, hi = level_window[level]
-        sub_a = local_a[level].take(ia, 0)
-        sub_b = local_b[level].take(ib, 0)
+        sub = local[level].take(idx, 0)
         # zs has the block-local words of the rows' block
-        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * zs.shape[1]))
+        slab = max(1, _ELEM_BUDGET // max(1, idx.size * zs.shape[1]))
         for s0 in range(0, params.branching, slab):
             za = zs[s0 : s0 + slab]
-            # z-major accept matrices (the weight helper is symmetric in its
-            # arguments), so each bucket's members sit contiguously after one
-            # flatnonzero pass instead of a boolean gather per bucket
-            acc_a = _accept_mask(block_weights_batch(za, sub_a), lo, hi)
-            acc_b = _accept_mask(block_weights_batch(za, sub_b), lo, hi)
-            flat_a = np.flatnonzero(acc_a)
-            flat_b = np.flatnonzero(acc_b)
-            if flat_a.size == 0 or flat_b.size == 0:
-                continue
-            edges = np.arange(za.shape[0] + 1)
-            start_a = np.searchsorted(flat_a, edges * ia.size)
-            start_b = np.searchsorted(flat_b, edges * ib.size)
-            sel_a = ia[flat_a % ia.size]
-            sel_b = ib[flat_b % ib.size]
-            if visit(sel_a, sel_b, start_a, start_b, level + 1):
+            # a z-major accept matrix (the weight helper is symmetric in its
+            # arguments), so each bucket's members sit contiguously, list-1
+            # rows first, after one flatnonzero pass
+            flat = np.flatnonzero(_accept_mask(block_weights_batch(za, sub), lo, hi))
+            edges = np.arange(za.shape[0] + 1) * idx.size
+            start = np.searchsorted(flat, edges)
+            mid = np.searchsorted(flat, edges[:-1] + na)
+            if visit(idx[flat % idx.size], start, mid, level + 1):
                 return True
         return False
 
-    def visit(sel_a, sel_b, start_a, start_b, level: int) -> bool:
+    def visit(sel, start, mid, level: int) -> bool:
         """Visit children on one level in order: scan runs of leaves, descend into the rest."""
-        count = start_a.size - 1
+        count = mid.size
         inner = []
         if level < params.depth:
-            sizes = np.minimum(np.diff(start_a), np.diff(start_b))
+            sizes = np.minimum(mid - start[:-1], start[1:] - mid)
             inner = np.flatnonzero(sizes > params.naive_threshold).tolist()
         j = 0
         for c in inner + [count]:
-            if c > j and scan_leaves(sel_a, sel_b, start_a, start_b, j, c):
+            if c > j and scan_leaves(sel, start, mid, j, c):
                 return True
-            if c < count:
-                ca = sel_a[start_a[c] : start_a[c + 1]]
-                cb = sel_b[start_b[c] : start_b[c + 1]]
-                if descend(ca, cb, level):
-                    return True
+            if c < count and descend(sel[start[c] : start[c + 1]], mid[c] - start[c], level):
+                return True
             j = c + 1
         return False
 
-    all_a = np.arange(base_a.shape[0], dtype=np.int64)
-    all_b = np.arange(base_b.shape[0], dtype=np.int64)
-    root_a = np.array([0, all_a.size])
-    root_b = np.array([0, all_b.size])
+    # the root is the single child of a level above it
+    root = np.arange(base.shape[0])
+    root_start, root_mid = np.array([0, root.size]), np.array([split])
     for rnd in range(params.permutations):
-        if rnd == 0:
-            a_mat, b_mat = base_a, base_b
-        else:
-            perm = random_permutation(rng, d)
-            a_mat = permute_columns(base_a, perm)
-            b_mat = permute_columns(base_b, perm)
+        mat = base if rnd == 0 else permute_columns(base, random_permutation(rng, d))
         # the filter at level i compares block i + 1 of the rows, block-local
-        local_a = [block_local_rows(a_mat, spec, i) for i in range(1, params.depth + 1)]
-        local_b = [block_local_rows(b_mat, spec, i) for i in range(1, params.depth + 1)]
-        # the root is the single child of a level above it
-        if visit(all_a, all_b, root_a, root_b, 0):
+        local = [block_local_rows(mat, spec, i) for i in range(1, params.depth + 1)]
+        if visit(root, root_start, root_mid, 0):
             break
 
     matches = []
     for i, j in sorted(found):
-        dist = int(np.bitwise_count(base_a[i] ^ base_b[j]).sum())
+        dist = int(np.bitwise_count(inst.mat1[i] ^ inst.mat2[j]).sum())
         if dist == gamma:
             matches.append(MatchPair(i, j, dist))
     planted_found: Optional[bool] = None
@@ -436,4 +424,3 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         wall_time=time.perf_counter() - t_start,
         planted_found=planted_found,
     )
-

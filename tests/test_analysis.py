@@ -416,6 +416,22 @@ def test_choose_params_depth_clamps():
         assert choose_params(d, lam, gamma, **kw).depth == min(costs, key=costs.get)
 
 
+@pytest.mark.parametrize("d, lam, gamma, kw", [
+    (8, 0.5, 1 / 8, {}),
+    (8, 0.5, 1 / 8, {"strategy": deviation(1), "stop_on_first": True}),
+    (64, 0.0, 8 / 64, {"strategy": deviation(1), "stop_on_first": True}),
+    (64, 5 / 64, 8 / 64, {}),
+    (64, 8 / 64, 8 / 64, {"naive_threshold": 256, "stop_on_first": True}),
+])
+def test_root_leaf_costs_the_same_at_every_depth(d, lam, gamma, kw):
+    """A root of at most naive_threshold rows is scanned once whatever the depth, so every depth ties."""
+    costs = [predicted_cost(d, lam, gamma, choose_params(d, lam, gamma, depth=r, **kw))
+             for r in range(1, min(8, d // 4) + 1)]
+    assert math.isfinite(costs[0])
+    assert costs == [costs[0]] * len(costs)
+    assert choose_params(d, lam, gamma, **kw).depth == 1
+
+
 def test_choose_params_depth_range_bounds(monkeypatch):
     """Whatever the costs, the candidates are depths 1 to min(8, d // 4), and 1 when d < 4."""
     seen = []

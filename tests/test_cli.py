@@ -225,6 +225,50 @@ def test_impossible_sizes_exit_2(tmp_path):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+def planted_d8(tmp_path):
+    """A d=8 instance of 16 rows a side at distance 1: at or below the leaf threshold of 32."""
+    path = tmp_path / "d8.cpinst"
+    r = run_cli("gen", "--d", "8", "--n", "16", "--gamma", "1", "--seed", "3", "--out", str(path))
+    assert r.returncode == 0, r.stderr
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "-0.5", "1.5"])
+def test_delta_outside_unit_interval_exits_2(tmp_path, command, delta):
+    if command == "solve":
+        args = ("solve", "--in", str(planted_d8(tmp_path)))
+    else:
+        args = ("bench", "--d", "16", "--n", "8", "--trials", "2", "--gamma-sweep", "0.125")
+    r = run_cli(*args, "--delta", delta)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: delta outside [0, 1]: {float(delta)}\n"
+
+
+def test_solve_scans_a_small_root_at_any_depth(tmp_path):
+    """16 rows a side are one leaf: depth 2 scans the root once, whatever its blocks could keep."""
+    r = run_cli("solve", "--in", str(planted_d8(tmp_path)), "--depth", "2")
+    assert r.returncode == 0, r.stderr
+    assert "nodes=1 comparisons=256 " in r.stdout
+    assert "planted_found=true depth=2 " in r.stdout
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "bench"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, command):
+    out = tmp_path / "unwritten.cpinst"
+    args = {
+        "gen": ("--d", "8", "--n", "4", "--gamma", "1", "--out", str(out)),
+        "solve": ("--in", str(tmp_path / "absent.cpinst")),
+        "bench": ("--d", "16", "--n", "8", "--gamma-sweep", "0.125"),
+    }[command]
+    r = run_cli(command, *args, "--seed", "-1")
+    assert r.returncode == 2
+    assert r.stdout == "" and not out.exists()
+    assert r.stderr.splitlines()[-1] == (
+        f"hambucket {command}: error: argument --seed: want a non-negative integer, got '-1'")
+
+
 def test_missing_file_exits_2(tmp_path):
     r = run_cli("naive", "--in", str(tmp_path / "absent.cpinst"))
     assert r.returncode == 2

@@ -6,6 +6,12 @@ other than __init__.py (whose exports do not count as a use), or in any
 perfbench/ file.  A name counts when it occurs as an identifier, an
 attribute or an import.  Scalar helpers that only the tests call belong in
 tests/oracle.py.
+
+Every name a src/ module other than __init__.py imports must be used in
+that module, unless a perfbench/ file names it, as an identifier or as a
+string constant (perfbench/spans.py looks solver functions up by name).
+Names a perfbench/ file binds by importing them from outside the package,
+such as os or np, do not count: perfbench uses those itself.
 """
 
 import ast
@@ -66,3 +72,38 @@ def unused_public_names() -> list[str]:
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def _strings(tree: ast.Module) -> set[str]:
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unused_imports() -> list[str]:
+    bench_names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and not (node.module or "").startswith("hambucket")
+               for alias in node.names}
+        bench_names |= ({name for name, _ in _names_used(tree)} | _strings(tree)) - own
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a string constant counts too, for annotations written as strings
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _strings(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used and alias.name.rpartition(".")[2] not in bench_names:
+                    unused.append(f"{path.stem}.{bound}")
+    return unused
+
+
+def test_every_import_is_used_or_named_by_the_benchmark():
+    assert unused_imports() == []

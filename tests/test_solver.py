@@ -125,9 +125,11 @@ def test_pruned_scan_matches_unpruned_reference(d):
 def test_batched_leaf_pass_matches_per_bucket_scans(d):
     """The pairs a batched leaf pass reports, bucket by bucket, are the unpruned scan's.
 
-    Row i of the second matrix is row i of the first at a distance drawn from
+    Row i of the second list is row i of the first at a distance drawn from
     the tested gammas (or 256 more), so each gamma has hits; gammas from 64
     up keep several words dense before the pass follows the few pairs left.
+    The lists are stacked as the solver stacks them, list 2 from row n on,
+    and each bucket is also scanned alone, the pass for a single bucket.
     """
     rng = make_rng(d + 1)
     n = 120
@@ -138,6 +140,7 @@ def test_batched_leaf_pass_matches_per_bucket_scans(d):
     for i in range(n):
         flips[i, rng.permutation(d)[: dists[i % len(dists)]]] = 1
     mat_b = mat_a ^ pack_bit_matrix(flips)
+    mat = np.vstack((mat_a, mat_b))
     segs_a, segs_b = [], []
     for k in range(48):
         # bucket k holds row k on both sides, so every distance occurs; every
@@ -149,16 +152,20 @@ def test_batched_leaf_pass_matches_per_bucket_scans(d):
         segs_b.append(rng.permutation(side_b)[: 0 if k % 6 == 5 else None])
     na = np.array([s.size for s in segs_a])
     nb = np.array([s.size for s in segs_b])
-    rows_a, rows_b = np.concatenate(segs_a), np.concatenate(segs_b)
+    buckets = [np.concatenate((sa, sb + n)) for sa, sb in zip(segs_a, segs_b)]
     for g in gammas:
-        got = _bucket_hits(mat_a, mat_b, rows_a, rows_b, na, nb, g)
+        got = _bucket_hits(mat, np.concatenate(buckets), na, nb, n, g)
         want = []
         for k, (sa, sb) in enumerate(zip(segs_a, segs_b)):
             if sa.size and sb.size:
                 _, r, c = unpruned_scan_pairs(mat_a[sa], mat_b[sb], g, True)
-                want += [(int(na[:k].sum() + i), int(nb[:k].sum() + j), k) for i, j in zip(r, c)]
+                alone = [(int(sa[i]), int(sb[j]) + n, 0) for i, j in zip(r, c)]
+                got_alone = _bucket_hits(mat, buckets[k], na[k : k + 1], nb[k : k + 1], n, g)
+                assert list(zip(*(x.tolist() for x in got_alone))) == alone
+                want += [(i, j, k) for i, j, _ in alone]
         assert want
         assert list(zip(*(x.tolist() for x in got))) == want
+        assert (got[0] < n).all() and (got[1] >= n).all()
 
 
 @pytest.mark.parametrize("dtype, width", [(np.uint8, 255), (np.uint8, 40), (np.int32, 300)])
