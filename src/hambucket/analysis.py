@@ -555,9 +555,12 @@ def choose_params(
       depth costs the same and depth 1 is chosen.
     - branching: d / q for the exact survival q of the first block
       (block_survival), capped at _BRANCHING_CAP
-    - naive_threshold: cost-balanced against branching so filtering a subrange
-      never costs more popcounts than just scanning it, floored at 32 and kept
-      well under the list length so the tree actually runs
+    - naive_threshold: max(32, min(branching, n // 2)).  Filtering a bucket
+      of t rows weighs t x branching blocks, at least the t^2 pairs of
+      scanning it when t <= branching, so such a bucket is scanned, however
+      deep it lies; weighted rows make some buckets several times the mean
+      size, and those are scanned too.  The n // 2 cap is for the root: it
+      keeps the root filtered, so the tree actually runs
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -583,7 +586,7 @@ def choose_params(
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
         t = naive_threshold
         if t is None:
-            t = max(32, min(b, int(n / 8.0)))
+            t = max(32, min(b, int(n // 2)))
         # both weights of a kept pair lie in the window, so a block keeps at
         # most 2 hi of its differences; a root of at most t rows is a leaf
         room = 0

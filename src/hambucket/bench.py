@@ -23,7 +23,7 @@ from .bitvec import derive_seed, make_rng
 from .generator import gen_instance
 from .solver import Strategy, naive_count, round_nearest, solve
 
-CSV_HEADER = "d,n,gamma,strategy,depth,branching,trial,seed,solver_ns,naive_ns,found,pairs"
+CSV_HEADER = "d,n,gamma,strategy,depth,branching,threshold,trial,seed,solver_ns,naive_ns,found,pairs"
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class BenchRecord:
     strategy: str
     depth: int
     branching: int
+    threshold: int
     trial: int
     seed: int
     solver_ns: int
@@ -47,7 +48,7 @@ def emit_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
-            f"{r.d},{r.n},{r.gamma:g},{r.strategy},{r.depth},{r.branching},"
+            f"{r.d},{r.n},{r.gamma:g},{r.strategy},{r.depth},{r.branching},{r.threshold},"
             f"{r.trial},{r.seed},{r.solver_ns},{r.naive_ns},"
             f"{str(r.found).lower()},{r.pairs}"
         )
@@ -55,7 +56,7 @@ def emit_csv(records) -> str:
 
 
 def _run_trial(task) -> BenchRecord:
-    (d, n, gamma, gamma_idx, trial, base_seed, model_token, strategy_token, overrides) = task
+    (d, n, gamma, gamma_idx, trial, base_seed, model_token, params) = task
     inst_seed = derive_seed(base_seed, gamma_idx, trial, 0)
     solve_seed = derive_seed(base_seed, gamma_idx, trial, 1)
     model = DistributionModel.from_token(model_token)
@@ -66,13 +67,6 @@ def _run_trial(task) -> BenchRecord:
     naive_count(inst)
     naive_ns = time.perf_counter_ns() - t0
 
-    params = choose_params(
-        d,
-        math.log2(n) / d,
-        gamma,
-        strategy=Strategy.from_token(strategy_token),
-        **overrides,
-    )
     t0 = time.perf_counter_ns()
     report = solve(inst, params, make_rng(solve_seed))
     solver_ns = time.perf_counter_ns() - t0
@@ -81,9 +75,10 @@ def _run_trial(task) -> BenchRecord:
         d=d,
         n=n,
         gamma=gamma,
-        strategy=strategy_token,
+        strategy=params.strategy.token(),
         depth=params.depth,
         branching=params.branching,
+        threshold=params.naive_threshold,
         trial=trial,
         seed=inst_seed,
         solver_ns=solver_ns,
@@ -116,21 +111,22 @@ def run_bench(
     workers: int | None = None,
     **overrides,
 ) -> list[BenchRecord]:
-    """One record per (gamma, trial), ordered by gamma then trial."""
+    """One record per (gamma, trial), ordered by gamma then trial.
+
+    The parameters are chosen once per gamma, before any trial runs, so a
+    bad tuning flag is refused before instances are generated and scanned.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
+    params = [
+        choose_params(d, math.log2(n) / d, float(g), strategy=strategy,
+                      stop_on_first=stop_on_first, **overrides)
+        for g in gammas
+    ]
     tasks = [
-        (
-            d,
-            n,
-            float(g),
-            gi,
-            t,
-            base_seed,
-            model.token(),
-            strategy.token(),
-            {"stop_on_first": stop_on_first, **overrides},
-        )
+        (d, n, float(g), gi, t, base_seed, model.token(), params[gi])
         for gi, g in enumerate(gammas)
         for t in range(trials)
     ]

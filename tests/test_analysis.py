@@ -471,6 +471,17 @@ def test_choose_params_depth_against_measured_grid(config):
     assert params.depth in acceptable
 
 
+@pytest.mark.parametrize("d", [32, 64, 128])
+@pytest.mark.parametrize("n", [64, 512, 1024, 4096, 2**15])
+def test_default_threshold_rule(d, n):
+    """A bucket of at most branching rows is scanned at any level; n // 2 keeps the root filtered."""
+    for kw in ({}, {"strategy": deviation(1), "stop_on_first": True}):
+        p = choose_params(d, math.log2(n) / d, 1 / 8, **kw)
+        assert p.naive_threshold == max(32, min(p.branching, n // 2))
+        if n > 64:
+            assert p.naive_threshold < n
+
+
 def test_choose_params_overrides_pass_through():
     p = choose_params(64, 0.2, 0.1, depth=3, branching=17, permutations=2,
                       naive_threshold=5, stop_on_first=True, strategy=AT_MOST)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from hambucket import bench, cli
 from hambucket.analysis import choose_params
 from hambucket.bench import CSV_HEADER, BenchRecord, emit_csv, run_bench
 from hambucket.cli import bench_summary
@@ -19,6 +20,8 @@ def run_cli(*args, timeout=300, **kw):
         capture_output=True, text=True, timeout=timeout, **kw,
     )
 
+
+CSV_COLUMN = {name: i for i, name in enumerate(CSV_HEADER.split(","))}
 
 # The two flags that take a gamma sweep, each after the rest of its command line.
 BENCH_SWEEP = ("bench", "--d", "32", "--n", "64", "--trials", "1", "--gamma-sweep")
@@ -246,6 +249,22 @@ def test_delta_outside_unit_interval_exits_2(tmp_path, command, delta):
     assert r.stderr == f"error: delta outside [0, 1]: {float(delta)}\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--delta", "nan", "delta outside [0, 1]: nan"),
+    ("--depth", "99", "depth outside [1, 64]: 99"),
+])
+def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, value, message):
+    """The parameters are chosen once per gamma before any instance is generated or scanned."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(bench, "gen_instance", no_trial)
+    monkeypatch.setenv("CP_THREADS", "1")
+    argv = ["bench", "--d", "64", "--n", "65536", "--trials", "1", "--gamma-sweep", "0.125"]
+    assert cli.main([*argv, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_scans_a_small_root_at_any_depth(tmp_path):
     """16 rows a side are one leaf: depth 2 scans the root once, whatever its blocks could keep."""
     r = run_cli("solve", "--in", str(planted_d8(tmp_path)), "--depth", "2")
@@ -285,7 +304,10 @@ def test_bench_csv_shape(tmp_path):
     assert len(lines) == 3
     row = lines[1].split(",")
     assert row[:3] == ["32", "64", "0.125"]
-    assert row[10] in ("true", "false")
+    assert row[CSV_COLUMN["found"]] in ("true", "false")
+    auto = choose_params(32, 6 / 32, 0.125, stop_on_first=True)
+    assert [row[CSV_COLUMN[k]] for k in ("depth", "branching", "threshold")] == [
+        str(auto.depth), str(auto.branching), str(auto.naive_threshold)]
 
 
 def test_bench_summary_reports_cost_per_success(tmp_path):
@@ -297,9 +319,9 @@ def test_bench_summary_reports_cost_per_success(tmp_path):
     summaries = [line for line in r.stdout.splitlines() if line.startswith("# gamma=")]
     assert len(summaries) == 2
     for gamma, line in zip(("0.125", "0.25"), summaries):
-        trials = [row for row in rows if row[2] == gamma]
-        med_s = statistics.median(int(row[8]) for row in trials) / 1e9
-        hits = sum(row[10] == "true" for row in trials)
+        trials = [row for row in rows if row[CSV_COLUMN["gamma"]] == gamma]
+        med_s = statistics.median(int(row[CSV_COLUMN["solver_ns"]]) for row in trials) / 1e9
+        hits = sum(row[CSV_COLUMN["found"]] == "true" for row in trials)
         assert line.startswith(f"# gamma={gamma}: ")
         assert f"planted found {hits}/3" in line
         want = f"{med_s * 3 / hits:.4f}s" if hits else "inf"
@@ -307,7 +329,7 @@ def test_bench_summary_reports_cost_per_success(tmp_path):
 
 
 def test_bench_summary_cost_per_success():
-    miss = BenchRecord(d=8, n=4, gamma=0.25, strategy="exact", depth=1, branching=2,
+    miss = BenchRecord(d=8, n=4, gamma=0.25, strategy="exact", depth=1, branching=2, threshold=32,
                        trial=0, seed=11, solver_ns=1500, naive_ns=3000, found=False, pairs=0)
     line = bench_summary(0.25, [miss, replace(miss, trial=1)])
     assert line.endswith("planted found 0/2, cost per success inf")
@@ -320,7 +342,7 @@ def test_bench_summary_cost_per_success():
 def test_bench_records_deterministic_apart_from_timing():
     a = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9, workers=1)
     b = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9, workers=1)
-    strip = lambda r: (r.d, r.n, r.gamma, r.strategy, r.depth, r.branching,
+    strip = lambda r: (r.d, r.n, r.gamma, r.strategy, r.depth, r.branching, r.threshold,
                        r.trial, r.seed, r.found, r.pairs)
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
@@ -335,8 +357,8 @@ def test_bench_records_do_not_depend_on_worker_count():
 
 
 def test_emit_csv_formats_records():
-    rec = BenchRecord(d=8, n=4, gamma=0.25, strategy="exact", depth=1, branching=2,
+    rec = BenchRecord(d=8, n=4, gamma=0.25, strategy="exact", depth=1, branching=2, threshold=32,
                       trial=0, seed=11, solver_ns=1500, naive_ns=3000, found=True, pairs=1)
     text = emit_csv([rec])
     assert text.splitlines()[0] == CSV_HEADER
-    assert text.splitlines()[1] == "8,4,0.25,exact,1,2,0,11,1500,3000,true,1"
+    assert text.splitlines()[1] == "8,4,0.25,exact,1,2,32,0,11,1500,3000,true,1"

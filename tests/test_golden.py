@@ -27,13 +27,16 @@ def test_uniform_instance_and_solves(tmp_path, capsys):
     path = tmp_path / "inst.cp"
     run(capsys, "gen", "--d", "64", "--n", "512", "--gamma", "8", "--seed", "7", "--out", str(path))
     assert sha256(path).startswith("59d46acacc40e800")
-    # --depth 2 keeps this pin on the walk it was recorded from; the walk at
-    # the depth the cost model chooses is pinned next
+    # --depth 2 and --threshold 64 keep these pins on the walks they were
+    # recorded from; the walk at the parameters chosen now is pinned next
     out = run(capsys, "solve", "--in", str(path), "--depth", "2")
     assert "matches=1 nodes=606 comparisons=7468 " in out
-    out = run(capsys, "solve", "--in", str(path))
+    out = run(capsys, "solve", "--in", str(path), "--threshold", "64")
     assert "matches=1 nodes=249 comparisons=43534 " in out
     assert out.endswith(" depth=3 branching=512 threshold=64\n")
+    out = run(capsys, "solve", "--in", str(path))
+    assert "matches=1 nodes=249 comparisons=43534 " in out
+    assert out.endswith(" depth=3 branching=512 threshold=256\n")
     out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--depth", "2",
               "--branching", "256", "--all")
     assert "nodes=1028 comparisons=154914 " in out
@@ -44,14 +47,24 @@ def test_fixed_weight_instance_and_solve(tmp_path, capsys):
     run(capsys, "gen", "--d", "128", "--n", "1024", "--gamma", "16", "--model", "fixed:0.3",
         "--seed", "7", "--out", str(path))
     assert sha256(path).startswith("232f24d5fe60687b")
-    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--all", "--depth", "3")
+    # --threshold 128 keeps the first three pins on the walks they were
+    # recorded from; the walks at the threshold chosen now are pinned next
+    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--all", "--depth", "3",
+              "--threshold", "128")
     assert "nodes=49145 comparisons=13650569 " in out
     # stop-on-first: the walk ends at the first leaf with a hit, so these
     # counters pin which leaves are committed before the early exit
-    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8")
+    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--threshold", "128")
     assert "nodes=560 comparisons=293863 " in out
+    out = run(capsys, "solve", "--in", str(path), "--threshold", "128")
+    assert "nodes=744 comparisons=238388 " in out
+    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8", "--all", "--depth", "3")
+    assert "nodes=4062 comparisons=12385540 " in out
+    out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--perms", "8")
+    assert "nodes=78 comparisons=268745 " in out
     out = run(capsys, "solve", "--in", str(path))
     assert "nodes=744 comparisons=238388 " in out
+    assert out.endswith(" depth=3 branching=512 threshold=512\n")
 
 
 @pytest.mark.parametrize("d, n, model, prefix", [
@@ -81,11 +94,47 @@ def test_block_weights_before_the_first_hit(monkeypatch):
         return block_weights_batch(sub, zs)
 
     monkeypatch.setattr(solver, "block_weights_batch", counting)
+
+    def solves(**threshold):
+        nonlocal weighed
+        params = choose_params(128, 10 / 128, 16 / 128, strategy=solver.deviation(1), stop_on_first=True,
+                               **threshold)
+        got = []
+        for seed in range(4):
+            weighed = 0
+            rep = solver.solve(inst, params, make_rng(seed))
+            got.append((rep.nodes_visited, rep.naive_comparisons, weighed, rep.planted_found))
+        return got
+
+    # naive_threshold=128 keeps the walks these counts were recorded from
+    assert solves(naive_threshold=128) == [(560, 293863, 499712, True), (185, 44776, 524006, True),
+                                           (2901, 716247, 1572352, True), (1320, 161120, 737792, True)]
+    assert solves() == [(78, 268745, 262144, True), (6, 99860, 262144, True),
+                        (211, 650309, 524288, True), (32, 129847, 262144, True)]
+
+
+def test_large_buckets_are_scanned(monkeypatch):
+    """At the chosen threshold no bucket below the root is filtered again on the fixed-weight instance.
+
+    Its largest root buckets hold a few hundred rows a side, at most the
+    branching of 512, so scanning them costs less than filtering them.
+    draw_block_zs runs once per inner node and block_local_rows depth times
+    per round walked, so only the roots draw z.
+    """
+    inst = gen_instance(128, 1024, 16, DistributionModel("fixed", 0.3), seed=7)
+    calls = {"draw_block_zs": 0, "block_local_rows": 0}
+
+    def counted(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
     params = choose_params(128, 10 / 128, 16 / 128, strategy=solver.deviation(1), stop_on_first=True)
-    got = []
     for seed in range(4):
-        weighed = 0
-        rep = solver.solve(inst, params, make_rng(seed))
-        got.append((rep.nodes_visited, rep.naive_comparisons, weighed, rep.planted_found))
-    assert got == [(560, 293863, 499712, True), (185, 44776, 524006, True),
-                   (2901, 716247, 1572352, True), (1320, 161120, 737792, True)]
+        assert solver.solve(inst, params, make_rng(seed)).planted_found
+    assert calls["draw_block_zs"] * params.depth == calls["block_local_rows"]
