@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitvec import BlockSpec, n_words
+from .bitvec import MAX_DIM, BlockSpec, n_words
 from .solver import _ELEM_BUDGET, _PAIR_BUDGET, AT_MOST, EXACT, SolverParams, Strategy, deviation, round_nearest
 
 NEG_INF = float("-inf")
@@ -469,34 +469,41 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
     costs the rounds that fail, walked in full, plus the walk up to the
     first hit of the round that succeeds.  Without it every call walks
     every round, and the cost is a call's divided by its success
-    probability.  Returns inf when no round can find the pair.
+    probability.
 
-    A root of at most naive_threshold rows a side is one leaf: solve scans
-    its n^2 pairs in each round it walks and always finds the pair.
+    The root is a node like any other: at most naive_threshold rows a side
+    make it a leaf, a lone bucket scanned in one pass that always finds the
+    pair.  Returns inf when no round can find the pair: when no split of its
+    differing coordinates passes every level, or when the depth's blocks
+    cannot hold them all and the root is filtered.
     """
     n = 2.0 ** (lam * d)
     wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
-    # 2^(lam d) is the list length up to rounding
-    if round(n) <= params.naive_threshold:
-        scans = 1 if params.stop_on_first else params.permutations
-        return _SOLVE_S + scans * (_SCAN_PAIR_S * n * n * wide + _SCAN_PASS_S)
     g_all = round_nearest(gamma * d)
     spec = BlockSpec(d, params.depth)
     tries, strategy = params.branching, params.strategy
-    # top-down: the rows per side at each level, down to the level whose children are leaves
+    # top-down: the rows per side at each level, down to the level whose
+    # children are leaves; 2^(lam d) is the root's row count up to rounding
     levels, rows = [], n
     for i in range(1, params.depth + 1):
+        if (rows if levels else round(rows)) <= params.naive_threshold:
+            break
         width = spec.width(i)
         survival = _survival_by_split(width, round_nearest(params.delta * width), strategy, g_all)
         levels.append((width, survival, d - spec.bounds(i)[0], rows))
         # a row is a pair at distance 0: p is the table's first entry
         rows *= survival[0]
-        if rows <= params.naive_threshold:
-            break
+    # both weights of a kept pair lie in the window, so a block keeps at most
+    # 2 hi of its differences; buckets above the mean size are filtered
+    # further down, so every block of the depth counts, not only those walked
+    room = sum(min(2 * strategy.window(round_nearest(params.delta * spec.width(i)))[1], spec.width(i))
+               for i in range(1, params.depth + 1))
+    if levels and room < g_all:
+        return math.inf
     # bottom-up over the pair's remaining differing coordinates r: Pr[the
     # subtree finds the pair] and the expected cost of the walk that does
     x = rows * rows * wide
-    if x >= _PAIR_BUDGET / 2:
+    if x >= _PAIR_BUDGET / 2 or not levels:
         full = _SCAN_PAIR_S * x + _SCAN_PASS_S
     else:
         full = _BATCH_PAIR_S * x
@@ -526,6 +533,15 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
     return (_SOLVE_S + params.permutations * full) / p_call
 
 
+def list_exponent(d: int, n: int) -> float:
+    """lambda = log2(n) / d for lists of n vectors of d bits, refusing d and n outside the solver's range."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d outside [1, {MAX_DIM}]: {d}")
+    if n < 1 or math.log2(n) > d:
+        raise ValueError(f"n outside [1, 2^d] for d={d}: {n}")
+    return math.log2(n) / d
+
+
 def choose_params(
     d: int,
     lam: float,
@@ -549,10 +565,10 @@ def choose_params(
       predicted_cost, the seconds per success the walk model predicts for
       uniform rows of 2^(lam d) each; rows drawn otherwise get the depth
       chosen for uniform rows, and an explicit depth (--depth) overrides it.
-      Depths whose blocks cannot keep the pair under any split of its
-      differing coordinates are skipped, unless the root holds at most
-      naive_threshold rows: solve scans such a root as one leaf, so every
-      depth costs the same and depth 1 is chosen.
+      Ties go to the lowest depth, as when the root holds at most
+      naive_threshold rows and is scanned as one leaf at every depth.
+      Depths of infinite predicted cost are skipped, and the call raises
+      ValueError when every depth has one: no walk can find the pair.
     - branching: d / q for the exact survival q of the first block
       (block_survival), capped at _BRANCHING_CAP
     - naive_threshold: max(32, min(branching, n // 2)).  Filtering a bucket
@@ -576,25 +592,15 @@ def choose_params(
     g_all = round_nearest(gamma * d)
     n = 2.0 ** (lam * d)
 
-    def at_depth(r: int) -> SolverParams | None:
-        """The parameters at depth r, or None if no split lets the pair through all r blocks."""
-        spec = BlockSpec(d, r)
+    def at_depth(r: int) -> SolverParams:
         b = branching
         if b is None:
-            width = spec.width(1)
+            width = BlockSpec(d, r).width(1)
             q = block_survival(d, g_all, width, round_nearest(delta * width), strategy)
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
         t = naive_threshold
         if t is None:
             t = max(32, min(b, int(n // 2)))
-        # both weights of a kept pair lie in the window, so a block keeps at
-        # most 2 hi of its differences; a root of at most t rows is a leaf
-        room = 0
-        for i in range(1, r + 1):
-            _, hi = strategy.window(round_nearest(delta * spec.width(i)))
-            room += min(2 * hi, spec.width(i))
-        if room < g_all and round(n) > t:
-            return None
         return SolverParams(
             depth=r,
             branching=b,
@@ -611,7 +617,8 @@ def choose_params(
         depths = [depth]
     else:
         raise ValueError(f"depth outside [1, {d}]: {depth}")
-    candidates = [c for c in map(at_depth, depths) if c is not None]
-    if not candidates:
+    costs = [(predicted_cost(d, lam, gamma, p), p) for p in map(at_depth, depths)]
+    cost, params = min(costs, key=lambda c: c[0])
+    if cost == math.inf:
         raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g}")
-    return min(candidates, key=lambda c: predicted_cost(d, lam, gamma, c))
+    return params

@@ -12,22 +12,22 @@ depend on the worker count.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import partial
 
-from .analysis import DistributionModel, choose_params
+from .analysis import DistributionModel, choose_params, list_exponent
 from .bitvec import derive_seed, make_rng
 from .generator import gen_instance
-from .solver import Strategy, naive_count, round_nearest, solve
-
-CSV_HEADER = "d,n,gamma,strategy,depth,branching,threshold,trial,seed,solver_ns,naive_ns,found,pairs"
+from .solver import SolverParams, Strategy, naive_count, round_nearest, solve
 
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row: the field names are the header, in this order."""
+
     d: int
     n: int
     gamma: float
@@ -43,23 +43,25 @@ class BenchRecord:
     pairs: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def emit_csv(records) -> str:
     """Render records as CSV with the fixed header, one line per record."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.d},{r.n},{r.gamma:g},{r.strategy},{r.depth},{r.branching},{r.threshold},"
-            f"{r.trial},{r.seed},{r.solver_ns},{r.naive_ns},"
-            f"{str(r.found).lower()},{r.pairs}"
-        )
+    lines = [CSV_HEADER] + [",".join(map(_csv_cell, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
 
 
-def _run_trial(task) -> BenchRecord:
-    (d, n, gamma, gamma_idx, trial, base_seed, model_token, params) = task
+def _run_trial(d: int, n: int, base_seed: int, model: DistributionModel,
+               gamma: float, gamma_idx: int, trial: int, params: SolverParams) -> BenchRecord:
     inst_seed = derive_seed(base_seed, gamma_idx, trial, 0)
     solve_seed = derive_seed(base_seed, gamma_idx, trial, 1)
-    model = DistributionModel.from_token(model_token)
     gamma_count = round_nearest(gamma * d)
     inst = gen_instance(d, n, gamma_count, model, inst_seed)
 
@@ -108,30 +110,22 @@ def run_bench(
     base_seed: int,
     *,
     stop_on_first: bool = True,
-    workers: int | None = None,
     **overrides,
 ) -> list[BenchRecord]:
-    """One record per (gamma, trial), ordered by gamma then trial.
+    """One record per (gamma, trial), ordered by gamma then trial, on worker_count() processes.
 
     The parameters are chosen once per gamma, before any trial runs, so a
     bad tuning flag is refused before instances are generated and scanned.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    params = [
-        choose_params(d, math.log2(n) / d, float(g), strategy=strategy,
-                      stop_on_first=stop_on_first, **overrides)
-        for g in gammas
-    ]
-    tasks = [
-        (d, n, float(g), gi, t, base_seed, model.token(), params[gi])
-        for gi, g in enumerate(gammas)
-        for t in range(trials)
-    ]
-    count = worker_count() if workers is None else workers
-    if count <= 1 or len(tasks) <= 1:
-        return [_run_trial(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(count, len(tasks))) as pool:
-        return list(pool.map(_run_trial, tasks))
+    lam = list_exponent(d, n)
+    params = [choose_params(d, lam, float(g), strategy=strategy, stop_on_first=stop_on_first, **overrides)
+              for g in gammas]
+    cells = [(float(g), gi, t, p) for gi, (g, p) in enumerate(zip(gammas, params)) for t in range(trials)]
+    run = partial(_run_trial, d, n, base_seed, model)
+    count = min(worker_count(), len(cells))
+    if count <= 1:
+        return [run(*cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(run, *zip(*cells)))

@@ -215,15 +215,18 @@ def align_block_zs(zs: np.ndarray, spec: BlockSpec, i: int) -> tuple[np.ndarray,
     return aligned, w0, w1, mask
 
 
-def xor_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """popcount(a ^ b) summed over the last axis, one word column at a time.
+def block_weights_batch(sub: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Pairwise block weights between rows and z draws of one block layout.
 
-    a and b are packed rows with the same number of words whose leading axes
-    broadcast, e.g. (m, 1, w) against (1, n, w) for every cross pair or two
-    (p, w) gathers for p chosen pairs.  Each word adds its uint8 counts into
-    the result, so no (..., w) popcount temporary is built and summed.  The
-    result is uint8 while the words hold at most 255 bits, int32 beyond.
+    sub is (m, w) and zs is (s, w), both block-local: the rows from
+    block_local_rows and the z's from draw_block_zs.  The result is the
+    (m, s) weight matrix, uint8 while the w words hold at most 255 bits and
+    int32 beyond.  The kernel is symmetric in its arguments: (zs, sub)
+    gives the (s, m) transpose, the z-major matrix the solver filters with.
+    Each word adds its uint8 counts into the result, so no (m, s, w)
+    popcount temporary is built and summed.
     """
+    a, b = sub[:, None, :], zs[None, :, :]
     words = a.shape[-1]
     x = np.bitwise_xor(a[..., 0], b[..., 0])
     out = np.bitwise_count(x)
@@ -235,14 +238,3 @@ def xor_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.bitwise_xor(a[..., t], b[..., t], out=x)
         out += np.bitwise_count(x, out=count)
     return out
-
-
-def block_weights_batch(sub: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Pairwise block weights between rows and z draws of one block layout.
-
-    sub is (m, w) and zs is (s, w), both block-local: the rows from
-    block_local_rows and the z's from draw_block_zs.  The result is the
-    (m, s) weight matrix, uint8 while the w words hold at most 255 bits and
-    int32 beyond.
-    """
-    return xor_weights(sub[:, None, :], zs[None, :, :])

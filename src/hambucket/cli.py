@@ -18,6 +18,7 @@ from .analysis import (
     DistributionModel,
     choose_params,
     expected_pairs_exponent,
+    list_exponent,
     lower_bound_exponent,
     theta_distribution,
     theta_uniform,
@@ -71,7 +72,7 @@ def cmd_solve(args) -> int:
     inst = read_instance(args.infile)
     params = choose_params(
         inst.d,
-        math.log2(inst.n) / inst.d,
+        list_exponent(inst.d, inst.n),
         inst.gamma_count / inst.d,
         strategy=Strategy.from_token(args.strategy),
         stop_on_first=not args.all,

@@ -35,7 +35,6 @@ from hambucket.bitvec import (
     pack_bit_matrix,
     permute_columns,
     random_permutation,
-    xor_weights,
 )
 from hambucket.solver import (
     _PAIR_BUDGET,
@@ -300,7 +299,8 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
 # --- the unpruned cross scan -------------------------------------------------
 #
 # The solver's cross scan before rows of several words were pruned word by word:
-# every word of every pair goes through the word-wise kernel.
+# every word of every pair is XORed and counted, with numpy alone rather than
+# the package's kernels.
 
 
 def unpruned_scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
@@ -312,7 +312,8 @@ def unpruned_scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, 
     total = 0
     rows, cols = [], []
     for lo in range(0, mat_a.shape[0], chunk):
-        hit = xor_weights(mat_a[lo : lo + chunk, None, :], mat_b[None, :, :]) == gamma_count
+        dist = np.bitwise_count(mat_a[lo : lo + chunk, None, :] ^ mat_b[None, :, :]).sum(axis=-1)
+        hit = dist == gamma_count
         if collect:
             r, c = np.nonzero(hit)
             rows.append(r + lo)

@@ -482,6 +482,26 @@ def test_default_threshold_rule(d, n):
             assert p.naive_threshold < n
 
 
+def test_choose_params_refuses_a_parity_blocked_pair():
+    """d=8, n=256, one differing coordinate: an exact block never keeps an odd split, at either depth."""
+    with pytest.raises(ValueError, match="no z can keep a pair"):
+        choose_params(8, 1.0, 0.125)
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+@pytest.mark.parametrize("strategy", [EXACT, deviation(1)], ids=["exact", "dev1"])
+def test_chosen_params_have_finite_cost(d, strategy):
+    """choose_params returns a walk that can find the pair, or raises: never one of infinite cost."""
+    for log_n, gamma_count, stop in itertools.product((3, 5, 8), {1, 3, d // 2 - 1}, (False, True)):
+        lam, gamma = log_n / d, gamma_count / d
+        try:
+            params = choose_params(d, lam, gamma, strategy=strategy, stop_on_first=stop)
+        except ValueError as exc:
+            assert str(exc).startswith("no z can keep a pair")
+            continue
+        assert math.isfinite(predicted_cost(d, lam, gamma, params))
+
+
 def test_choose_params_overrides_pass_through():
     p = choose_params(64, 0.2, 0.1, depth=3, branching=17, permutations=2,
                       naive_threshold=5, stop_on_first=True, strategy=AT_MOST)

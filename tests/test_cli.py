@@ -252,6 +252,7 @@ def test_delta_outside_unit_interval_exits_2(tmp_path, command, delta):
 @pytest.mark.parametrize("flag, value, message", [
     ("--delta", "nan", "delta outside [0, 1]: nan"),
     ("--depth", "99", "depth outside [1, 64]: 99"),
+    ("--d", "0", "d outside [1, 1048576]: 0"),  # checked before log2(n) / d is taken
 ])
 def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, value, message):
     """The parameters are chosen once per gamma before any instance is generated or scanned."""
@@ -263,6 +264,26 @@ def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, 
     argv = ["bench", "--d", "64", "--n", "65536", "--trials", "1", "--gamma-sweep", "0.125"]
     assert cli.main([*argv, flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_and_bench_refuse_more_rows_than_2_to_the_d(tmp_path):
+    """n > 2^d is a valid instance that naive scans; solve and bench name n and d when they refuse it."""
+    path = tmp_path / "long.cpinst"
+    assert run_cli("gen", "--d", "8", "--n", "300", "--gamma", "2", "--out", str(path)).returncode == 0
+    assert run_cli("naive", "--in", str(path)).returncode == 0
+    message = "error: n outside [1, 2^d] for d=8: 300\n"
+    for args in (("solve", "--in", str(path)), ("bench", "--d", "8", "--n", "300", "--gamma-sweep", "0.25")):
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message)
+
+
+def test_solve_refuses_a_walk_that_cannot_find_the_pair(tmp_path):
+    """At d=8, n=256, distance 1, exact buckets never keep an odd split: no depth can find the pair."""
+    path = tmp_path / "odd.cpinst"
+    assert run_cli("gen", "--d", "8", "--n", "256", "--gamma", "1", "--out", str(path)).returncode == 0
+    r = run_cli("solve", "--in", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: no z can keep a pair at gamma=0.125 ") and r.stderr.count("\n") == 1
 
 
 def test_solve_scans_a_small_root_at_any_depth(tmp_path):
@@ -339,18 +360,21 @@ def test_bench_summary_cost_per_success():
     assert line.endswith("planted found 1/2, cost per success 0.0040s")
 
 
-def test_bench_records_deterministic_apart_from_timing():
-    a = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9, workers=1)
-    b = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9, workers=1)
+def test_bench_records_deterministic_apart_from_timing(monkeypatch):
+    monkeypatch.setenv("CP_THREADS", "1")
+    a = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9)
+    b = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9)
     strip = lambda r: (r.d, r.n, r.gamma, r.strategy, r.depth, r.branching, r.threshold,
                        r.trial, r.seed, r.found, r.pairs)
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
-def test_bench_records_do_not_depend_on_worker_count():
-    """One worker or two: the same records in the same order, timings apart."""
-    runs = [run_bench(32, 64, [0.125, 0.25], DistributionModel.uniform(), 3, EXACT, 9, workers=w)
-            for w in (1, 2)]
+def test_bench_records_do_not_depend_on_worker_count(monkeypatch):
+    """CP_THREADS=1 or 2: the same records in the same order, timings apart."""
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("CP_THREADS", workers)
+        runs.append(run_bench(32, 64, [0.125, 0.25], DistributionModel.uniform(), 3, EXACT, 9))
     untimed = [[replace(r, solver_ns=0, naive_ns=0) for r in records] for records in runs]
     assert len(untimed[0]) == 6
     assert untimed[0] == untimed[1]
