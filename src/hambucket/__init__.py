@@ -5,8 +5,8 @@ recursive bucketing solver that beats the quadratic scan on the parameter
 ranges where theory says it should.  The package splits into:
 
 - ``bitvec``:    packed bit matrices, blocks, permutations, seeded randomness
+- ``generator``: weight models, planted instances and their on-disk format
 - ``analysis``:  survival probabilities, runtime exponents, parameter choice
-- ``generator``: planted instances and their on-disk format
 - ``solver``:    the bucketing solver plus the exhaustive baseline
 - ``bench``:     timing harness with CSV output
 - ``cli``:       the ``hambucket`` command
@@ -14,9 +14,7 @@ ranges where theory says it should.  The package splits into:
 
 from .bitvec import BitVector, BlockSpec, make_rng, random_permutation
 from .analysis import (
-    DistributionModel,
     ExponentResult,
-    Regime,
     binary_entropy,
     choose_params,
     delta_gamma_star,
@@ -26,7 +24,7 @@ from .analysis import (
     theta_distribution,
     theta_uniform,
 )
-from .generator import Instance, gen_instance, read_instance, write_instance
+from .generator import DistributionModel, Instance, gen_instance, read_instance, write_instance
 from .solver import (
     AT_MOST,
     EXACT,

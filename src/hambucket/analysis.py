@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .bitvec import MAX_DIM, BlockSpec, n_words
-from .solver import _ELEM_BUDGET, _PAIR_BUDGET, AT_MOST, EXACT, SolverParams, Strategy, deviation, round_nearest
+from .bitvec import BlockSpec, check_dim, n_words, round_nearest
+from .generator import DistributionModel
+from .solver import _ELEM_BUDGET, _PAIR_BUDGET, AT_MOST, EXACT, SolverParams, Strategy, deviation
 
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
@@ -63,20 +63,12 @@ def inverse_entropy(y: float) -> float:
 # --- asymptotic exponents ---------------------------------------------------
 
 
-class Regime(Enum):
-    BELOW_GAMMA_STAR = "below-gamma-star"
-    ABOVE_GAMMA_STAR = "above-gamma-star"
-
-
 @dataclass(frozen=True)
 class ExponentResult:
     """A runtime exponent theta together with the bucket radius achieving it."""
 
     theta: float
     delta: float
-    regime: Regime
-    delta_star: float
-    gamma_star: float
 
 
 def delta_gamma_star(lam: float) -> tuple[float, float]:
@@ -117,11 +109,9 @@ def theta_uniform(lam: float, gamma: float) -> ExponentResult:
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
     ds, gs = delta_gamma_star(lam)
     if gamma <= gs:
-        theta = float(_bucket_exponent(ds, gamma))
-        return ExponentResult(theta, ds, Regime.BELOW_GAMMA_STAR, ds, gs)
+        return ExponentResult(float(_bucket_exponent(ds, gamma)), ds)
     delta = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * gamma))
-    theta = 2.0 * lam + binary_entropy(gamma) - 1.0
-    return ExponentResult(theta, delta, Regime.ABOVE_GAMMA_STAR, ds, gs)
+    return ExponentResult(2.0 * lam + binary_entropy(gamma) - 1.0, delta)
 
 
 def expected_pairs_exponent(lam: float, gamma: float) -> float:
@@ -138,52 +128,6 @@ def lower_bound_exponent(lam: float, gamma: float) -> float:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma outside [0, 1): {gamma}")
     return max(lam / (1.0 - gamma), expected_pairs_exponent(lam, gamma))
-
-
-# --- input distributions ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistributionModel:
-    """How list vectors are drawn: uniform, fixed weight, Bernoulli, or Poisson weight."""
-
-    kind: str
-    param: float | None = None
-
-    _KINDS = ("uniform", "fixed", "bernoulli", "poisson")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "uniform":
-            if self.param is not None:
-                raise ValueError("uniform model takes no parameter")
-        else:
-            if self.param is None or not 0.0 <= self.param <= 1.0:
-                raise ValueError(f"model parameter must be in [0, 1], got {self.param}")
-
-    @classmethod
-    def uniform(cls) -> "DistributionModel":
-        return cls("uniform")
-
-    def token(self) -> str:
-        """Wire form: uniform | fixed:<eta> | bernoulli:<mu> | poisson:<f>."""
-        if self.kind == "uniform":
-            return "uniform"
-        return f"{self.kind}:{self.param!r}"
-
-    @classmethod
-    def from_token(cls, token: str) -> "DistributionModel":
-        if token == "uniform":
-            return cls.uniform()
-        kind, sep, arg = token.partition(":")
-        if not sep or kind not in cls._KINDS or kind == "uniform":
-            raise ValueError(f"malformed model token {token!r}")
-        try:
-            param = float(arg)
-        except ValueError:
-            raise ValueError(f"malformed model parameter in {token!r}") from None
-        return cls(kind, param)
 
 
 def _lpw_arr(model: DistributionModel, eta: np.ndarray) -> np.ndarray:
@@ -273,7 +217,8 @@ def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> Ex
     """
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
-    ds, gs = delta_gamma_star(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda outside [0, 1]: {lam}")
 
     def cost(deltas: np.ndarray) -> np.ndarray:
         survive = _bucket_exponent(deltas, gamma)
@@ -282,8 +227,7 @@ def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> Ex
         return np.maximum(np.maximum(survive, traverse), stray)
 
     x, v = _zoom_min(cost, np.array([gamma / 2.0]), np.array([0.5]))
-    regime = Regime.BELOW_GAMMA_STAR if gamma <= gs else Regime.ABOVE_GAMMA_STAR
-    return ExponentResult(float(v[0]), float(x[0]), regime, ds, gs)
+    return ExponentResult(float(v[0]), float(x[0]))
 
 
 # --- practical parameter choice ----------------------------------------------
@@ -535,8 +479,7 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
 
 def list_exponent(d: int, n: int) -> float:
     """lambda = log2(n) / d for lists of n vectors of d bits, refusing d and n outside the solver's range."""
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"d outside [1, {MAX_DIM}]: {d}")
+    check_dim(d)
     if n < 1 or math.log2(n) > d:
         raise ValueError(f"n outside [1, 2^d] for d={d}: {n}")
     return math.log2(n) / d
@@ -578,8 +521,7 @@ def choose_params(
       size, and those are scanned too.  The n // 2 cap is for the root: it
       keeps the root filtered, so the tree actually runs
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    check_dim(d)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda outside [0, 1]: {lam}")
     if not 0.0 <= gamma <= 0.5:

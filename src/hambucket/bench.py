@@ -18,10 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from functools import partial
 
-from .analysis import DistributionModel, choose_params, list_exponent
-from .bitvec import derive_seed, make_rng
-from .generator import gen_instance
-from .solver import SolverParams, Strategy, naive_count, round_nearest, solve
+from .analysis import choose_params, list_exponent
+from .bitvec import derive_seed, make_rng, round_nearest
+from .generator import DistributionModel, check_size, gen_instance
+from .solver import SolverParams, Strategy, naive_count, solve
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def run_bench(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    check_size(d, n, 0)  # as each trial's gen_instance would; choose_params checks the relative gammas
     lam = list_exponent(d, n)
     params = [choose_params(d, lam, float(g), strategy=strategy, stop_on_first=stop_on_first, **overrides)
               for g in gammas]

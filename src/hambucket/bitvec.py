@@ -12,6 +12,7 @@ constructors and accessors for it are test oracles (tests/oracle.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,9 +27,19 @@ def n_words(dim: int) -> int:
     return (dim + WORD_BITS - 1) // WORD_BITS
 
 
-def _check_dim(dim: int) -> None:
-    if not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+def check_dim(d: int) -> None:
+    """Refuse a dimension outside [1, MAX_DIM]: the one range check of d."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d outside [1, {MAX_DIM}]: {d}")
+
+
+def round_nearest(x: float) -> int:
+    """Round to the nearest integer, halves upward (floor(x + 1/2)).
+
+    The one rounding rule for delta * k and eta * d: the generator, the
+    solver and the analysis' survival counts must agree on it.
+    """
+    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -39,7 +50,7 @@ class BitVector:
     words: tuple[int, ...]
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        check_dim(self.dim)
         w = tuple(int(x) for x in self.words)
         if len(w) != n_words(self.dim):
             raise ValueError(f"expected {n_words(self.dim)} words, got {len(w)}")
@@ -64,7 +75,7 @@ class BlockSpec:
     r: int
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        check_dim(self.dim)
         if not 1 <= self.r <= self.dim:
             raise ValueError(f"block count must be in [1, {self.dim}], got {self.r}")
 

@@ -15,8 +15,8 @@ import sys
 import time
 
 from .analysis import (
-    DistributionModel,
     choose_params,
+    delta_gamma_star,
     expected_pairs_exponent,
     list_exponent,
     lower_bound_exponent,
@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .bench import emit_csv, run_bench
 from .bitvec import make_rng
-from .generator import gen_instance, read_instance, write_instance
+from .generator import DistributionModel, gen_instance, read_instance, write_instance
 from .solver import Strategy, naive_search, solve
 
 
@@ -70,6 +70,8 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = read_instance(args.infile)
+    if 2 * inst.gamma_count > inst.d:
+        raise ValueError(f"gamma outside [0, d/2] for d={inst.d}: {inst.gamma_count}")
     params = choose_params(
         inst.d,
         list_exponent(inst.d, inst.n),
@@ -180,21 +182,26 @@ def bench_summary(gamma: float, rows) -> str:
 
 def cmd_exponent(args) -> int:
     gammas = _parse_sweep(args.gamma)
-    model = DistributionModel.from_token(args.model) if args.model else None
-    if model is not None and model.kind == "poisson":
+    model = DistributionModel.from_token(args.model)
+    # the uniform model's reference values, printed for every model
+    delta_star, gamma_star = delta_gamma_star(args.lam)
+    if model.kind == "poisson":
         print("# poisson weight treated as fixed weight at its mean (approximation)")
 
     def result_at(gamma: float):
-        if model is None or model.kind == "uniform":
+        if model.kind == "uniform":
             return theta_uniform(args.lam, gamma)
         return theta_distribution(args.lam, gamma, model)
+
+    def regime(gamma: float) -> str:
+        return "below-gamma-star" if gamma <= gamma_star else "above-gamma-star"
 
     if ":" in args.gamma:
         print("gamma,theta,delta,regime,lower_bound,pairs_exponent")
         for gamma in gammas:
             res = result_at(gamma)
             print(
-                f"{gamma:.6f},{res.theta:.9f},{res.delta:.9f},{res.regime.value},"
+                f"{gamma:.6f},{res.theta:.9f},{res.delta:.9f},{regime(gamma)},"
                 f"{lower_bound_exponent(args.lam, gamma):.9f},"
                 f"{expected_pairs_exponent(args.lam, gamma):.9f}"
             )
@@ -205,9 +212,9 @@ def cmd_exponent(args) -> int:
     print(f"gamma           {gamma:g}")
     print(f"theta           {res.theta:.12f}")
     print(f"delta           {res.delta:.12f}")
-    print(f"regime          {res.regime.value}")
-    print(f"delta_star      {res.delta_star:.12f}")
-    print(f"gamma_star      {res.gamma_star:.12f}")
+    print(f"regime          {regime(gamma)}")
+    print(f"delta_star      {delta_star:.12f}")
+    print(f"gamma_star      {gamma_star:.12f}")
     print(f"lower_bound     {lower_bound_exponent(args.lam, gamma):.12f}")
     print(f"pairs_exponent  {expected_pairs_exponent(args.lam, gamma):.12f}")
     return 0
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="list size exponent")
     p.add_argument("--gamma", default="0",
                    help="relative planted distance, or a:b:step for a CSV curve over gamma")
-    p.add_argument("--model", help="weight model (default: uniform closed form)")
+    p.add_argument("--model", default="uniform", help="uniform | fixed:<eta> | bernoulli:<mu> | poisson:<f>")
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser(

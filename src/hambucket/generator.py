@@ -26,18 +26,17 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .analysis import DistributionModel
 from .bitvec import (
     BitVector,
+    check_dim,
     make_rng,
     mask_pad,
     n_words,
     pack_bit_matrix,
+    round_nearest,
     rows_to_vectors,
-    MAX_DIM,
     WORD_BITS,
 )
-from .solver import round_nearest
 
 _MAGIC = "CPINST"
 _VERSION = "1"
@@ -46,6 +45,61 @@ _SLAB_KEYS = 1 << 14  # uniform keys per sampling slab: 128 KiB, stays in cache
 
 class InstanceParseError(ValueError):
     """Raised when an instance file is malformed; messages carry line numbers."""
+
+
+# --- weight models -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DistributionModel:
+    """How list vectors are drawn: uniform, fixed weight, Bernoulli, or Poisson weight."""
+
+    kind: str
+    param: float | None = None
+
+    _KINDS = ("uniform", "fixed", "bernoulli", "poisson")
+
+    def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind == "uniform":
+            if self.param is not None:
+                raise ValueError("uniform model takes no parameter")
+        else:
+            if self.param is None or not 0.0 <= self.param <= 1.0:
+                raise ValueError(f"model parameter must be in [0, 1], got {self.param}")
+
+    @classmethod
+    def uniform(cls) -> "DistributionModel":
+        return cls("uniform")
+
+    def token(self) -> str:
+        """Wire form: uniform | fixed:<eta> | bernoulli:<mu> | poisson:<f>."""
+        if self.kind == "uniform":
+            return "uniform"
+        return f"{self.kind}:{self.param!r}"
+
+    @classmethod
+    def from_token(cls, token: str) -> "DistributionModel":
+        if token == "uniform":
+            return cls.uniform()
+        kind, sep, arg = token.partition(":")
+        if not sep or kind not in cls._KINDS or kind == "uniform":
+            raise ValueError(f"malformed model token {token!r}")
+        try:
+            param = float(arg)
+        except ValueError:
+            raise ValueError(f"malformed model parameter in {token!r}") from None
+        return cls(kind, param)
+
+
+def check_size(d: int, n: int, gamma_count: int) -> None:
+    """Refuse an instance size outside the format: d by check_dim, n >= 1, 0 <= gamma_count <= d."""
+    check_dim(d)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if not 0 <= gamma_count <= d:
+        raise ValueError(f"gamma_count outside [0, {d}]: {gamma_count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +121,7 @@ class Instance:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_DIM:
-            raise ValueError(f"d outside [1, {MAX_DIM}]: {self.d}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 0 <= self.gamma_count <= self.d:
-            raise ValueError(f"gamma_count outside [0, {self.d}]: {self.gamma_count}")
+        check_size(self.d, self.n, self.gamma_count)
         shape = (self.n, n_words(self.d))
         pad = self.d % WORD_BITS
         for name in ("mat1", "mat2"):
@@ -200,12 +249,7 @@ def gen_instance(d: int, n: int, gamma_count: int, model: DistributionModel, see
     All randomness comes from one sequential stream, so the same seed gives
     byte-identical instances.
     """
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"d outside [1, {MAX_DIM}]: {d}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= gamma_count <= d:
-        raise ValueError(f"gamma_count outside [0, {d}]: {gamma_count}")
+    check_size(d, n, gamma_count)
     rng = make_rng(seed)
     mat1 = _draw_rows(rng, n, d, model)
     mat2 = _draw_rows(rng, n, d, model)
@@ -276,12 +320,10 @@ def _parse_header(line: str) -> dict:
             out[key] = int(fields[key])
         except ValueError:
             raise InstanceParseError(f"line 1: {key} is not an integer: {fields[key]!r}") from None
-    if not 1 <= out["d"] <= MAX_DIM:
-        raise InstanceParseError(f"line 1: d outside [1, {MAX_DIM}]")
-    if out["n"] < 1:
-        raise InstanceParseError("line 1: n must be positive")
-    if not 0 <= out["gamma"] <= out["d"]:
-        raise InstanceParseError("line 1: gamma outside [0, d]")
+    try:
+        check_size(out["d"], out["n"], out["gamma"])
+    except ValueError as exc:
+        raise InstanceParseError(f"line 1: {exc}") from None
     if fields["planted"] == "none":
         out["planted"] = None
     else:

@@ -41,7 +41,6 @@ are followed.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -58,23 +57,17 @@ from .bitvec import (
     pack_rows,
     permute_columns,
     random_permutation,
+    round_nearest,
 )
 
-# Work per numpy pass, small enough that a pass's temporaries stay in cache
-# and are recycled by the allocator instead of faulted in afresh: uint64
-# elements per filter slab, and row pairs per scan pass (a scan's bulk
-# temporaries hold one word per pair, see _pair_hits).
+# Work per numpy pass: uint64 elements per filter slab, and row pairs per
+# scan pass (a scan's bulk temporaries hold one word per pair, see
+# _pair_hits).  They do not keep a scan's temporaries warm: timed alone on
+# 1-word rows (2-vCPU VM), the batched leaf pass cost about 2.5x more per
+# pair above about 19k pairs, where its temporaries pass about 150 KiB and
+# seem to be faulted in afresh each pass, and _PAIR_BUDGET lies above that.
 _ELEM_BUDGET = 1 << 18
 _PAIR_BUDGET = _ELEM_BUDGET >> 3
-
-
-def round_nearest(x: float) -> int:
-    """Round to the nearest integer, halves upward (floor(x + 1/2)).
-
-    The one rounding rule for delta * k: the solver's level targets and the
-    analysis' survival counts must agree on it.
-    """
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from hambucket.bitvec import (
     WORD_BITS,
     BitVector,
     BlockSpec,
-    _check_dim,
+    check_dim,
     align_block_zs,
     block_weights_batch,
     draw_block_zs,
@@ -59,7 +59,7 @@ def zeros(dim: int) -> BitVector:
 
 
 def from_int(dim: int, value: int) -> BitVector:
-    _check_dim(dim)
+    check_dim(dim)
     if not 0 <= value <= _dim_mask(dim):
         raise ValueError("value does not fit in the dimension")
     words = tuple((value >> (WORD_BITS * t)) & ((1 << WORD_BITS) - 1) for t in range(n_words(dim)))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hambucket import analysis
 from hambucket.analysis import (
     DistributionModel,
-    Regime,
     _lpw_arr,
     _stray_exponent,
     _survival_by_split,
@@ -242,12 +241,13 @@ def test_delta_gamma_star_half():
 def test_theta_uniform_anchor_points():
     assert theta_uniform(0.25, 0.0).theta == pytest.approx(0.25, abs=1e-12)
     assert theta_uniform(0.3, 0.5).theta == pytest.approx(0.6, abs=1e-12)
+    ds, gs = delta_gamma_star(0.25)
     r = theta_uniform(0.25, 0.25)
     assert r.theta == pytest.approx(0.3544138347780994, abs=1e-9)
-    assert r.regime is Regime.BELOW_GAMMA_STAR
+    assert 0.25 <= gs and r.delta == ds  # below gamma_star the radius is delta_star
     r = theta_uniform(0.25, 0.4)
     assert r.theta == pytest.approx(0.4709505944546686, abs=1e-9)
-    assert r.regime is Regime.ABOVE_GAMMA_STAR
+    assert 0.4 > gs
 
 
 @given(st.floats(0.01, 1.0))
@@ -534,6 +534,7 @@ def test_single_vector_lists_are_in_the_domain():
     assert lower_bound_exponent(0.0, 0.1) == 0.0
     assert theta_uniform(0.0, 0.1).theta >= 0.0
     assert theta_distribution(0.0, 0.1, DistributionModel("fixed", 0.3)).theta >= 0.0
-    for fn in (delta_gamma_star, lambda lam: expected_pairs_exponent(lam, 0.1)):
+    for fn in (delta_gamma_star, lambda lam: expected_pairs_exponent(lam, 0.1),
+               lambda lam: theta_distribution(lam, 0.1, DistributionModel("fixed", 0.3))):
         with pytest.raises(ValueError):
             fn(-0.01)

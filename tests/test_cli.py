@@ -277,6 +277,21 @@ def test_solve_and_bench_refuse_more_rows_than_2_to_the_d(tmp_path):
         assert (r.returncode, r.stdout, r.stderr) == (2, "", message)
 
 
+def test_solve_refuses_gamma_above_half_d(tmp_path, monkeypatch, capsys):
+    """gen writes a valid instance 40 of 64 coordinates apart and naive scans it; solve names its gamma and d."""
+    path = tmp_path / "far.cpinst"
+    assert run_cli("gen", "--d", "64", "--n", "256", "--gamma", "40", "--seed", "3", "--out", str(path)).returncode == 0
+    r = run_cli("naive", "--in", str(path))
+    assert r.returncode == 0 and r.stdout.splitlines()[-1].startswith("# matches=816 ")
+
+    def no_params(*args, **kwargs):
+        raise AssertionError("choose_params ran")
+
+    monkeypatch.setattr(cli, "choose_params", no_params)
+    assert cli.main(["solve", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: gamma outside [0, d/2] for d=64: 40\n")
+
+
 def test_solve_refuses_a_walk_that_cannot_find_the_pair(tmp_path):
     """At d=8, n=256, distance 1, exact buckets never keep an odd split: no depth can find the pair."""
     path = tmp_path / "odd.cpinst"

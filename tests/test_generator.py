@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hambucket import generator
-from hambucket.analysis import DistributionModel
-from hambucket.bitvec import make_rng, pack_rows
+from hambucket import bench, cli, generator
+from hambucket.analysis import DistributionModel, choose_params
+from hambucket.bitvec import BlockSpec, make_rng, pack_rows
 from hambucket.generator import (
     Instance,
     InstanceParseError,
@@ -138,6 +138,72 @@ def test_instance_validates_shapes():
         Instance(8, 1, 0, v[0], v, None, UNIFORM, 0)
     with pytest.raises(ValueError, match="padding"):
         Instance(8, 1, 0, v | np.uint64(1 << 8), v, None, UNIFORM, 0)
+
+
+def _refuse_in(entry, d, n, gamma_count, tmp_path, monkeypatch, capsys) -> str:
+    """The message entry gives for an instance of this size; a CLI entry must exit 2."""
+    try:
+        if entry == "gen_instance":
+            gen_instance(d, n, gamma_count, UNIFORM, 0)
+        elif entry == "Instance":
+            empty = np.zeros((1, 1), dtype=np.uint64)  # the size is checked before the rows
+            Instance(d, n, gamma_count, empty, empty, None, UNIFORM, 0)
+        elif entry == "read_instance":
+            read_instance(io.StringIO(f"CPINST 1 d={d} n={n} gamma={gamma_count} planted=none model=uniform seed=0\n"))
+        elif entry == "BlockSpec":
+            BlockSpec(d, 1)
+        elif entry == "choose_params":
+            choose_params(d, 0.5, 0.125)
+        else:
+            def no_trial(*args, **kwargs):
+                raise AssertionError("an instance was generated")
+
+            monkeypatch.setattr(bench, "gen_instance", no_trial)
+            monkeypatch.setenv("CP_THREADS", "1")
+            argv = [entry, "--d", str(d), "--n", str(n)]
+            if entry == "gen":
+                argv += [f"--gamma={gamma_count}", "--out", str(tmp_path / "never.cpinst")]
+            else:
+                argv += ["--trials", "1", "--gamma-sweep", "0.125"]
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and not (tmp_path / "never.cpinst").exists()
+            return err.removeprefix("error: ").removesuffix("\n")
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{entry} accepted d={d} n={n} gamma_count={gamma_count}")
+
+
+# One field out of range each, and the message every check of it gives.
+# BlockSpec and choose_params take d alone; bench's gamma is relative, so
+# only its d and n can leave the instance format.
+_BAD_SIZES = [
+    ("d", 0, 4, 0, "d outside [1, 1048576]: 0"),
+    ("d", (1 << 20) + 1, 4, 0, "d outside [1, 1048576]: 1048577"),
+    ("n", 8, 0, 0, "n must be positive, got 0"),
+    ("n", 8, -3, 0, "n must be positive, got -3"),
+    ("gamma", 8, 4, 9, "gamma_count outside [0, 8]: 9"),
+    ("gamma", 8, 4, -1, "gamma_count outside [0, 8]: -1"),
+]
+_ENTRIES = {
+    "gen_instance": ("d", "n", "gamma"),
+    "Instance": ("d", "n", "gamma"),
+    "read_instance": ("d", "n", "gamma"),
+    "BlockSpec": ("d",),
+    "choose_params": ("d",),
+    "gen": ("d", "n", "gamma"),
+    "bench": ("d", "n"),
+}
+
+
+@pytest.mark.parametrize("entry, d, n, gamma_count, message", [
+    pytest.param(entry, d, n, g, message, id=f"{entry}-{field}={(d, n, g)[('d', 'n', 'gamma').index(field)]}")
+    for entry, fields in _ENTRIES.items() for field, d, n, g, message in _BAD_SIZES if field in fields
+])
+def test_each_instance_field_has_one_range_check(entry, d, n, gamma_count, message, tmp_path, monkeypatch, capsys):
+    """Every entry point refuses d, n and gamma_count with the same message, the value included."""
+    got = _refuse_in(entry, d, n, gamma_count, tmp_path, monkeypatch, capsys)
+    assert got == ("line 1: " + message if entry == "read_instance" else message)
 
 
 def test_matrices_are_read_only_and_match_row_view():

@@ -12,6 +12,9 @@ that module, unless a perfbench/ file names it, as an identifier or as a
 string constant (perfbench/spans.py looks solver functions up by name).
 Names a perfbench/ file binds by importing them from outside the package,
 such as os or np, do not count: perfbench uses those itself.
+
+The instance layer sits on bitvec alone: generator.py imports no other
+module of the package, so neither solver nor analysis.
 """
 
 import ast
@@ -107,3 +110,14 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used_or_named_by_the_benchmark():
     assert unused_imports() == []
+
+
+def test_generator_imports_from_bitvec_alone():
+    tree = ast.parse((SRC / "generator.py").read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hambucket")):
+            package.add((node.module or "").removeprefix("hambucket."))
+        elif isinstance(node, ast.Import):
+            package.update(alias.name for alias in node.names if alias.name.startswith("hambucket"))
+    assert package == {"bitvec"}
