@@ -272,16 +272,16 @@ def _log_comb_arr(lf: np.ndarray, n, m) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _survival_by_split(width: int, delta_count: int, strategy: Strategy, gmax: int) -> np.ndarray:
-    """Pr[both rows of a pair g apart inside a block pass its bucket rule], for g = 0..gmax.
+def _survival_by_split(width: int, lo: int, hi: int, gmax: int) -> np.ndarray:
+    """Pr[both rows of a pair g apart inside a block have weights in the window [lo, hi]], for g = 0..gmax.
 
-    Over uniform z, with z siding with y on t of the g differing coordinates
-    and flipping m of the others, the weights are t + m and g - t + m.  For
+    The window is the block's bucket rule (SolverParams.window).  Over
+    uniform z, with z siding with y on t of the g differing coordinates and
+    flipping m of the others, the weights are t + m and g - t + m.  For
     each t the m that put both in the window form an interval, summed from
     the binomial CDF of width - g.
     """
     lf = _log_factorials(max(width, gmax))
-    lo, hi = strategy.window(delta_count)
     g = np.arange(gmax + 1)[:, None]
     t = np.arange(gmax + 1)[None, :]
     rest = width - g
@@ -309,20 +309,20 @@ def _split_probs(rest: int, width: int, gmax: int) -> np.ndarray:
     return out
 
 
-def block_survival(d: int, gamma_count: int, width: int, delta_count: int, strategy: Strategy) -> float:
-    """Pr[a planted pair passes one block's bucket rule under a uniform z], exactly.
+def block_survival(d: int, gamma_count: int, width: int, lo: int, hi: int) -> float:
+    """Pr[under a uniform z, both rows of a planted pair have block weights in the window [lo, hi]], exactly.
 
     The gamma_count coordinates where the pair differs fall into a block of
     width of the d coordinates hypergeometrically, and each split g has its
-    own survival (_survival_by_split): an odd g can never pass exact, and a
-    last block wider than the others has its own width.
+    own survival (_survival_by_split): an odd g can never pass a window of
+    one weight, and a last block wider than the others has its own width.
     """
     if not 1 <= width <= d:
         raise ValueError(f"block width outside [1, {d}]: {width}")
     if not 0 <= gamma_count <= d:
         raise ValueError(f"gamma_count outside [0, {d}]: {gamma_count}")
     split = _split_probs(d, width, gamma_count)[gamma_count]
-    return float(split @ _survival_by_split(width, delta_count, strategy, gamma_count))
+    return float(split @ _survival_by_split(width, lo, hi, gamma_count))
 
 
 def verify_survival_counts(kmax: int = 14) -> tuple[int, list[str]]:
@@ -350,8 +350,9 @@ def verify_survival_counts(kmax: int = 14) -> tuple[int, list[str]]:
         # weights 0..k, and 2^k times the table at every m
         rules = []
         for strategy in (EXACT, deviation(1), AT_MOST):
-            lo, hi = np.array([strategy.window(m) for m in range(k + 1)]).T
-            table = np.stack([_survival_by_split(k, m, strategy, k) for m in range(k + 1)]) * 2.0**k
+            windows = [strategy.window(m) for m in range(k + 1)]
+            table = np.stack([_survival_by_split(k, lo, hi, k) for lo, hi in windows]) * 2.0**k
+            lo, hi = np.array(windows).T
             rules.append((strategy, lo, np.minimum(hi, k) + 1, table))
         for g in range(0, k + 1, 2):
             wy = np.bitwise_count(z ^ np.uint64((1 << g) - 1))
@@ -393,27 +394,26 @@ def _first_hit(s: np.ndarray, tries: int, slab: int) -> tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=256)
-def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> float:
-    """Predicted seconds per success of solve() with params on uniform rows of 2^(lam d) each.
+def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> float:
+    """Predicted seconds per success of solve() with params on two lists of n uniform rows.
 
     The model follows the walk.  A level-i node holds n p_1 ... p_i rows a
-    side, where p_j is the share of z draws whose bucket takes a uniform
-    row's block j.  It filters them against branching z draws, in slabs
-    sized as the solver sizes them; a child is inner while it holds more
-    than naive_threshold rows and levels remain, and otherwise a leaf,
-    scanned in a ragged pass with its siblings or, once it holds about half
-    a pass of pairs, in a pass of its own.  Each operation costs its
-    measured unit time (the _*_S constants).
+    side, where p_j is the share of z draws whose bucket, the window
+    SolverParams.window gives block j, takes a uniform row.  It filters them
+    against branching z draws, in slabs sized as the solver sizes them; a
+    child is inner while it holds more than naive_threshold rows and levels
+    remain, and otherwise a leaf, scanned in a ragged pass with its siblings
+    or, once it holds about half a pass of pairs, in a pass of its own.
+    Each operation costs its measured unit time (the _*_S constants).
 
-    The round_nearest(gamma d) coordinates where the planted pair differs
-    split over the blocks hypergeometrically, and the split decides, level
-    by level, which z draws keep the pair (_survival_by_split).  A round
-    succeeds when some z at the root keeps the pair and the child's subtree
-    finds it.  With stop_on_first the walk ends at that hit, so a success
-    costs the rounds that fail, walked in full, plus the walk up to the
-    first hit of the round that succeeds.  Without it every call walks
-    every round, and the cost is a call's divided by its success
-    probability.
+    The gamma_count coordinates where the planted pair differs split over
+    the blocks hypergeometrically, and the split decides, level by level,
+    which z draws keep the pair (_survival_by_split).  A round succeeds when
+    some z at the root keeps the pair and the child's subtree finds it.
+    With stop_on_first the walk ends at that hit, so a success costs the
+    rounds that fail, walked in full, plus the walk up to the first hit of
+    the round that succeeds.  Without it every call walks every round, and
+    the cost is a call's divided by its success probability.
 
     The root is a node like any other: at most naive_threshold rows a side
     make it a leaf, a lone bucket scanned in one pass that always finds the
@@ -421,28 +421,24 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
     differing coordinates passes every level, or when the depth's blocks
     cannot hold them all and the root is filtered.
     """
-    n = 2.0 ** (lam * d)
     wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
-    g_all = round_nearest(gamma * d)
+    tries = params.branching
     spec = BlockSpec(d, params.depth)
-    tries, strategy = params.branching, params.strategy
+    blocks = [(spec.width(i), *params.window(spec.width(i))) for i in range(1, params.depth + 1)]
     # top-down: the rows per side at each level, down to the level whose
-    # children are leaves; 2^(lam d) is the root's row count up to rounding
+    # children are leaves
     levels, rows = [], n
-    for i in range(1, params.depth + 1):
-        if (rows if levels else round(rows)) <= params.naive_threshold:
+    for i, (width, lo, hi) in enumerate(blocks, 1):
+        if rows <= params.naive_threshold:
             break
-        width = spec.width(i)
-        survival = _survival_by_split(width, round_nearest(params.delta * width), strategy, g_all)
+        survival = _survival_by_split(width, lo, hi, gamma_count)
         levels.append((width, survival, d - spec.bounds(i)[0], rows))
         # a row is a pair at distance 0: p is the table's first entry
         rows *= survival[0]
     # both weights of a kept pair lie in the window, so a block keeps at most
     # 2 hi of its differences; buckets above the mean size are filtered
     # further down, so every block of the depth counts, not only those walked
-    room = sum(min(2 * strategy.window(round_nearest(params.delta * spec.width(i)))[1], spec.width(i))
-               for i in range(1, params.depth + 1))
-    if levels and room < g_all:
+    if levels and sum(min(2 * hi, width) for width, _, hi in blocks) < gamma_count:
         return math.inf
     # bottom-up over the pair's remaining differing coordinates r: Pr[the
     # subtree finds the pair] and the expected cost of the walk that does
@@ -451,19 +447,19 @@ def predicted_cost(d: int, lam: float, gamma: float, params: SolverParams) -> fl
         full = _SCAN_PAIR_S * x + _SCAN_PASS_S
     else:
         full = _BATCH_PAIR_S * x
-    found = np.ones(g_all + 1)
-    found_cost = np.full(g_all + 1, full)
+    found = np.ones(gamma_count + 1)
+    found_cost = np.full(gamma_count + 1, full)
     for width, survival, rest, rows in reversed(levels):
-        # the root holds all g_all of them, a deeper node any number
-        r = np.arange(g_all + 1) if rest < d else np.array([g_all])
-        below = np.maximum(r[:, None] - np.arange(g_all + 1), 0)
+        # the root holds all gamma_count of them, a deeper node any number
+        r = np.arange(gamma_count + 1) if rest < d else np.array([gamma_count])
+        below = np.maximum(r[:, None] - np.arange(gamma_count + 1), 0)
         slab = max(1, _ELEM_BUDGET // max(1, round(2 * rows) * n_words(width)))
         per_z = _FILTER_S * 2 * rows * n_words(width)
         survive = survival * found[below]
         hit, first, filtered = _first_hit(survive, tries, slab)
         walk = (_NODE_S + filtered * _SLAB_S + np.minimum(tries, filtered * slab) * per_z
                 + (first - 1) * full + found_cost[below])
-        split = _split_probs(rest, width, g_all)[r]
+        split = _split_probs(rest, width, gamma_count)[r]
         found = (split * hit).sum(axis=1)
         with np.errstate(invalid="ignore"):
             found_cost = np.where(found > 0, (split * hit * walk).sum(axis=1) / found, 0.0)
@@ -506,20 +502,22 @@ def choose_params(
       smallest radius that keeps pair survival possible, (1 - sqrt(1 - 2 gamma)) / 2
     - depth: the one in [1, min(8, d // 4)] (1 when d < 4) with the least
       predicted_cost, the seconds per success the walk model predicts for
-      uniform rows of 2^(lam d) each; rows drawn otherwise get the depth
-      chosen for uniform rows, and an explicit depth (--depth) overrides it.
+      n = round(2^(lam d)) uniform rows a side and round(gamma d) differing
+      coordinates; rows drawn otherwise get the depth chosen for uniform
+      rows, and an explicit depth (--depth) overrides it.
       Ties go to the lowest depth, as when the root holds at most
       naive_threshold rows and is scanned as one leaf at every depth.
       Depths of infinite predicted cost are skipped, and the call raises
       ValueError when every depth has one: no walk can find the pair.
     - branching: d / q for the exact survival q of the first block
       (block_survival), capped at _BRANCHING_CAP
-    - naive_threshold: max(32, min(branching, n // 2)).  Filtering a bucket
-      of t rows weighs t x branching blocks, at least the t^2 pairs of
-      scanning it when t <= branching, so such a bucket is scanned, however
-      deep it lies; weighted rows make some buckets several times the mean
-      size, and those are scanned too.  The n // 2 cap is for the root: it
-      keeps the root filtered, so the tree actually runs
+    - naive_threshold: max(32, min(branching, n // 2)) of the integer n
+      above.  Filtering a bucket of t rows weighs t x branching blocks, at
+      least the t^2 pairs of scanning it when t <= branching, so such a
+      bucket is scanned, however deep it lies; weighted rows make some
+      buckets several times the mean size, and those are scanned too.  The
+      n // 2 cap is for the root: it keeps the root filtered, so the tree
+      actually runs
     """
     check_dim(d)
     if not 0.0 <= lam <= 1.0:
@@ -532,17 +530,17 @@ def choose_params(
         raise ValueError(f"delta outside [0, 1]: {delta}")
     strategy = EXACT if strategy is None else strategy
     g_all = round_nearest(gamma * d)
-    n = 2.0 ** (lam * d)
+    n = round(2.0 ** (lam * d))
 
     def at_depth(r: int) -> SolverParams:
         b = branching
         if b is None:
             width = BlockSpec(d, r).width(1)
-            q = block_survival(d, g_all, width, round_nearest(delta * width), strategy)
+            q = block_survival(d, g_all, width, *strategy.window(round_nearest(delta * width)))
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
         t = naive_threshold
         if t is None:
-            t = max(32, min(b, int(n // 2)))
+            t = max(32, min(b, n // 2))
         return SolverParams(
             depth=r,
             branching=b,
@@ -559,7 +557,7 @@ def choose_params(
         depths = [depth]
     else:
         raise ValueError(f"depth outside [1, {d}]: {depth}")
-    costs = [(predicted_cost(d, lam, gamma, p), p) for p in map(at_depth, depths)]
+    costs = [(predicted_cost(d, n, g_all, p), p) for p in map(at_depth, depths)]
     cost, params = min(costs, key=lambda c: c[0])
     if cost == math.inf:
         raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g}")

@@ -93,13 +93,17 @@ class DistributionModel:
         return cls(kind, param)
 
 
-def check_size(d: int, n: int, gamma_count: int) -> None:
-    """Refuse an instance size outside the format: d by check_dim, n >= 1, 0 <= gamma_count <= d."""
+def check_size(d: int, n: int, gamma_count: int, planted: Optional[tuple[int, int]] = None) -> None:
+    """Refuse an instance size outside the format: d by check_dim, n >= 1, 0 <= gamma_count <= d, planted in [0, n)."""
     check_dim(d)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= gamma_count <= d:
         raise ValueError(f"gamma_count outside [0, {d}]: {gamma_count}")
+    if planted is not None:
+        i, j = planted
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"planted indices ({i}, {j}) outside [0, {n})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +125,7 @@ class Instance:
     seed: int
 
     def __post_init__(self):
-        check_size(self.d, self.n, self.gamma_count)
+        check_size(self.d, self.n, self.gamma_count, self.planted)
         shape = (self.n, n_words(self.d))
         pad = self.d % WORD_BITS
         for name in ("mat1", "mat2"):
@@ -136,8 +140,6 @@ class Instance:
             object.__setattr__(self, name, mat)
         if self.planted is not None:
             i, j = self.planted
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"planted indices ({i}, {j}) outside [0, {self.n})")
             got = int(np.bitwise_count(self.mat1[i] ^ self.mat2[j]).sum())
             if got != self.gamma_count:
                 raise ValueError(
@@ -320,21 +322,17 @@ def _parse_header(line: str) -> dict:
             out[key] = int(fields[key])
         except ValueError:
             raise InstanceParseError(f"line 1: {key} is not an integer: {fields[key]!r}") from None
-    try:
-        check_size(out["d"], out["n"], out["gamma"])
-    except ValueError as exc:
-        raise InstanceParseError(f"line 1: {exc}") from None
-    if fields["planted"] == "none":
-        out["planted"] = None
-    else:
-        left, sep, right = fields["planted"].partition(",")
+    out["planted"] = None
+    if fields["planted"] != "none":
+        left, _, right = fields["planted"].partition(",")
         try:
-            pair = (int(left), int(right))
+            out["planted"] = (int(left), int(right))
         except ValueError:
             raise InstanceParseError(f"line 1: malformed planted field {fields['planted']!r}") from None
-        if not sep or not (0 <= pair[0] < out["n"] and 0 <= pair[1] < out["n"]):
-            raise InstanceParseError(f"line 1: planted indices outside [0, n)")
-        out["planted"] = pair
+    try:
+        check_size(out["d"], out["n"], out["gamma"], out["planted"])
+    except ValueError as exc:
+        raise InstanceParseError(f"line 1: {exc}") from None
     try:
         out["model"] = DistributionModel.from_token(fields["model"])
     except ValueError as exc:

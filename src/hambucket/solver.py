@@ -157,6 +157,10 @@ class SolverParams:
         if self.naive_threshold < 0:
             raise ValueError("naive_threshold must be nonnegative")
 
+    def window(self, width: int) -> tuple[int, int]:
+        """The block weights [lo, hi] a block of width accepts: the strategy's window around delta width."""
+        return self.strategy.window(round_nearest(self.delta * width))
+
 
 class MatchPair(NamedTuple):
     i: int
@@ -313,10 +317,7 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     split = inst.mat1.shape[0]
     base = np.vstack((inst.mat1, inst.mat2))
     spec = BlockSpec(d, params.depth)
-    level_window = [
-        params.strategy.window(round_nearest(params.delta * spec.width(i)))
-        for i in range(1, params.depth + 1)
-    ]
+    level_window = [params.window(spec.width(i)) for i in range(1, params.depth + 1)]
 
     found: set[tuple[int, int]] = set()
     nodes = 0

@@ -1,12 +1,13 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hambucket import analysis
+from hambucket import analysis, solver
 from hambucket.analysis import (
     DistributionModel,
     _lpw_arr,
@@ -25,7 +26,8 @@ from hambucket.analysis import (
     verify_survival_counts,
 )
 from hambucket.bitvec import BlockSpec
-from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest
+from hambucket.generator import gen_instance
+from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest, solve
 from oracle import bucket_accept, enumerate_survival, strategy_survival_count
 
 UNIFORM = DistributionModel.uniform()
@@ -80,7 +82,7 @@ RULES = (EXACT, deviation(1), AT_MOST)
 def test_oracle_example_counts():
     assert enumerate_survival(8, 2, 4, EXACT) == (70, 40)
     assert strategy_survival_count(8, 2, 4, EXACT) == 40
-    table = _survival_by_split(8, 4, EXACT, 2)
+    table = _survival_by_split(8, *EXACT.window(4), 2)
     assert table[0] * 2**8 == pytest.approx(70, rel=1e-12)
     assert table[2] * 2**8 == pytest.approx(40, rel=1e-12)
 
@@ -89,7 +91,7 @@ def test_odd_distance_never_survives():
     for k in (5, 9, 12):
         for dc in range(k + 1):
             assert strategy_survival_count(k, 3, dc, EXACT) == 0
-            assert _survival_by_split(k, dc, EXACT, 3)[3] == 0.0
+            assert _survival_by_split(k, *EXACT.window(dc), 3)[3] == 0.0
 
 
 @given(st.integers(2, 12), st.data())
@@ -100,22 +102,22 @@ def test_counts_match_enumeration(k, data):
     strategy = data.draw(st.sampled_from(RULES))
     p_count, q_count = enumerate_survival(k, g, dc, strategy)
     assert q_count == strategy_survival_count(k, g, dc, strategy)
-    table = _survival_by_split(k, dc, strategy, g)
+    table = _survival_by_split(k, *strategy.window(dc), g)
     assert table[0] * 2**k == pytest.approx(p_count, rel=1e-9)
     assert table[g] * 2**k == pytest.approx(q_count, rel=1e-9)
 
 
 def test_log_prob_examples():
     # k=64: p = C(64,16)/2^64, q = C(16,8)*C(48,8)/2^64
-    assert math.log2(_survival_by_split(64, 16, EXACT, 0)[0]) == pytest.approx(-15.20456855785882, abs=1e-9)
-    assert math.log2(block_survival(64, 16, 64, 16, EXACT)) == pytest.approx(-21.856951379757497, abs=1e-9)
+    assert math.log2(_survival_by_split(64, *EXACT.window(16), 0)[0]) == pytest.approx(-15.20456855785882, abs=1e-9)
+    assert math.log2(block_survival(64, 16, 64, *EXACT.window(16))) == pytest.approx(-21.856951379757497, abs=1e-9)
 
 
 def test_infeasible_q_is_minus_inf():
     # a pair 12 apart has weights t + m and 12 - t + m, which cannot both be 2
-    assert _survival_by_split(32, 2, EXACT, 12)[12] == 0.0
+    assert _survival_by_split(32, *EXACT.window(2), 12)[12] == 0.0
     with np.errstate(divide="ignore"):
-        assert np.log2(block_survival(32, 12, 32, 2, EXACT)) == -math.inf
+        assert np.log2(block_survival(32, 12, 32, *EXACT.window(2))) == -math.inf
 
 
 @given(st.integers(4, 64), st.data())
@@ -123,7 +125,7 @@ def test_survival_never_beats_bucket(k, data):
     """q <= p: a pair that survives a z has its first row taken by that z's bucket."""
     g = data.draw(st.integers(0, k))
     dc = data.draw(st.integers(0, k))
-    table = _survival_by_split(k, dc, data.draw(st.sampled_from(RULES)), g)
+    table = _survival_by_split(k, *data.draw(st.sampled_from(RULES)).window(dc), g)
     assert table[g] <= table[0] * (1 + 1e-12)
 
 
@@ -144,9 +146,9 @@ def test_verify_reports_a_perturbed_table_entry(monkeypatch, entry):
     index = 0 if entry == "p" else g
     real = analysis._survival_by_split
 
-    def perturbed(width, delta_count, rule, gmax):
-        table = real(width, delta_count, rule, gmax)
-        if (width, delta_count, rule) == (k, m, strategy):
+    def perturbed(width, lo, hi, gmax):
+        table = real(width, lo, hi, gmax)
+        if (width, lo, hi) == (k, *strategy.window(m)):
             table = table.copy()
             table[index] *= 1 + 1e-6
         return table
@@ -206,7 +208,7 @@ def test_block_survival_matches_enumeration(d, r):
             for strategy in (EXACT, deviation(1), AT_MOST):
                 for dc in range(width + 1):
                     want = _enumerated_block_survival(d, gamma_count, spec, i, dc, strategy)
-                    got = block_survival(d, gamma_count, width, dc, strategy)
+                    got = block_survival(d, gamma_count, width, *strategy.window(dc))
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (d, r, i, gamma_count, strategy, dc)
 
 
@@ -217,16 +219,16 @@ def test_block_survival_of_the_whole_vector_matches_count():
             for strategy in (EXACT, deviation(1), deviation(2), AT_MOST):
                 for dc in range(k + 1):
                     want = strategy_survival_count(k, g, dc, strategy) / 2**k
-                    assert block_survival(k, g, k, dc, strategy) == pytest.approx(want, rel=1e-9, abs=1e-15)
+                    assert block_survival(k, g, k, *strategy.window(dc)) == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 def test_block_survival_odd_split_under_exact():
     # one block holding every coordinate sees all 3 differences: an odd split
     for dc in range(9):
-        assert block_survival(8, 3, 8, dc, EXACT) == 0.0
-    assert block_survival(8, 3, 8, 2, deviation(1)) > 0.0
+        assert block_survival(8, 3, 8, *EXACT.window(dc)) == 0.0
+    assert block_survival(8, 3, 8, *deviation(1).window(2)) > 0.0
     # with two blocks some splits are even, and those pass
-    assert block_survival(8, 3, 4, 1, EXACT) > 0.0
+    assert block_survival(8, 3, 4, *EXACT.window(1)) > 0.0
 
 
 # --- exponents ----------------------------------------------------------------
@@ -386,6 +388,11 @@ def test_theta_distribution_weighted_values(token, lam, gamma, want):
 # --- parameter selection ------------------------------------------------------
 
 
+def model_cost(d, lam, gamma, params):
+    """predicted_cost at the integer sizes choose_params prices (lam, gamma) with."""
+    return predicted_cost(d, round(2.0 ** (lam * d)), round_nearest(gamma * d), params)
+
+
 def test_choose_params_delta_by_regime():
     p = choose_params(64, 10 / 64, 0.0)
     ds, _ = delta_gamma_star(10 / 64)
@@ -410,7 +417,7 @@ def test_choose_params_depth_clamps():
                 params = choose_params(d, lam, gamma, depth=r, **kw)
             except ValueError:  # the radius cannot keep the pair through r blocks
                 return math.inf
-            return predicted_cost(d, lam, gamma, params)
+            return model_cost(d, lam, gamma, params)
 
         costs = {r: cost(r) for r in range(1, min(8, d // 4) + 1)}
         assert choose_params(d, lam, gamma, **kw).depth == min(costs, key=costs.get)
@@ -425,7 +432,7 @@ def test_choose_params_depth_clamps():
 ])
 def test_root_leaf_costs_the_same_at_every_depth(d, lam, gamma, kw):
     """A root of at most naive_threshold rows is scanned once whatever the depth, so every depth ties."""
-    costs = [predicted_cost(d, lam, gamma, choose_params(d, lam, gamma, depth=r, **kw))
+    costs = [model_cost(d, lam, gamma, choose_params(d, lam, gamma, depth=r, **kw))
              for r in range(1, min(8, d // 4) + 1)]
     assert math.isfinite(costs[0])
     assert costs == [costs[0]] * len(costs)
@@ -436,7 +443,7 @@ def test_choose_params_depth_range_bounds(monkeypatch):
     """Whatever the costs, the candidates are depths 1 to min(8, d // 4), and 1 when d < 4."""
     seen = []
 
-    def deepest_is_cheapest(d, lam, gamma, params):
+    def deepest_is_cheapest(d, n, gamma_count, params):
         seen.append(params.depth)
         return -params.depth
 
@@ -472,7 +479,7 @@ def test_choose_params_depth_against_measured_grid(config):
 
 
 @pytest.mark.parametrize("d", [32, 64, 128])
-@pytest.mark.parametrize("n", [64, 512, 1024, 4096, 2**15])
+@pytest.mark.parametrize("n", [64, 100, 512, 1024, 4096, 2**15])
 def test_default_threshold_rule(d, n):
     """A bucket of at most branching rows is scanned at any level; n // 2 keeps the root filtered."""
     for kw in ({}, {"strategy": deviation(1), "stop_on_first": True}):
@@ -480,6 +487,38 @@ def test_default_threshold_rule(d, n):
         assert p.naive_threshold == max(32, min(p.branching, n // 2))
         if n > 64:
             assert p.naive_threshold < n
+
+
+def test_model_prices_the_windows_the_walk_filters_with(monkeypatch):
+    """predicted_cost's survival tables are read at the windows solve filters each level with."""
+    d, n, gamma_count = 128, 2**10, 16
+    params = choose_params(d, math.log2(n) / d, gamma_count / d, strategy=deviation(1), depth=3,
+                           branching=8, permutations=1, naive_threshold=0)
+    spec = BlockSpec(d, params.depth)
+    want = [params.window(spec.width(i)) for i in range(1, params.depth + 1)]
+    assert len(set(want)) > 1  # the last block is wider and has its own window
+
+    walked = {}  # filter level -> windows; level i filters block i + 1
+    accept_mask = solver._accept_mask
+
+    def record_walk(weights, lo, hi):
+        walked.setdefault(sys._getframe(1).f_locals["level"], set()).add((lo, hi))
+        return accept_mask(weights, lo, hi)
+
+    monkeypatch.setattr(solver, "_accept_mask", record_walk)
+    solve(gen_instance(d, n, gamma_count, UNIFORM, seed=3), params, np.random.default_rng(0))
+    assert [walked[level] for level in range(params.depth)] == [{w} for w in want]
+
+    priced = []
+    survival = analysis._survival_by_split
+
+    def record_model(width, lo, hi, gmax):
+        priced.append((lo, hi))
+        return survival(width, lo, hi, gmax)
+
+    monkeypatch.setattr(analysis, "_survival_by_split", record_model)
+    assert math.isfinite(predicted_cost.__wrapped__(d, n, gamma_count, params))
+    assert priced == want
 
 
 def test_choose_params_refuses_a_parity_blocked_pair():
@@ -499,7 +538,7 @@ def test_chosen_params_have_finite_cost(d, strategy):
         except ValueError as exc:
             assert str(exc).startswith("no z can keep a pair")
             continue
-        assert math.isfinite(predicted_cost(d, lam, gamma, params))
+        assert math.isfinite(model_cost(d, lam, gamma, params))
 
 
 def test_choose_params_overrides_pass_through():

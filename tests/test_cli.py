@@ -106,6 +106,15 @@ def test_solve_summary_reports_chosen_parameters(tmp_path):
     assert r.stdout.splitlines()[-1].endswith(" depth=2 branching=100 threshold=40")
 
 
+def test_solve_threshold_halves_the_integer_row_count(tmp_path):
+    """n = 100 rows give threshold min(branching, 100 // 2) = 50, not the 49 of a float 2^(lambda d) just below 100."""
+    path = tmp_path / "i.cpinst"
+    run_cli("gen", "--d", "64", "--n", "100", "--gamma", "8", "--seed", "1", "--out", str(path))
+    r = run_cli("solve", "--in", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1].endswith(" threshold=50")
+
+
 def test_exponent_report_values():
     r = run_cli("exponent", "--lambda", "0.25", "--gamma", "0.25")
     assert r.returncode == 0

@@ -206,6 +206,21 @@ def test_each_instance_field_has_one_range_check(entry, d, n, gamma_count, messa
     assert got == ("line 1: " + message if entry == "read_instance" else message)
 
 
+@pytest.mark.parametrize("planted", [(5, 0), (0, 4), (-1, 2)])
+def test_planted_range_has_one_check(planted):
+    """The header and Instance refuse planted indices outside [0, n) with one message naming them and n."""
+    message = f"planted indices {planted} outside [0, 4)"
+    empty = np.zeros((4, 1), dtype=np.uint64)
+    with pytest.raises(ValueError) as exc:
+        Instance(8, 4, 0, empty, empty, planted, UNIFORM, 0)
+    assert str(exc.value) == message
+    # refused at the header: no row follows it
+    header = f"CPINST 1 d=8 n=4 gamma=0 planted={planted[0]},{planted[1]} model=uniform seed=0\n"
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(io.StringIO(header))
+    assert str(exc.value) == "line 1: " + message
+
+
 def test_matrices_are_read_only_and_match_row_view():
     inst = gen_instance(70, 6, 5, UNIFORM, seed=12)
     for mat, rows in ((inst.mat1, inst.list1), (inst.mat2, inst.list2)):
