@@ -416,10 +416,10 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
     the cost is a call's divided by its success probability.
 
     The root is a node like any other: at most naive_threshold rows a side
-    make it a leaf, a lone bucket scanned in one pass that always finds the
-    pair.  Returns inf when no round can find the pair: when no split of its
-    differing coordinates passes every level, or when the depth's blocks
-    cannot hold them all and the root is filtered.
+    make it a leaf, a lone bucket scanned in one pass of one round that
+    always finds the pair.  Returns inf when no round can find the pair:
+    when no split of its differing coordinates passes every level, or when
+    the depth's blocks cannot hold them all and the root is filtered.
     """
     wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
     tries = params.branching
@@ -470,7 +470,7 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
         return math.inf
     if params.stop_on_first:
         return (p_round * hit_cost + (1.0 - p_round) * full) / p_round + _SOLVE_S / p_call
-    return (_SOLVE_S + params.permutations * full) / p_call
+    return (_SOLVE_S + (params.permutations if levels else 1) * full) / p_call
 
 
 def list_exponent(d: int, n: int) -> float:
@@ -511,17 +511,17 @@ def choose_params(
       ValueError when every depth has one: no walk can find the pair.
     - branching: d / q for the exact survival q of the first block
       (block_survival), capped at _BRANCHING_CAP
-    - naive_threshold: max(32, min(branching, n // 2)) of the integer n
-      above.  Filtering a bucket of t rows weighs t x branching blocks, at
-      least the t^2 pairs of scanning it when t <= branching, so such a
-      bucket is scanned, however deep it lies; weighted rows make some
-      buckets several times the mean size, and those are scanned too.  The
-      n // 2 cap is for the root: it keeps the root filtered, so the tree
-      actually runs
+    - naive_threshold: max(32, branching) of the depth being priced.
+      Filtering a bucket of t rows weighs t x branching blocks, at least
+      the t^2 pairs of scanning it when t <= branching, so such a bucket is
+      scanned at every level, the root included; weighted rows make some
+      buckets several times the mean size, and those are scanned too
     """
     check_dim(d)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda outside [0, 1]: {lam}")
+    if lam * d >= 1024:
+        raise ValueError(f"2^(lambda d) rows overflow a float at d={d}, lambda={lam}")
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma outside [0, 1/2]: {gamma}")
     if delta is None:
@@ -538,16 +538,13 @@ def choose_params(
             width = BlockSpec(d, r).width(1)
             q = block_survival(d, g_all, width, *strategy.window(round_nearest(delta * width)))
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
-        t = naive_threshold
-        if t is None:
-            t = max(32, min(b, n // 2))
         return SolverParams(
             depth=r,
             branching=b,
             permutations=4 if permutations is None else permutations,
             delta=delta,
             strategy=strategy,
-            naive_threshold=t,
+            naive_threshold=max(32, b) if naive_threshold is None else naive_threshold,
             stop_on_first=False if stop_on_first is None else stop_on_first,
         )
 

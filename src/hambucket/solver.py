@@ -308,9 +308,10 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     A node is one index array into it, its list-1 rows first; a slab's
     children are given by start (where each child begins) and mid (where its
     list-2 rows begin).  The first permutation round is the identity, later
-    rounds redraw a fresh uniform coordinate permutation for the stack.  With
-    stop_on_first the walk unwinds at the first verified match; otherwise
-    matches from all rounds are unioned and deduplicated.
+    rounds redraw a fresh uniform coordinate permutation for the stack.  A
+    root of at most naive_threshold rows a side is a leaf, scanned in round 0
+    alone.  With stop_on_first the walk unwinds at the first verified match;
+    otherwise matches from all rounds are unioned and deduplicated.
     """
     t_start = time.perf_counter()
     d, gamma = inst.d, inst.gamma_count
@@ -400,7 +401,8 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         mat = base if rnd == 0 else permute_columns(base, random_permutation(rng, d))
         # the filter at level i compares block i + 1 of the rows, block-local
         local = [block_local_rows(mat, spec, i) for i in range(1, params.depth + 1)]
-        if visit(root, root_start, root_mid, 0):
+        # a leaf root was scanned in full, and permuting columns keeps every distance
+        if visit(root, root_start, root_mid, 0) or min(split, root.size - split) <= params.naive_threshold:
             break
 
     matches = []

@@ -434,7 +434,8 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
             perm = random_permutation(rng, d)
             a_mat = permute_columns(base_a, perm)
             b_mat = permute_columns(base_b, perm)
-        if descend(a_mat, b_mat, all_a, all_b, 0):
+        # a leaf root is scanned once: permuting columns keeps every distance
+        if descend(a_mat, b_mat, all_a, all_b, 0) or min(all_a.size, all_b.size) <= params.naive_threshold:
             break
 
     matches = []

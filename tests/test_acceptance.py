@@ -186,7 +186,9 @@ def test_criterion_7_faster_than_naive():
 
 def test_criterion_8_determinism_and_soundness():
     d, n, gc = 32, 256, 6
-    params = choose_params(d, math.log2(n) / d, gc / d, strategy=deviation(1))
+    # naive_threshold=128 keeps the tree this was checked on: at the default
+    # threshold of max(32, branching) the 256-row root is one scan
+    params = choose_params(d, math.log2(n) / d, gc / d, strategy=deviation(1), naive_threshold=128)
     deterministic = sound = True
     for t in range(100):
         inst = gen_instance(d, n, gc, UNIFORM, seed=derive_seed(8, t, 0))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -456,9 +457,12 @@ def test_choose_params_depth_range_bounds(monkeypatch):
 
 # Median milliseconds per repeat-until-found search by depth (dev:1,
 # stop_on_first, uniform rows), measured with the d / log2(d)^2 depth rule's
-# solver on a 2-vCPU VM: (d, log2 n, gamma d) -> {depth: ms}.
+# solver on a 2-vCPU VM: (d, log2 n, gamma d) -> {depth: ms}.  Row (64, 9, 8)
+# was measured again with the max(32, branching) threshold over 32 instances
+# x 2 searches per depth: depth 1 is the 512-row root scanned, and depths 2
+# and 3 walk trees at a threshold of 256, since at 512 they scan it too.
 MEASURED_DEPTH_GRID = {
-    (64, 9, 8): {2: 2.10, 3: 2.93},
+    (64, 9, 8): {1: 0.87, 2: 1.68, 3: 2.28},
     (64, 10, 8): {2: 2.19, 3: 3.73},
     (64, 12, 8): {2: 11.8, 3: 7.3, 4: 9.1},
     (64, 13, 8): {2: 40.4, 3: 16.7, 4: 491},
@@ -481,12 +485,29 @@ def test_choose_params_depth_against_measured_grid(config):
 @pytest.mark.parametrize("d", [32, 64, 128])
 @pytest.mark.parametrize("n", [64, 100, 512, 1024, 4096, 2**15])
 def test_default_threshold_rule(d, n):
-    """A bucket of at most branching rows is scanned at any level; n // 2 keeps the root filtered."""
+    """A bucket of at most max(32, branching) rows is scanned at every level, the root included."""
     for kw in ({}, {"strategy": deviation(1), "stop_on_first": True}):
         p = choose_params(d, math.log2(n) / d, 1 / 8, **kw)
-        assert p.naive_threshold == max(32, min(p.branching, n // 2))
-        if n > 64:
+        assert p.naive_threshold == max(32, p.branching)
+        if n > 1024:  # past the branching cap of 512, and slow to solve: the root is filtered
             assert p.naive_threshold < n
+            continue
+        rep = solve(gen_instance(d, n, d // 8, UNIFORM, seed=n), p, np.random.default_rng(d))
+        root_scanned = (rep.nodes_visited, rep.naive_comparisons) == (1, n * n)
+        assert root_scanned == (n <= p.naive_threshold)
+
+
+def test_leaf_root_is_priced_as_one_round():
+    """Without stop_on_first a leaf root costs one scan however many rounds: solve scans it in round 0 alone."""
+    d, n, gamma_count = 64, 256, 8
+    one = choose_params(d, math.log2(n) / d, gamma_count / d, permutations=1)
+    assert n <= one.naive_threshold and not one.stop_on_first
+    four = dataclasses.replace(one, permutations=4)
+    assert predicted_cost(d, n, gamma_count, four) == predicted_cost(d, n, gamma_count, one)
+    # a filtered root walks every round
+    filtered = dataclasses.replace(one, naive_threshold=n // 2)
+    assert predicted_cost(d, n, gamma_count, filtered) != predicted_cost(
+        d, n, gamma_count, dataclasses.replace(filtered, permutations=4))
 
 
 def test_model_prices_the_windows_the_walk_filters_with(monkeypatch):
@@ -522,9 +543,12 @@ def test_model_prices_the_windows_the_walk_filters_with(monkeypatch):
 
 
 def test_choose_params_refuses_a_parity_blocked_pair():
-    """d=8, n=256, one differing coordinate: an exact block never keeps an odd split, at either depth."""
+    """d=12, n=4096, one differing coordinate: an exact block never keeps an odd split, at any depth.
+
+    4096 rows exceed every threshold, so the root is filtered and no walk can find the pair.
+    """
     with pytest.raises(ValueError, match="no z can keep a pair"):
-        choose_params(8, 1.0, 0.125)
+        choose_params(12, 1.0, 1 / 12)
 
 
 @pytest.mark.parametrize("d", [8, 16, 32])
@@ -556,6 +580,9 @@ def test_choose_params_infeasible_delta_raises():
 def test_choose_params_validates_inputs():
     with pytest.raises(ValueError):
         choose_params(0, 0.2, 0.1)
+    # 2^(lambda d) rows past the float range are refused by name, not by OverflowError
+    with pytest.raises(ValueError, match=r"d=1100, lambda=1\.0"):
+        choose_params(1100, 1.0, 0.1)
     # lambda = 0 is a list of one vector and is valid; outside [0, 1] is not
     for lam in (-0.01, 1.01):
         with pytest.raises(ValueError):

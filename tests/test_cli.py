@@ -106,13 +106,16 @@ def test_solve_summary_reports_chosen_parameters(tmp_path):
     assert r.stdout.splitlines()[-1].endswith(" depth=2 branching=100 threshold=40")
 
 
-def test_solve_threshold_halves_the_integer_row_count(tmp_path):
-    """n = 100 rows give threshold min(branching, 100 // 2) = 50, not the 49 of a float 2^(lambda d) just below 100."""
+# (8, 256, 1): no exact block keeps the pair's odd split, but the root is scanned
+@pytest.mark.parametrize("d, n, gamma", [(64, 100, 8), (32, 64, 4), (8, 256, 1)])
+def test_solve_scans_a_root_within_the_branching(tmp_path, d, n, gamma):
+    """A root of at most max(32, branching) rows a side is one leaf, scanned once, as any bucket that small."""
     path = tmp_path / "i.cpinst"
-    run_cli("gen", "--d", "64", "--n", "100", "--gamma", "8", "--seed", "1", "--out", str(path))
+    run_cli("gen", "--d", str(d), "--n", str(n), "--gamma", str(gamma), "--seed", "1", "--out", str(path))
     r = run_cli("solve", "--in", str(path))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1].endswith(" threshold=50")
+    assert f" nodes=1 comparisons={n * n} " in r.stdout
+    assert r.stdout.splitlines()[-1].endswith(" planted_found=true depth=1 branching=512 threshold=512")
 
 
 def test_exponent_report_values():
@@ -230,8 +233,8 @@ def test_impossible_sizes_exit_2(tmp_path):
     assert r.stdout == "" and not path.exists()
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
     run_cli("gen", "--d", "32", "--n", "64", "--gamma", "4", "--seed", "1", "--out", str(path))
-    # 64 rows exceed the leaf threshold, so the root draws all 10^15 z at once
-    r = run_cli("solve", "--in", str(path), "--branching", str(10**15), timeout=30)
+    # 64 rows exceed the leaf threshold of 32, so the root draws all 10^15 z at once
+    r = run_cli("solve", "--in", str(path), "--branching", str(10**15), "--threshold", "32", timeout=30)
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
@@ -302,12 +305,12 @@ def test_solve_refuses_gamma_above_half_d(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_refuses_a_walk_that_cannot_find_the_pair(tmp_path):
-    """At d=8, n=256, distance 1, exact buckets never keep an odd split: no depth can find the pair."""
+    """At d=12, n=4096, distance 1, exact buckets never keep an odd split: no depth can find the pair."""
     path = tmp_path / "odd.cpinst"
-    assert run_cli("gen", "--d", "8", "--n", "256", "--gamma", "1", "--out", str(path)).returncode == 0
+    assert run_cli("gen", "--d", "12", "--n", "4096", "--gamma", "1", "--out", str(path)).returncode == 0
     r = run_cli("solve", "--in", str(path))
     assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr.startswith("error: no z can keep a pair at gamma=0.125 ") and r.stderr.count("\n") == 1
+    assert r.stderr.startswith("error: no z can keep a pair at gamma=0.0833333 ") and r.stderr.count("\n") == 1
 
 
 def test_solve_scans_a_small_root_at_any_depth(tmp_path):

@@ -27,16 +27,24 @@ def test_uniform_instance_and_solves(tmp_path, capsys):
     path = tmp_path / "inst.cp"
     run(capsys, "gen", "--d", "64", "--n", "512", "--gamma", "8", "--seed", "7", "--out", str(path))
     assert sha256(path).startswith("59d46acacc40e800")
-    # --depth 2 and --threshold 64 keep these pins on the walks they were
-    # recorded from; the walk at the parameters chosen now is pinned next
-    out = run(capsys, "solve", "--in", str(path), "--depth", "2")
+    # --depth 2 and the thresholds 64 and 256 keep these pins on the walks
+    # they were recorded from; the walks at the parameters chosen now are
+    # pinned next
+    out = run(capsys, "solve", "--in", str(path), "--depth", "2", "--threshold", "256")
     assert "matches=1 nodes=606 comparisons=7468 " in out
     out = run(capsys, "solve", "--in", str(path), "--threshold", "64")
     assert "matches=1 nodes=249 comparisons=43534 " in out
     assert out.endswith(" depth=3 branching=512 threshold=64\n")
-    out = run(capsys, "solve", "--in", str(path))
+    out = run(capsys, "solve", "--in", str(path), "--threshold", "256")
     assert "matches=1 nodes=249 comparisons=43534 " in out
     assert out.endswith(" depth=3 branching=512 threshold=256\n")
+    # 512 rows a side are at most the threshold: the root is one leaf, scanned once
+    out = run(capsys, "solve", "--in", str(path))
+    assert "matches=1 nodes=1 comparisons=262144 " in out
+    assert out.endswith(" depth=1 branching=512 threshold=512\n")
+    out = run(capsys, "solve", "--in", str(path), "--depth", "2")
+    assert "matches=1 nodes=1 comparisons=262144 " in out
+    assert out.endswith(" depth=2 branching=512 threshold=512\n")
     out = run(capsys, "solve", "--in", str(path), "--strategy", "dev:1", "--depth", "2",
               "--branching", "256", "--all")
     assert "nodes=1028 comparisons=154914 " in out

@@ -292,8 +292,9 @@ def test_degenerate_atmost_equals_naive():
 @settings(max_examples=15, deadline=None)
 def test_solve_is_subset_of_naive(seed):
     inst = gen_instance(32, 96, 6, UNIFORM, seed=seed)
+    # a threshold of n / 2 keeps the root filtered, so a tree is walked
     params = choose_params(32, math.log2(96) / 32, 6 / 32,
-                           strategy=deviation(1), branching=128)
+                           strategy=deviation(1), branching=128, naive_threshold=48)
     rep = solve(inst, params, make_rng(seed ^ 0xA5A5))
     naive = {(m.i, m.j) for m in naive_search(inst)}
     assert {(m.i, m.j) for m in rep.matches} <= naive
@@ -303,7 +304,7 @@ def test_solve_is_subset_of_naive(seed):
 
 def test_solve_is_deterministic():
     inst = gen_instance(32, 128, 8, UNIFORM, seed=21)
-    params = choose_params(32, 7 / 32, 0.25, strategy=deviation(1))
+    params = choose_params(32, 7 / 32, 0.25, strategy=deviation(1), naive_threshold=64)  # n / 2: a tree
     a = solve(inst, params, make_rng(77))
     b = solve(inst, params, make_rng(77))
     assert a.matches == b.matches
@@ -312,7 +313,7 @@ def test_solve_is_deterministic():
 
 def test_stop_on_first_returns_verified_subset():
     inst = gen_instance(32, 128, 2, UNIFORM, seed=6)
-    base = choose_params(32, 7 / 32, 2 / 32, strategy=deviation(1))
+    base = choose_params(32, 7 / 32, 2 / 32, strategy=deviation(1), naive_threshold=64)  # n / 2: a tree
     full = solve(inst, base, make_rng(13))
     early = solve(inst, all_params(strategy=AT_MOST, delta=1.0, stop_on_first=True),
                   make_rng(13))
@@ -324,7 +325,7 @@ def test_stop_on_first_returns_verified_subset():
 def test_planted_recovery_easy_regime():
     for seed in range(5):
         inst = gen_instance(64, 256, 8, UNIFORM, seed=seed)
-        params = choose_params(64, 0.125, 0.125, strategy=deviation(1))
+        params = choose_params(64, 0.125, 0.125, strategy=deviation(1), naive_threshold=128)  # n / 2: a tree
         rep = solve(inst, params, make_rng(1000 + seed))
         assert rep.planted_found is True
 
@@ -335,6 +336,20 @@ def test_report_counters():
     assert rep.nodes_visited >= 1
     assert rep.naive_comparisons == 64 * 64
     assert rep.wall_time > 0.0
+
+
+def test_leaf_root_is_scanned_once():
+    """A root of at most naive_threshold rows a side is scanned in round 0 alone.
+
+    Permuting columns keeps every distance, so later rounds would repeat the scan.
+    """
+    n = 64
+    inst = gen_instance(32, n, 4, UNIFORM, seed=3)
+    params = SolverParams(depth=2, branching=8, permutations=4, delta=0.25, strategy=deviation(1),
+                          naive_threshold=n, stop_on_first=False)
+    rep = solve(inst, params, make_rng(0))
+    assert (rep.nodes_visited, rep.naive_comparisons) == (1, n * n)
+    assert rep.planted_found is True
 
 
 def test_planted_flag_absent_without_plant():
@@ -368,7 +383,7 @@ def test_solve_matches_per_leaf_reference(data):
         permutations=data.draw(st.integers(1, 3)),
         delta=data.draw(st.sampled_from([0.0, 0.25, 0.35, 0.5])),
         strategy=data.draw(st.sampled_from([EXACT, deviation(1), deviation(3), AT_MOST])),
-        naive_threshold=data.draw(st.integers(0, n // 2 + 1)),
+        naive_threshold=data.draw(st.integers(0, n + 1)),  # from n on the root is a leaf
         stop_on_first=data.draw(st.booleans()),
     )
     seed = data.draw(st.integers(0, 2**32))
@@ -440,7 +455,8 @@ def test_pipeline_builds_no_bitvector(tmp_path, monkeypatch):
     write_instance(inst, path)
     back = read_instance(path)
     assert back == inst
-    params = choose_params(96, math.log2(300) / 96, 10 / 96, strategy=deviation(1))
+    params = choose_params(96, math.log2(300) / 96, 10 / 96, strategy=deviation(1),
+                           naive_threshold=150)  # n / 2: a tree
     rep = solve(back, params, make_rng(1))
     assert {(m.i, m.j) for m in rep.matches} <= {(m.i, m.j) for m in naive_search(back)}
     assert naive_count(back) >= 1
