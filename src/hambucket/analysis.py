@@ -250,7 +250,7 @@ _NODE_S = 150e-6  # per inner node: its z draw and row gathers
 _BATCH_PAIR_S = 7.2e-9  # per row pair in a ragged pass over many leaf buckets
 _SCAN_PAIR_S = 2.8e-9  # per row pair in a leaf bucket scanned by its own _scan_pairs pass
 _SCAN_PASS_S = 30e-6  # per such pass
-_SOLVE_S = 370e-6  # per solve call: block-local rows and the final distance checks
+_SOLVE_S = 370e-6  # per solve call: stacking the lists, round 0's gathers, final distance checks
 _WIDE_ROW = 1.3  # pair costs of rows longer than one word, relative to one word
 
 

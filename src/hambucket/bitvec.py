@@ -178,22 +178,35 @@ def draw_block_zs(rng: np.random.Generator, count: int, width: int) -> np.ndarra
     return mask_pad(zs, width)
 
 
-def block_local_rows(mat: np.ndarray, spec: BlockSpec, i: int) -> np.ndarray:
-    """Block i of every row as a block-local vector: the layout draw_block_zs gives z.
+def block_local_rows(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns cols of every row, block-local: the layout draw_block_zs gives z.
 
-    Returns an (n, n_words(width)) matrix whose row holds the block's bits
-    from bit 0 of its first word, padding zero, so a block that straddles
-    a word boundary costs no more words than its width needs.
+    Bit j of a returned row is 0-based column cols[j] of mat, from bit 0 of
+    its first word on, padding zero.  Block i of permute_columns(mat, perm)
+    is block_local_rows(mat, argsort(perm)[start:stop]) of its bounds.  A run
+    of consecutive columns inside one word of mat and one word of the result
+    moves as one mask-and-shift piece, so a contiguous block costs about two
+    pieces per word and a permuted one about one per column.
     """
-    start, stop = spec.bounds(i)
-    w0, off = divmod(start, WORD_BITS)
-    zw = n_words(stop - start)
-    out = mat[:, w0 : w0 + zw] >> np.uint64(off)
-    if off:
-        # the block's high bits sit at the bottom of the following words
-        nxt = mat[:, w0 + 1 : w0 + zw + 1]
-        out[:, : nxt.shape[1]] |= nxt << np.uint64(WORD_BITS - off)
-    return mask_pad(out, stop - start)
+    width = cols.size
+    out = np.empty((mat.shape[0], n_words(width)), dtype=np.uint64)
+    # a piece starts where the columns jump or either side enters a new word,
+    # so the first piece of each word of the result lands at its bit 0
+    starts = np.ones(width, dtype=bool)
+    starts[1:] = (np.diff(cols) != 1) | (cols[1:] % WORD_BITS == 0) | (np.arange(1, width) % WORD_BITS == 0)
+    first = np.flatnonzero(starts).tolist()
+    piece_buf = np.empty(mat.shape[0], dtype=np.uint64)
+    for a, b, col in zip(first, first[1:] + [width], cols[first].tolist()):
+        (src_w, src_b), (dst_w, dst_b) = divmod(col, WORD_BITS), divmod(a, WORD_BITS)
+        mask = np.uint64(((1 << (b - a)) - 1) << src_b)
+        piece = np.bitwise_and(mat[:, src_w], mask, out=piece_buf if dst_b else out[:, dst_w])
+        if src_b > dst_b:
+            piece >>= np.uint64(src_b - dst_b)
+        elif src_b < dst_b:
+            piece <<= np.uint64(dst_b - src_b)
+        if dst_b:
+            out[:, dst_w] |= piece
+    return out
 
 
 def align_block_zs(zs: np.ndarray, spec: BlockSpec, i: int) -> tuple[np.ndarray, int, int, np.ndarray]:

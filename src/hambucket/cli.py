@@ -85,7 +85,7 @@ def cmd_solve(args) -> int:
     _print_matches(
         report.matches,
         f"# matches={len(report.matches)} nodes={report.nodes_visited} "
-        f"comparisons={report.naive_comparisons} time={report.wall_time:.6f}s "
+        f"comparisons={report.naive_comparisons} levels={report.levels} time={report.wall_time:.6f}s "
         f"planted_found={planted} depth={params.depth} branching={params.branching} "
         f"threshold={params.naive_threshold}",
     )

@@ -14,11 +14,12 @@ each node evaluates the bucket criterion for a whole batch of z draws in a
 few numpy passes over its rows (uint8 block weights, one flatnonzero over
 the z-major accept matrix), then splits the hits into per-child index
 ranges, each with the offset where its list-2 rows begin.  The filter
-works on block-local words: each permutation round permutes the stack and
-shifts every block of every row to bit 0 once (bitvec.block_local_rows),
-the layout in which draw_block_zs draws z, so a node compares its rows'
-block with the z's as drawn, and a block that straddles a word boundary
-costs the words its width needs and no more.
+works on block-local words: the first time a permutation round reaches
+level i, it gathers block i + 1 of the round's column order straight from
+the stack to bit 0 of every row (bitvec.block_local_rows), the layout in
+which draw_block_zs draws z.  So a node compares its rows' block with the
+z's as drawn, and a round gathers only the blocks its walk filters.
+Distances do not depend on the column order, so leaf scans read the stack.
 
 Leaf buckets are scanned in batches.  A child is a leaf on the last level
 or when its smaller side has at most naive_threshold rows.  A run of
@@ -50,7 +51,8 @@ import numpy as np
 from .bitvec import (
     WORD_BITS,
     BlockSpec,
-    align_block_zs,  # unused, as is pack_rows; perfbench/spans.py looks both up here by name
+    # align_block_zs, pack_rows and permute_columns go unused: perfbench/spans.py looks them up here by name
+    align_block_zs,
     block_local_rows,
     block_weights_batch,
     draw_block_zs,
@@ -174,6 +176,7 @@ class SolveReport:
 
     matches: tuple[MatchPair, ...]
     nodes_visited: int
+    levels: int  # the deepest level filtered, 0 when the root is scanned
     naive_comparisons: int
     wall_time: float
     planted_found: Optional[bool]
@@ -308,8 +311,9 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     A node is one index array into it, its list-1 rows first; a slab's
     children are given by start (where each child begins) and mid (where its
     list-2 rows begin).  The first permutation round is the identity, later
-    rounds redraw a fresh uniform coordinate permutation for the stack.  A
-    root of at most naive_threshold rows a side is a leaf, scanned in round 0
+    rounds draw a fresh uniform coordinate permutation, whose blocks are
+    gathered from the stack as the walk first reaches their level.  A root
+    of at most naive_threshold rows a side is a leaf, scanned in round 0
     alone.  With stop_on_first the walk unwinds at the first verified match;
     otherwise matches from all rounds are unioned and deduplicated.
     """
@@ -322,6 +326,7 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
 
     found: set[tuple[int, int]] = set()
     nodes = 0
+    levels = 0
     comparisons = 0
 
     def scan_leaves(sel, start, mid, lo: int, hi: int) -> bool:
@@ -343,7 +348,7 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             k1 = min(max(k1, k0 + 1), hi - lo)
             if cum[k1] > cum[k0]:
                 rows = sel[start[lo + k0] : start[lo + k1]]
-                hit_i, hit_j, hit_k = _bucket_hits(mat, rows, na[k0:k1], nb[k0:k1], split, gamma)
+                hit_i, hit_j, hit_k = _bucket_hits(base, rows, na[k0:k1], nb[k0:k1], split, gamma)
                 if hit_k.size and params.stop_on_first:
                     k1 = k0 + int(hit_k[0]) + 1
                     first = hit_k == hit_k[0]
@@ -358,8 +363,11 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
 
     def descend(idx, na: int, level: int) -> bool:
         """Filter an inner node's rows, list-1 rows idx[:na] first, into the buckets of its z batch."""
-        nonlocal nodes
+        nonlocal nodes, levels
         nodes += 1
+        if local[level] is None:
+            local[level] = block_local_rows(base, cols[slice(*spec.bounds(level + 1))])
+            levels = max(levels, level + 1)
         zs = draw_block_zs(rng, params.branching, spec.width(level + 1))
         lo, hi = level_window[level]
         sub = local[level].take(idx, 0)
@@ -398,9 +406,10 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     root = np.arange(base.shape[0])
     root_start, root_mid = np.array([0, root.size]), np.array([split])
     for rnd in range(params.permutations):
-        mat = base if rnd == 0 else permute_columns(base, random_permutation(rng, d))
-        # the filter at level i compares block i + 1 of the rows, block-local
-        local = [block_local_rows(mat, spec, i) for i in range(1, params.depth + 1)]
+        # column j of the round's layout is column cols[j] of the stack; the filter
+        # at level i compares block i + 1 of the layout, which descend gathers
+        cols = np.arange(d) if rnd == 0 else np.argsort(random_permutation(rng, d))
+        local = [None] * params.depth
         # a leaf root was scanned in full, and permuting columns keeps every distance
         if visit(root, root_start, root_mid, 0) or min(split, root.size - split) <= params.naive_threshold:
             break
@@ -416,6 +425,7 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     return SolveReport(
         matches=tuple(matches),
         nodes_visited=nodes,
+        levels=levels,
         naive_comparisons=comparisons,
         wall_time=time.perf_counter() - t_start,
         planted_found=planted_found,

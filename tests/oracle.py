@@ -378,6 +378,7 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
 
     found: set[tuple[int, int]] = set()
     nodes = 0
+    levels = 0
     comparisons = 0
 
     def leaf(a_mat, b_mat, ia, ib) -> None:
@@ -388,12 +389,13 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
             found.add((int(ia[r]), int(ib[c])))
 
     def descend(a_mat, b_mat, ia, ib, level: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, levels
         nodes += 1
         if level == params.depth or min(ia.size, ib.size) <= params.naive_threshold:
             leaf(a_mat, b_mat, ia, ib)
             return params.stop_on_first and bool(found)
         blk = level + 1
+        levels = max(levels, blk)
         width = spec.width(blk)
         target = level_target[level]
         zs = draw_block_zs(rng, params.branching, width)
@@ -449,6 +451,7 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
     return SolveReport(
         matches=tuple(matches),
         nodes_visited=nodes,
+        levels=levels,
         naive_comparisons=comparisons,
         wall_time=time.perf_counter() - t_start,
         planted_found=planted_found,

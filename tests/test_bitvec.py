@@ -253,10 +253,16 @@ def test_block_weights_batch_wide_and_word_crossing_blocks(d, r):
 
 
 def check_block_local_rows(spec: BlockSpec, i: int, rng) -> None:
-    """block_local_rows against block_project and block_weight, row by row and z by z."""
+    """block_local_rows against block_project and block_weight, row by row and z by z.
+
+    Block i is gathered from its own columns, and from the source columns
+    of block i of a permuted layout, argsort(perm)[start:stop].
+    """
     d, width = spec.dim, spec.width(i)
+    start, stop = spec.bounds(i)
     vs = [zeros(d), complement(zeros(d))] + [random_vector(rng, d) for _ in range(3)]
-    local = block_local_rows(pack_rows(vs), spec, i)
+    mat = pack_rows(vs)
+    local = block_local_rows(mat, np.arange(start, stop))
     assert [unpack_row(width, row) for row in local] == [block_project(v, spec, i) for v in vs]
     zs = np.vstack([np.zeros((1, n_words(width)), dtype=np.uint64), draw_block_zs(rng, 3, width)])
     got = block_weights_batch(local, zs)
@@ -264,6 +270,11 @@ def check_block_local_rows(spec: BlockSpec, i: int, rng) -> None:
     want = [[block_weight(v, z, spec, i) for z in rows_to_vectors(width, zs)] for v in vs]
     assert got.tolist() == want
     assert got[1, 0] == width  # all-ones row against the zero z
+    perm = random_permutation(rng, d)
+    gathered = block_local_rows(mat, np.argsort(perm)[start:stop])
+    assert np.array_equal(gathered, block_local_rows(permute_columns(mat, perm), np.arange(start, stop)))
+    assert [unpack_row(width, row) for row in gathered] == [block_project(apply_permutation(v, perm), spec, i)
+                                                            for v in vs]
 
 
 @given(st.data())

@@ -114,7 +114,7 @@ def test_solve_scans_a_root_within_the_branching(tmp_path, d, n, gamma):
     run_cli("gen", "--d", str(d), "--n", str(n), "--gamma", str(gamma), "--seed", "1", "--out", str(path))
     r = run_cli("solve", "--in", str(path))
     assert r.returncode == 0, r.stderr
-    assert f" nodes=1 comparisons={n * n} " in r.stdout
+    assert f" nodes=1 comparisons={n * n} levels=0 " in r.stdout
     assert r.stdout.splitlines()[-1].endswith(" planted_found=true depth=1 branching=512 threshold=512")
 
 

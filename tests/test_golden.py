@@ -126,11 +126,11 @@ def test_large_buckets_are_scanned(monkeypatch):
 
     Its largest root buckets hold a few hundred rows a side, at most the
     branching of 512, so scanning them costs less than filtering them.
-    draw_block_zs runs once per inner node and block_local_rows depth times
-    per round walked, so only the roots draw z.
+    Each round walked draws one z batch and gathers one block, the root's:
+    round 0 and one round per random_permutation draw after it.
     """
     inst = gen_instance(128, 1024, 16, DistributionModel("fixed", 0.3), seed=7)
-    calls = {"draw_block_zs": 0, "block_local_rows": 0}
+    calls = {"draw_block_zs": 0, "block_local_rows": 0, "random_permutation": 0}
 
     def counted(name):
         real = getattr(solver, name)
@@ -144,5 +144,7 @@ def test_large_buckets_are_scanned(monkeypatch):
         monkeypatch.setattr(solver, name, counted(name))
     params = choose_params(128, 10 / 128, 16 / 128, strategy=solver.deviation(1), stop_on_first=True)
     for seed in range(4):
-        assert solver.solve(inst, params, make_rng(seed)).planted_found
-    assert calls["draw_block_zs"] * params.depth == calls["block_local_rows"]
+        calls.update(dict.fromkeys(calls, 0))
+        rep = solver.solve(inst, params, make_rng(seed))
+        assert rep.planted_found and rep.levels == 1
+        assert calls["draw_block_zs"] == calls["block_local_rows"] == 1 + calls["random_permutation"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hambucket.analysis import DistributionModel, choose_params
-from hambucket import bitvec
+from hambucket import bitvec, solver
 from hambucket.bitvec import (
     BlockSpec,
     draw_block_zs,
@@ -348,7 +348,7 @@ def test_leaf_root_is_scanned_once():
     params = SolverParams(depth=2, branching=8, permutations=4, delta=0.25, strategy=deviation(1),
                           naive_threshold=n, stop_on_first=False)
     rep = solve(inst, params, make_rng(0))
-    assert (rep.nodes_visited, rep.naive_comparisons) == (1, n * n)
+    assert (rep.nodes_visited, rep.levels, rep.naive_comparisons) == (1, 0, n * n)
     assert rep.planted_found is True
 
 
@@ -365,7 +365,7 @@ def test_planted_flag_absent_without_plant():
 
 
 def report_key(rep):
-    return rep.matches, rep.nodes_visited, rep.naive_comparisons, rep.planted_found
+    return rep.matches, rep.nodes_visited, rep.levels, rep.naive_comparisons, rep.planted_found
 
 
 @given(st.data())
@@ -413,6 +413,7 @@ def test_parity_with_leaf_and_inner_siblings(stop_on_first):
     params = SolverParams(**{**base.__dict__, "naive_threshold": threshold})
     got = solve(inst, params, make_rng(5))
     assert report_key(got) == report_key(reference_solve(inst, params, make_rng(5)))
+    assert got.levels >= 2
 
 
 # --- survival probe -----------------------------------------------------------
@@ -462,3 +463,20 @@ def test_pipeline_builds_no_bitvector(tmp_path, monkeypatch):
     assert naive_count(back) >= 1
     with pytest.raises(AssertionError, match="BitVector constructed"):
         back.list1
+
+
+def test_walk_builds_no_permuted_matrix(monkeypatch):
+    """Later rounds gather their blocks from the instance's rows: no permuted copy, no unpacked bits."""
+    inst = gen_instance(128, 128, 16, UNIFORM, seed=9)
+    params = SolverParams(depth=3, branching=8, permutations=3, delta=0.4, strategy=deviation(2),
+                          naive_threshold=0, stop_on_first=False)
+    want = reference_solve(inst, params, make_rng(4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("permuted matrix built")
+
+    monkeypatch.setattr(solver, "permute_columns", refuse)
+    monkeypatch.setattr(bitvec, "unpack_bit_matrix", refuse)
+    got = solve(inst, params, make_rng(4))
+    assert report_key(got) == report_key(want)
+    assert got.levels == 3
