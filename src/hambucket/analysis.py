@@ -415,9 +415,9 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
     the round that succeeds.  Without it every call walks every round, and
     the cost is a call's divided by its success probability.
 
-    The root is a node like any other: at most naive_threshold rows a side
-    make it a leaf, a lone bucket scanned in one pass of one round that
-    always finds the pair.  Returns inf when no round can find the pair:
+    The root takes the leaf rule of every node: at most naive_threshold rows
+    a side make it a leaf, which solve() hands to the naive scan, once, and
+    which always finds the pair.  Returns inf when no round can find the pair:
     when no split of its differing coordinates passes every level, or when
     the depth's blocks cannot hold them all and the root is filtered.
     """

@@ -157,18 +157,9 @@ def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
     return full.view(np.uint64)
 
 
-def unpack_bit_matrix(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of pack_bit_matrix; returns an (n, dim) uint8 matrix."""
-    bits = np.unpackbits(mat.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :dim]
-
-
 def permute_columns(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Apply a coordinate permutation (random_permutation's index array) to every row."""
-    bits = unpack_bit_matrix(mat, perm.size)
-    out = np.empty_like(bits)
-    out[:, perm] = bits
-    return pack_bit_matrix(out)
+    return block_local_rows(mat, np.argsort(perm))
 
 
 def draw_block_zs(rng: np.random.Generator, count: int, width: int) -> np.ndarray:

@@ -4,8 +4,10 @@ solve() runs P permutation rounds.  Each round walks a depth-r tree: at a
 node on level i it draws N random block-local vectors z, keeps exactly the
 elements of both current sublists whose i-th block lands within the chosen
 radius of z, and recurses; sufficiently small sublists are finished by the
-quadratic scan.  Matches are verified by a final distance check, so the
-output never contains a false positive.
+quadratic scan.  A root that small is the naive scan, once: no round is
+walked and nothing is drawn, since permuting columns keeps every distance.
+Matches are verified by a final distance check, so the output never
+contains a false positive.
 
 Both lists are walked as one stacked matrix, list 2 below list 1, since
 every node filters both with the same z draws: a node is one index array
@@ -49,6 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bitvec import (
+    MAX_DIM,
     WORD_BITS,
     BlockSpec,
     # align_block_zs, pack_rows and permute_columns go unused: perfbench/spans.py looks them up here by name
@@ -82,8 +85,8 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in ("exact", "deviation", "atmost"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.eps < 0:
-            raise ValueError("deviation width must be nonnegative")
+        if not 0 <= self.eps <= MAX_DIM:
+            raise ValueError(f"deviation width outside [0, {MAX_DIM}]: {self.eps}")
         if self.kind != "deviation" and self.eps != 0:
             raise ValueError(f"{self.kind} strategy takes no deviation width")
 
@@ -102,11 +105,8 @@ class Strategy:
         if token in ("exact", "atmost"):
             return cls(token)
         kind, sep, arg = token.partition(":")
-        if sep and kind == "dev":
-            try:
-                return cls("deviation", int(arg))
-            except ValueError:
-                pass
+        if sep and kind == "dev" and arg.removeprefix("-").isdecimal():
+            return cls("deviation", int(arg))
         raise ValueError(f"malformed strategy token {token!r} (want exact, dev:<eps>, or atmost)")
 
 
@@ -148,16 +148,13 @@ class SolverParams:
     stop_on_first: bool
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if self.branching < 1:
-            raise ValueError("branching must be at least 1")
-        if self.permutations < 1:
-            raise ValueError("permutations must be at least 1")
+        for name in ("depth", "branching", "permutations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1: {getattr(self, name)}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta outside [0, 1]: {self.delta}")
         if self.naive_threshold < 0:
-            raise ValueError("naive_threshold must be nonnegative")
+            raise ValueError(f"naive_threshold must be nonnegative: {self.naive_threshold}")
 
     def window(self, width: int) -> tuple[int, int]:
         """The block weights [lo, hi] a block of width accepts: the strategy's window around delta width."""
@@ -307,17 +304,37 @@ def naive_count(inst, gamma_count: int | None = None) -> int:
 def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     """Run the bucketing search on a planted instance.
 
+    A root of at most naive_threshold rows a side is a leaf: the naive scan
+    of the instance's own matrices, once, drawing nothing from rng.  Any
+    other root is walked (_walk).
+    """
+    t_start = time.perf_counter()
+    if inst.n <= params.naive_threshold:
+        matches, nodes, levels, comparisons = naive_search(inst), 1, 0, inst.n * inst.n
+    else:
+        matches, nodes, levels, comparisons = _walk(inst, params, rng)
+    return SolveReport(
+        matches=tuple(matches),
+        nodes_visited=nodes,
+        levels=levels,
+        naive_comparisons=comparisons,
+        wall_time=time.perf_counter() - t_start,
+        planted_found=None if inst.planted is None else tuple(inst.planted) in {(m.i, m.j) for m in matches},
+    )
+
+
+def _walk(inst, params: SolverParams, rng: np.random.Generator):
+    """solve's walk of a root it filters; returns (matches, nodes, levels, comparisons).
+
     Both lists are walked as one stacked matrix, list 2 from row split on.
     A node is one index array into it, its list-1 rows first; a slab's
     children are given by start (where each child begins) and mid (where its
     list-2 rows begin).  The first permutation round is the identity, later
     rounds draw a fresh uniform coordinate permutation, whose blocks are
-    gathered from the stack as the walk first reaches their level.  A root
-    of at most naive_threshold rows a side is a leaf, scanned in round 0
-    alone.  With stop_on_first the walk unwinds at the first verified match;
-    otherwise matches from all rounds are unioned and deduplicated.
+    gathered from the stack as the walk first reaches their level.  With
+    stop_on_first the walk unwinds at the first verified match; otherwise
+    matches from all rounds are unioned and deduplicated.
     """
-    t_start = time.perf_counter()
     d, gamma = inst.d, inst.gamma_count
     split = inst.mat1.shape[0]
     base = np.vstack((inst.mat1, inst.mat2))
@@ -387,7 +404,7 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         return False
 
     def visit(sel, start, mid, level: int) -> bool:
-        """Visit children on one level in order: scan runs of leaves, descend into the rest."""
+        """Visit the children of one of descend's slabs in order: scan runs of leaves, descend into the rest."""
         count = mid.size
         inner = []
         if level < params.depth:
@@ -402,16 +419,13 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
             j = c + 1
         return False
 
-    # the root is the single child of a level above it
     root = np.arange(base.shape[0])
-    root_start, root_mid = np.array([0, root.size]), np.array([split])
     for rnd in range(params.permutations):
         # column j of the round's layout is column cols[j] of the stack; the filter
         # at level i compares block i + 1 of the layout, which descend gathers
         cols = np.arange(d) if rnd == 0 else np.argsort(random_permutation(rng, d))
         local = [None] * params.depth
-        # a leaf root was scanned in full, and permuting columns keeps every distance
-        if visit(root, root_start, root_mid, 0) or min(split, root.size - split) <= params.naive_threshold:
+        if descend(root, split, 0):
             break
 
     matches = []
@@ -419,14 +433,4 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
         dist = int(np.bitwise_count(inst.mat1[i] ^ inst.mat2[j]).sum())
         if dist == gamma:
             matches.append(MatchPair(i, j, dist))
-    planted_found: Optional[bool] = None
-    if inst.planted is not None:
-        planted_found = tuple(inst.planted) in {(m.i, m.j) for m in matches}
-    return SolveReport(
-        matches=tuple(matches),
-        nodes_visited=nodes,
-        levels=levels,
-        naive_comparisons=comparisons,
-        wall_time=time.perf_counter() - t_start,
-        planted_found=planted_found,
-    )
+    return matches, nodes, levels, comparisons

@@ -4,7 +4,10 @@ The library keeps whole lists as (n, words) uint64 matrices.  These helpers
 work one BitVector at a time through Python big ints (exact, no overflow
 anywhere), so they make independent oracles for the batched code paths.
 They begin with the scalar constructors and accessors of BitVector, which
-the library keeps only as a validated word tuple.
+the library keeps only as a validated word tuple.  The permute through
+unpacked bits is the reference for bitvec.permute_columns, and the one the
+per-leaf solver permutes with, so that solver shares no gather code with
+solve().
 The per-leaf solver at the end is the reference for solve()'s batched leaf
 scans: same matches, counters and random draws; the unpruned cross scan
 before it is the reference for the solver's pruned scans.  The weighted row
@@ -33,7 +36,6 @@ from hambucket.bitvec import (
     mask_pad,
     n_words,
     pack_bit_matrix,
-    permute_columns,
     random_permutation,
 )
 from hambucket.solver import (
@@ -289,6 +291,20 @@ def row_weights(mat: np.ndarray) -> np.ndarray:
     return np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
 
 
+def unpack_bit_matrix(mat: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of pack_bit_matrix; returns an (n, dim) uint8 matrix."""
+    bits = np.unpackbits(mat.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :dim]
+
+
+def reference_permute_columns(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """permute_columns through unpacked bits: column j of every row moves to column perm[j]."""
+    bits = unpack_bit_matrix(mat, perm.size)
+    out = np.empty_like(bits)
+    out[:, perm] = bits
+    return pack_bit_matrix(out)
+
+
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     inv = [0] * len(perm)
     for j, image in enumerate(perm):
@@ -434,8 +450,8 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
             a_mat, b_mat = base_a, base_b
         else:
             perm = random_permutation(rng, d)
-            a_mat = permute_columns(base_a, perm)
-            b_mat = permute_columns(base_b, perm)
+            a_mat = reference_permute_columns(base_a, perm)
+            b_mat = reference_permute_columns(base_b, perm)
         # a leaf root is scanned once: permuting columns keeps every distance
         if descend(a_mat, b_mat, all_a, all_b, 0) or min(all_a.size, all_b.size) <= params.naive_threshold:
             break

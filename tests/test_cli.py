@@ -265,6 +265,7 @@ def test_delta_outside_unit_interval_exits_2(tmp_path, command, delta):
     ("--delta", "nan", "delta outside [0, 1]: nan"),
     ("--depth", "99", "depth outside [1, 64]: 99"),
     ("--d", "0", "d outside [1, 1048576]: 0"),  # checked before log2(n) / d is taken
+    ("--strategy", f"dev:{10**21}", f"deviation width outside [0, 1048576]: {10**21}"),
 ])
 def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, value, message):
     """The parameters are chosen once per gamma before any instance is generated or scanned."""
@@ -276,6 +277,11 @@ def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, 
     argv = ["bench", "--d", "64", "--n", "65536", "--trials", "1", "--gamma-sweep", "0.125"]
     assert cli.main([*argv, flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_refuses_a_deviation_width_beyond_max_dim(tmp_path):
+    r = run_cli("solve", "--in", str(planted_d8(tmp_path)), "--strategy", f"dev:{10**21}")
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: deviation width outside [0, 1048576]: {10**21}\n")
 
 
 def test_solve_and_bench_refuse_more_rows_than_2_to_the_d(tmp_path):

@@ -15,6 +15,9 @@ such as os or np, do not count: perfbench uses those itself.
 
 The instance layer sits on bitvec alone: generator.py imports no other
 module of the package, so neither solver nor analysis.
+
+The library keeps rows packed: no src/ module names numpy's unpackbits.
+The reference permute that unpacks bits lives in tests/oracle.py.
 """
 
 import ast
@@ -121,3 +124,9 @@ def test_generator_imports_from_bitvec_alone():
         elif isinstance(node, ast.Import):
             package.update(alias.name for alias in node.names if alias.name.startswith("hambucket"))
     assert package == {"bitvec"}
+
+
+def test_no_module_unpacks_bits():
+    users = sorted(path.stem for path in SRC.glob("*.py")
+                   if any(name == "unpackbits" for name, _ in _names_used(ast.parse(path.read_text(encoding="utf-8")))))
+    assert users == []

@@ -211,10 +211,23 @@ def test_solver_params_validation():
     good = dict(depth=1, branching=1, permutations=1, delta=0.3,
                 strategy=EXACT, naive_threshold=0, stop_on_first=False)
     SolverParams(**good)
-    for field, bad in (("depth", 0), ("branching", 0), ("permutations", 0),
-                       ("delta", 1.5), ("naive_threshold", -1)):
-        with pytest.raises(ValueError):
+    for field, bad, message in (("depth", 0, "depth must be at least 1: 0"),
+                                ("branching", 0, "branching must be at least 1: 0"),
+                                ("permutations", 0, "permutations must be at least 1: 0"),
+                                ("delta", 1.5, r"delta outside \[0, 1\]: 1.5"),
+                                ("naive_threshold", -1, "naive_threshold must be nonnegative: -1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SolverParams(**{**good, field: bad})
+
+
+def test_strategy_refuses_a_deviation_width_beyond_max_dim():
+    """A width at or beyond a block's width accepts every weight, as MAX_DIM does; larger ones are refused."""
+    assert Strategy.from_token(f"dev:{bitvec.MAX_DIM}") == deviation(bitvec.MAX_DIM)
+    for eps in (-1, bitvec.MAX_DIM + 1, 10**21):
+        with pytest.raises(ValueError, match=rf"^deviation width outside \[0, {bitvec.MAX_DIM}\]: {eps}$"):
+            Strategy.from_token(f"dev:{eps}")
+        with pytest.raises(ValueError, match="deviation width outside"):
+            deviation(eps)
 
 
 # --- partition ----------------------------------------------------------------
@@ -339,7 +352,7 @@ def test_report_counters():
 
 
 def test_leaf_root_is_scanned_once():
-    """A root of at most naive_threshold rows a side is scanned in round 0 alone.
+    """A root of at most naive_threshold rows a side is scanned once, whatever the rounds.
 
     Permuting columns keeps every distance, so later rounds would repeat the scan.
     """
@@ -350,6 +363,30 @@ def test_leaf_root_is_scanned_once():
     rep = solve(inst, params, make_rng(0))
     assert (rep.nodes_visited, rep.levels, rep.naive_comparisons) == (1, 0, n * n)
     assert rep.planted_found is True
+
+
+@pytest.mark.parametrize("d", [1, 64, 65, 200])
+@pytest.mark.parametrize("stop_on_first", [False, True])
+@pytest.mark.parametrize("permutations", [1, 4])
+def test_leaf_root_is_the_naive_scan(monkeypatch, d, stop_on_first, permutations):
+    """A root of at most naive_threshold rows a side is naive_search's scan, once: no walk, no draw."""
+    n = 48
+    inst = gen_instance(d, n, min(d, 4), UNIFORM, seed=d)
+    params = SolverParams(depth=1, branching=8, permutations=permutations, delta=0.25,
+                          strategy=deviation(1), naive_threshold=n, stop_on_first=stop_on_first)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    for name in ("_bucket_hits", "block_local_rows", "draw_block_zs", "random_permutation"):
+        monkeypatch.setattr(solver, name, refuse)
+    rng = make_rng(7)
+    state = repr(rng.bit_generator.state)  # its counter and key arrays print in full
+    rep = solve(inst, params, rng)
+    assert list(rep.matches) == naive_search(inst)
+    assert (rep.nodes_visited, rep.levels, rep.naive_comparisons) == (1, 0, n * n)
+    assert rep.planted_found is True
+    assert repr(rng.bit_generator.state) == state
 
 
 def test_planted_flag_absent_without_plant():
@@ -476,7 +513,7 @@ def test_walk_builds_no_permuted_matrix(monkeypatch):
         raise AssertionError("permuted matrix built")
 
     monkeypatch.setattr(solver, "permute_columns", refuse)
-    monkeypatch.setattr(bitvec, "unpack_bit_matrix", refuse)
+    monkeypatch.setattr(np, "unpackbits", refuse)
     got = solve(inst, params, make_rng(4))
     assert report_key(got) == report_key(want)
     assert got.levels == 3
