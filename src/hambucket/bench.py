@@ -4,19 +4,12 @@ One record per (gamma, trial).  The solver is timed in its time-to-solution
 mode (stop at the first verified match) unless told otherwise; the baseline
 always scans everything, since that is the cost it genuinely has.  Records
 are deterministic given the base seed, timings of course are not.
-
-Trials run in parallel across processes when CP_THREADS allows; each trial
-is self-contained (generate, scan, solve), so ordering and seeds do not
-depend on the worker count.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
-from functools import partial
 
 from .analysis import choose_params, list_exponent
 from .bitvec import derive_seed, make_rng, round_nearest
@@ -90,16 +83,6 @@ def _run_trial(d: int, n: int, base_seed: int, model: DistributionModel,
     )
 
 
-def worker_count() -> int:
-    """Parallelism from CP_THREADS, defaulting to the CPU count."""
-    env = os.environ.get("CP_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    if not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(f"CP_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
 def run_bench(
     d: int,
     n: int,
@@ -112,7 +95,7 @@ def run_bench(
     stop_on_first: bool = True,
     **overrides,
 ) -> list[BenchRecord]:
-    """One record per (gamma, trial), ordered by gamma then trial, on worker_count() processes.
+    """One record per (gamma, trial), ordered by gamma then trial, run one at a time.
 
     The parameters are chosen once per gamma, before any trial runs, so a
     bad tuning flag is refused before instances are generated and scanned.
@@ -123,10 +106,5 @@ def run_bench(
     lam = list_exponent(d, n)
     params = [choose_params(d, lam, float(g), strategy=strategy, stop_on_first=stop_on_first, **overrides)
               for g in gammas]
-    cells = [(float(g), gi, t, p) for gi, (g, p) in enumerate(zip(gammas, params)) for t in range(trials)]
-    run = partial(_run_trial, d, n, base_seed, model)
-    count = min(worker_count(), len(cells))
-    if count <= 1:
-        return [run(*cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(run, *zip(*cells)))
+    return [_run_trial(d, n, base_seed, model, float(g), gi, t, p)
+            for gi, (g, p) in enumerate(zip(gammas, params)) for t in range(trials)]

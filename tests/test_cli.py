@@ -1,4 +1,5 @@
-import os
+import concurrent.futures
+import multiprocessing.process
 import statistics
 import subprocess
 import sys
@@ -179,13 +180,6 @@ def test_non_ascii_instance_exits_2_naming_the_line(tmp_path):
     assert r.stderr.strip() == "error: line 4: non-ASCII character 0xff"
 
 
-def test_bad_cp_threads_exits_2():
-    env = {**os.environ, "CP_THREADS": "abc"}
-    r = run_cli("bench", "--d", "32", "--n", "64", "--gamma-sweep", "0.125", "--trials", "1", env=env)
-    assert r.returncode == 2
-    assert r.stderr.strip() == "error: CP_THREADS must be a positive integer, got 'abc'"
-
-
 @pytest.mark.parametrize("command, sweep", over_sweep_flags(("0.1:0.2:nan",), ("nan",), ("0.1:inf:0.05",)))
 def test_non_finite_sweep_exits_2(command, sweep):
     r = run_cli(*command, sweep)
@@ -273,7 +267,6 @@ def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, 
         raise AssertionError("an instance was generated")
 
     monkeypatch.setattr(bench, "gen_instance", no_trial)
-    monkeypatch.setenv("CP_THREADS", "1")
     argv = ["bench", "--d", "64", "--n", "65536", "--trials", "1", "--gamma-sweep", "0.125"]
     assert cli.main([*argv, flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -393,8 +386,7 @@ def test_bench_summary_cost_per_success():
     assert line.endswith("planted found 1/2, cost per success 0.0040s")
 
 
-def test_bench_records_deterministic_apart_from_timing(monkeypatch):
-    monkeypatch.setenv("CP_THREADS", "1")
+def test_bench_records_deterministic_apart_from_timing():
     a = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9)
     b = run_bench(32, 64, [0.125], DistributionModel.uniform(), 2, EXACT, 9)
     strip = lambda r: (r.d, r.n, r.gamma, r.strategy, r.depth, r.branching, r.threshold,
@@ -402,15 +394,24 @@ def test_bench_records_deterministic_apart_from_timing(monkeypatch):
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
-def test_bench_records_do_not_depend_on_worker_count(monkeypatch):
-    """CP_THREADS=1 or 2: the same records in the same order, timings apart."""
-    runs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("CP_THREADS", workers)
-        runs.append(run_bench(32, 64, [0.125, 0.25], DistributionModel.uniform(), 3, EXACT, 9))
-    untimed = [[replace(r, solver_ns=0, naive_ns=0) for r in records] for records in runs]
-    assert len(untimed[0]) == 6
-    assert untimed[0] == untimed[1]
+def test_bench_runs_in_one_process(monkeypatch):
+    """CP_THREADS is not read: whatever it holds, no process starts and the records are the same."""
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    runs = {}
+    for value in ("abc", "2", None):
+        if value is None:
+            monkeypatch.delenv("CP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CP_THREADS", value)
+        assert cli.main(["bench", "--d", "32", "--n", "64", "--trials", "1", "--gamma-sweep", "0.125"]) == 0
+        records = run_bench(32, 64, [0.125, 0.25], DistributionModel.uniform(), 3, EXACT, 9)
+        runs[value] = [replace(r, solver_ns=0, naive_ns=0) for r in records]
+    assert len(runs[None]) == 6
+    assert runs["abc"] == runs["2"] == runs[None]
 
 
 def test_emit_csv_formats_records():

@@ -159,7 +159,6 @@ def _refuse_in(entry, d, n, gamma_count, tmp_path, monkeypatch, capsys) -> str:
                 raise AssertionError("an instance was generated")
 
             monkeypatch.setattr(bench, "gen_instance", no_trial)
-            monkeypatch.setenv("CP_THREADS", "1")
             argv = [entry, "--d", str(d), "--n", str(n)]
             if entry == "gen":
                 argv += [f"--gamma={gamma_count}", "--out", str(tmp_path / "never.cpinst")]

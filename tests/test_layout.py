@@ -18,6 +18,12 @@ module of the package, so neither solver nor analysis.
 
 The library keeps rows packed: no src/ module names numpy's unpackbits.
 The reference permute that unpacks bits lives in tests/oracle.py.
+
+The library runs in the calling process and is set by its arguments alone:
+no src/ module names environ or getenv, or imports concurrent.futures,
+multiprocessing or subprocess.
+
+These rules only tighten.
 """
 
 import ast
@@ -129,4 +135,28 @@ def test_generator_imports_from_bitvec_alone():
 def test_no_module_unpacks_bits():
     users = sorted(path.stem for path in SRC.glob("*.py")
                    if any(name == "unpackbits" for name, _ in _names_used(ast.parse(path.read_text(encoding="utf-8")))))
+    assert users == []
+
+
+_PROCESS_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
+
+
+def _imported_modules(tree: ast.Module):
+    """Each module tree imports, and module.name for each name it imports from one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_reads_the_environment_or_starts_processes():
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if (any(name in ("environ", "getenv") for name, _ in _names_used(tree))
+                or any(module == banned or module.startswith(banned + ".")
+                       for module in _imported_modules(tree) for banned in _PROCESS_MODULES)):
+            users.append(path.stem)
     assert users == []

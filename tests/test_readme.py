@@ -18,7 +18,6 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("CP_THREADS", "1")
     commands = readme_commands()
     assert len(commands) >= 10
     for argv in commands:
