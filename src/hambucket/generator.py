@@ -275,32 +275,37 @@ def gen_instance(d: int, n: int, gamma_count: int, model: DistributionModel, see
 # --- serialization -----------------------------------------------------------
 
 
-_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-
-
-def _hex_block(mat: np.ndarray, d: int) -> str:
-    """One LF-terminated line of ceil(d/4) hex digits per row; digit t is nibble t."""
-    u8 = mat.view(np.uint8)
-    nibbles = np.stack([u8 & 0x0F, u8 >> 4], axis=2).reshape(len(mat), -1)[:, : (d + 3) // 4]
-    text = np.empty((len(mat), nibbles.shape[1] + 1), dtype=np.uint8)
-    text[:, :-1] = _HEX_CHARS[nibbles]
-    text[:, -1] = ord("\n")
-    return text.tobytes().decode("ascii")
+_LF = 0x0A
 
 
 def write_instance(inst: Instance, destination: str | Path | IO[str]) -> None:
-    """Serialize to the plain-text format, LF line endings, trailing newline."""
+    """Serialize to the plain-text format, LF line endings, trailing newline.
+
+    The file is built in one uint8 buffer; nibble v becomes the ASCII digit
+    48 + v, or 48 + v + 39 (ord('a') + v - 10) for v > 9.
+    """
     planted = "none" if inst.planted is None else f"{inst.planted[0]},{inst.planted[1]}"
     header = (
         f"{_MAGIC} {_VERSION} d={inst.d} n={inst.n} gamma={inst.gamma_count} "
-        f"planted={planted} model={inst.model.token()} seed={inst.seed}"
-    )
-    text = f"{header}\n{_hex_block(inst.mat1, inst.d)}\n{_hex_block(inst.mat2, inst.d)}"
+        f"planted={planted} model={inst.model.token()} seed={inst.seed}\n"
+    ).encode("ascii")
+    digits = (inst.d + 3) // 4
+    size = inst.n * (digits + 1)
+    text = np.empty(len(header) + 2 * size + 1, dtype=np.uint8)
+    text[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    text[len(header) + size] = _LF  # the blank line between the lists
+    for start, mat in ((len(header), inst.mat1), (len(header) + size + 1, inst.mat2)):
+        rows = text[start : start + size].reshape(inst.n, digits + 1)
+        # each byte's low nibble, then its high nibble, as the two bytes of a little-endian uint16
+        pairs = mat.view(np.uint8).astype("<u2")
+        nibbles = ((pairs & 0x0F) | (pairs >> 4 << 8)).view(np.uint8)[:, :digits]
+        rows[:, :digits] = nibbles + np.uint8(48) + np.uint8(39) * (nibbles > 9)
+        rows[:, digits] = _LF
     if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="ascii", newline="\n") as fh:
+        with open(destination, "wb") as fh:
             fh.write(text)
     else:
-        destination.write(text)
+        destination.write(text.tobytes().decode("ascii"))
 
 
 def _parse_header(line: str) -> dict:
@@ -340,28 +345,53 @@ def _parse_header(line: str) -> dict:
     return out
 
 
-_HEX_VALUE = np.full(256, 0xFF, dtype=np.uint8)  # ASCII code -> nibble, 0xFF if not a hex digit
-_HEX_VALUE[_HEX_CHARS] = np.arange(16, dtype=np.uint8)
+_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_NIBBLE = np.full(256, 0x100, dtype="<u2")  # ASCII code -> nibble, 0x100 if not a hex digit
+_NIBBLE[_HEX_CHARS] = np.arange(16)
+# Two adjacent digits, read as the little-endian uint16 c0 | c1 << 8, -> the
+# byte nibble(c0) | nibble(c1) << 4, above 0xFF unless both are hex digits.
+# A row of odd length pairs its last digit with its LF, which reads as 0.
+_HEX_PAIR = (_NIBBLE[None, :] | np.where(np.arange(256) == _LF, 0, _NIBBLE)[:, None] << 4).ravel()
 
 
-def _parse_rows(lines: list[str], first_line_no: int, n: int, d: int) -> np.ndarray:
-    digits = (d + 3) // 4
+def _read_ascii(source: str | Path | IO[str]) -> bytes:
+    """The file's bytes; a non-ASCII character is refused with its line."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        if raw.isascii():
+            return raw
+        text = raw.decode("latin-1")  # one character per byte, to name the stray one
+    else:
+        text = source.read()
+    try:
+        return text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        line_no = text.count("\n", 0, exc.start) + 1
+        raise InstanceParseError(f"line {line_no}: non-ASCII character {ord(text[exc.start]):#04x}") from None
+
+
+def _parse_rows(data: np.ndarray, start: int, lengths: np.ndarray, first_line_no: int, d: int) -> np.ndarray:
+    """One list's rows, the first at data[start]; row r is line first_line_no + r, lengths[r] long."""
+    n, digits = len(lengths), (d + 3) // 4
     # rows before the first one of wrong length are checked for hex digits
     # first, so the error names the first bad line whatever its fault
-    short = next((row for row, line in enumerate(lines) if len(line) != digits), n)
-    nibbles = _HEX_VALUE[np.frombuffer("".join(lines[:short]).encode("ascii"), dtype=np.uint8)]
-    nibbles = nibbles.reshape(short, digits)
-    bad = (nibbles == 0xFF).any(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise InstanceParseError(f"line {first_line_no + row}: non-hex payload {lines[row]!r}")
+    wrong = np.flatnonzero(lengths != digits)
+    short = int(wrong[0]) if wrong.size else n
+    text = data[start : start + short * (digits + 1)].reshape(short, digits + 1)
+    half = (digits + 1) // 2
+    packed = _HEX_PAIR.take(text[:, : 2 * half].view("<u2"))
+    if short and packed.max() > 0xFF:
+        row = int(np.argmax(packed.ravel() > 0xFF)) // half
+        payload = text[row, :digits].tobytes().decode("ascii")
+        raise InstanceParseError(f"line {first_line_no + row}: non-hex payload {payload!r}")
     if short < n:
         raise InstanceParseError(
-            f"line {first_line_no + short}: expected {digits} hex digits, got {len(lines[short])}"
+            f"line {first_line_no + short}: expected {digits} hex digits, got {lengths[short]}"
         )
-    full = np.zeros((n, n_words(d) * 16), dtype=np.uint8)
-    full[:, :digits] = nibbles
-    mat = (full[:, 0::2] | (full[:, 1::2] << 4)).view(np.uint64)
+    mat = np.zeros((n, n_words(d) * 8), dtype=np.uint8)
+    mat[:, :half] = packed
+    mat = mat.view(np.uint64)
     pad = d % WORD_BITS
     if pad:
         bad = mat[:, -1] >> np.uint64(pad)
@@ -374,35 +404,37 @@ def _parse_rows(lines: list[str], first_line_no: int, n: int, d: int) -> np.ndar
 
 
 def read_instance(source: str | Path | IO[str]) -> Instance:
-    """Parse an instance file; raises InstanceParseError with the offending line."""
-    if isinstance(source, (str, Path)):
-        # latin-1 decodes every byte, so a stray one is reported below with its line
-        with open(source, "r", encoding="latin-1") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    if not text.isascii():
-        pos = next(k for k, ch in enumerate(text) if not ch.isascii())
-        line_no = text.count("\n", 0, pos) + 1
-        raise InstanceParseError(f"line {line_no}: non-ASCII character {ord(text[pos]):#04x}")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    """Parse an instance file; raises InstanceParseError with the offending line.
+
+    Lines are found from the offsets of every LF in the file's bytes, and
+    each list is checked and decoded as one (n, digits + 1) array.  A
+    missing final LF is accepted; a CR before an LF is refused.
+    """
+    raw = _read_ascii(source)
+    crlf = raw.find(b"\r\n") if b"\r" in raw else -1  # the pair search is slow, a CR search is not
+    if crlf >= 0:
+        line_no = raw.count(b"\n", 0, crlf) + 1
+        raise InstanceParseError(f"line {line_no}: CRLF line ending; instance files use LF")
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(data == _LF)  # line k ends at ends[k - 1]
+    if not ends.size:
         raise InstanceParseError("line 1: empty file")
-    head = _parse_header(lines[0])
+    head = _parse_header(raw[: ends[0]].decode("ascii"))
     n, d = head["n"], head["d"]
     expected = 1 + n + 1 + n
-    if len(lines) < expected:
+    if ends.size < expected:
         raise InstanceParseError(
-            f"line {len(lines) + 1}: truncated file, expected {expected} lines, got {len(lines)}"
+            f"line {ends.size + 1}: truncated file, expected {expected} lines, got {ends.size}"
         )
-    if len(lines) > expected:
+    if ends.size > expected:
         raise InstanceParseError(f"line {expected + 1}: trailing data after {expected} lines")
-    if lines[1 + n] != "":
+    lengths = np.diff(ends) - 1  # lengths[k] is the length of line k + 2
+    if lengths[n]:
         raise InstanceParseError(f"line {n + 2}: expected a blank separator line")
-    mat1 = _parse_rows(lines[1 : 1 + n], 2, n, d)
-    mat2 = _parse_rows(lines[2 + n : 2 + 2 * n], n + 3, n, d)
+    mat1 = _parse_rows(data, ends[0] + 1, lengths[:n], 2, d)
+    mat2 = _parse_rows(data, ends[n + 1] + 1, lengths[n + 1 :], n + 3, d)
     try:
         return Instance(
             d=d,

@@ -67,10 +67,12 @@ from .bitvec import (
 
 # Work per numpy pass: uint64 elements per filter slab, and row pairs per
 # scan pass (a scan's bulk temporaries hold one word per pair, see
-# _pair_hits).  They do not keep a scan's temporaries warm: timed alone on
-# 1-word rows (2-vCPU VM), the batched leaf pass cost about 2.5x more per
-# pair above about 19k pairs, where its temporaries pass about 150 KiB and
-# seem to be faulted in afresh each pass, and _PAIR_BUDGET lies above that.
+# _pair_hits).  Timed alone on 1-word rows, a batched leaf pass costs about
+# 2.5x more per pair above about 19k pairs, but inside solve its temporaries
+# are not faulted in afresh (48 d=64 solves: 0-140 minor faults in all), and
+# with equal reports the median time-to-solution was lowest at this
+# _PAIR_BUDGET: against half and a quarter of it at d=128, and twice it at
+# d=64 (2-vCPU VM; ROADMAP item 9).
 _ELEM_BUDGET = 1 << 18
 _PAIR_BUDGET = _ELEM_BUDGET >> 3
 

@@ -10,9 +10,10 @@ per-leaf solver permutes with, so that solver shares no gather code with
 solve().
 The per-leaf solver at the end is the reference for solve()'s batched leaf
 scans: same matches, counters and random draws; the unpruned cross scan
-before it is the reference for the solver's pruned scans.  The weighted row
-samplers are the references for the generator's slab samplers: same random
-stream, same rows.  The survival count and the z enumeration last of all are
+before it is the reference for the solver's pruned scans.  hex_row and
+row_fault are the scalar forms of the instance file's row encoding and of
+the reader's row checks.  The weighted row samplers are the references for
+the generator's slab samplers: same random stream, same rows.  The survival count and the z enumeration last of all are
 the exact integer references for the analysis' survival tables, and
 bucket_accept is the scalar form of the bucket rule they share.
 """
@@ -196,6 +197,26 @@ def hex_row(v: BitVector) -> str:
     """A row as the instance file writes it: digit t holds coordinates 4t+1..4t+4, lowest in bit 0."""
     value = to_int(v)
     return "".join("0123456789abcdef"[(value >> (4 * t)) & 0xF] for t in range((v.dim + 3) // 4))
+
+
+def row_fault(row: str, dim: int) -> Optional[str]:
+    """The fault read_instance names for one row of a list, after its "line k: " prefix; None if the row is valid.
+
+    The checks run in the reader's order, so the first one that fails is the
+    fault: a non-ASCII character, the digit count, a digit outside
+    0-9a-f, then a set bit beyond the dimension.
+    """
+    for ch in row:
+        if not ch.isascii():
+            return f"non-ASCII character {ord(ch):#04x}"
+    digits = (dim + 3) // 4
+    if len(row) != digits:
+        return f"expected {digits} hex digits, got {len(row)}"
+    if any(ch not in "0123456789abcdef" for ch in row):
+        return f"non-hex payload {row!r}"
+    if int(row[::-1], 16) >> dim:  # digit t at weight 16**t, as hex_row writes it
+        return f"nonzero padding bits beyond dimension {dim}"
+    return None
 
 
 def reference_fixed_rows(rng: np.random.Generator, n: int, d: int, w: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 import io
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hambucket import bench, cli, generator
@@ -21,6 +22,7 @@ from oracle import (
     hex_row,
     reference_fixed_rows,
     reference_poisson_rows,
+    row_fault,
     weight,
     zeros,
 )
@@ -295,26 +297,57 @@ def test_roundtrip_through_path(tmp_path):
 
 
 def invalid_cases():
+    """(label, text, message): one fault each, and the whole message the reader gives for it."""
     return [
-        ("empty", ""),
-        ("bad magic", HAND_WRITTEN.replace("CPINST", "CPINSX")),
-        ("bad version", HAND_WRITTEN.replace("CPINST 1", "CPINST 9")),
-        ("missing field", "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform\nf0\n\naa\n"),
-        ("bad planted", HAND_WRITTEN.replace("planted=0,0", "planted=x")),
-        ("gamma out of range", HAND_WRITTEN.replace("gamma=4", "gamma=9")),
-        ("truncated list", "CPINST 1 d=8 n=2 gamma=4 planted=0,0 model=uniform seed=0\nf0\n\naa\n"),
-        ("missing separator", "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0\nf0\naa\n"),
-        ("trailing data", HAND_WRITTEN + "ff\n"),
-        ("bad hex digit", HAND_WRITTEN.replace("aa", "zz")),
-        ("wrong digit count", HAND_WRITTEN.replace("aa", "aaa")),
-        ("planted distance off", HAND_WRITTEN.replace("gamma=4", "gamma=2")),
+        ("empty", "", "line 1: empty file"),
+        (
+            "bad magic",
+            HAND_WRITTEN.replace("CPINST", "CPINSX"),
+            "line 1: malformed header 'CPINSX 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0'",
+        ),
+        ("bad version", HAND_WRITTEN.replace("CPINST 1", "CPINST 9"), "line 1: unsupported format version '9'"),
+        (
+            "missing field",
+            "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform\nf0\n\naa\n",
+            "line 1: malformed header 'CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform'",
+        ),
+        ("bad planted", HAND_WRITTEN.replace("planted=0,0", "planted=x"), "line 1: malformed planted field 'x'"),
+        ("gamma out of range", HAND_WRITTEN.replace("gamma=4", "gamma=9"), "line 1: gamma_count outside [0, 8]: 9"),
+        (
+            "truncated list",
+            "CPINST 1 d=8 n=2 gamma=4 planted=0,0 model=uniform seed=0\nf0\n\naa\n",
+            "line 5: truncated file, expected 6 lines, got 4",
+        ),
+        (
+            "missing separator",
+            "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0\nf0\naa\n",
+            "line 4: truncated file, expected 4 lines, got 3",
+        ),
+        ("header only", HAND_WRITTEN.split("\n")[0], "line 2: truncated file, expected 4 lines, got 1"),
+        ("trailing data", HAND_WRITTEN + "ff\n", "line 5: trailing data after 4 lines"),
+        ("trailing blank line", HAND_WRITTEN + "\n", "line 5: trailing data after 4 lines"),
+        ("separator not blank", HAND_WRITTEN.replace("\n\naa", "\n0\naa"), "line 3: expected a blank separator line"),
+        ("bad hex digit", HAND_WRITTEN.replace("aa", "zz"), "line 4: non-hex payload 'zz'"),
+        ("upper-case hex digit", HAND_WRITTEN.replace("f0", "F0"), "line 2: non-hex payload 'F0'"),
+        ("wrong digit count", HAND_WRITTEN.replace("aa", "aaa"), "line 4: expected 2 hex digits, got 3"),
+        ("empty row", HAND_WRITTEN.replace("f0", ""), "line 2: expected 2 hex digits, got 0"),
+        (
+            "planted distance off",
+            HAND_WRITTEN.replace("gamma=4", "gamma=2"),
+            "line 1: planted pair is at distance 4, expected gamma_count=2",
+        ),
     ]
 
 
-@pytest.mark.parametrize("label,text", invalid_cases(), ids=[c[0] for c in invalid_cases()])
-def test_invalid_inputs_rejected(label, text):
-    with pytest.raises(InstanceParseError):
+@pytest.mark.parametrize("label,text,message", invalid_cases(), ids=[c[0] for c in invalid_cases()])
+def test_invalid_inputs_rejected(label, text, message):
+    with pytest.raises(InstanceParseError) as exc:
         read_instance(io.StringIO(text))
+    assert str(exc.value) == message
+
+
+def test_missing_final_newline_is_accepted():
+    assert read_instance(io.StringIO(HAND_WRITTEN.removesuffix("\n"))) == read_instance(io.StringIO(HAND_WRITTEN))
 
 
 def test_padding_bits_must_be_zero():
@@ -346,3 +379,109 @@ def test_non_ascii_file_names_the_line(tmp_path):
         read_instance(p)
     with pytest.raises(InstanceParseError, match="line 1: non-ASCII"):
         read_instance(io.StringIO(HAND_WRITTEN.replace("uniform", "unif\u00f6rm")))
+
+
+_ROW_FAULTS = {
+    "length": "hex digits, got",
+    "non-hex": "non-hex payload",
+    "non-ASCII": "non-ASCII character",
+    "padding": "nonzero padding bits",
+}
+
+
+@pytest.mark.parametrize("d", [1, 5, 63, 64, 65, 128, 200])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_corrupted_row_is_named_with_its_fault_and_line(d, data, tmp_path):
+    """One fault in one row of either list: the reader names it, and the line 2 + row or n + 3 + row."""
+    n = data.draw(st.integers(1, 9), label="n")
+    inst = gen_instance(d, n, min(2, d), UNIFORM, seed=data.draw(st.integers(0, 2**32), label="seed"))
+    buf = io.StringIO()
+    write_instance(inst, buf)
+    lines = buf.getvalue().split("\n")
+    second = data.draw(st.booleans(), label="list 2")
+    row = data.draw(st.integers(0, n - 1), label="row")
+    line_no = n + 3 + row if second else 2 + row
+    text = lines[line_no - 1]
+    # a set bit beyond d exists in the text only where the last digit is partly padding
+    kinds = ["length", "non-hex", "non-ASCII"] + (["padding"] if d % 4 else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    pos = data.draw(st.integers(0, len(text) - 1), label="position")
+    if kind == "length":
+        shorten = data.draw(st.booleans(), label="shorten")
+        text = text[:pos] if shorten else text + "0" * data.draw(st.integers(1, 3), label="extra digits")
+    elif kind == "non-hex":
+        text = text[:pos] + data.draw(st.sampled_from("gzA F-._\t"), label="digit") + text[pos + 1 :]
+    elif kind == "non-ASCII":
+        text = text[:pos] + data.draw(st.sampled_from("\x80\xe9\xff"), label="character") + text[pos + 1 :]
+    else:
+        last = int(text[-1], 16) | 1 << data.draw(st.integers(d % 4, 3), label="pad bit")
+        text = text[:-1] + "0123456789abcdef"[last]
+    lines[line_no - 1] = text
+    fault = row_fault(text, d)
+    assert _ROW_FAULTS[kind] in fault
+    path = tmp_path / "corrupt.cpinst"
+    path.write_bytes("\n".join(lines).encode("latin-1"))
+    for source in (path, io.StringIO("\n".join(lines))):
+        with pytest.raises(InstanceParseError) as exc:
+            read_instance(source)
+        assert str(exc.value) == f"line {line_no}: {fault}"
+
+
+def test_crlf_line_endings_are_refused(tmp_path):
+    """A CR before an LF names the first such line, before any other check can misread it."""
+    crlf = HAND_WRITTEN.replace("\n", "\r\n")
+    path = tmp_path / "crlf.cpinst"
+    path.write_bytes(crlf.encode("ascii"))  # a path is read as bytes, with no newline translation
+    for source in (io.StringIO(crlf), path):
+        with pytest.raises(InstanceParseError) as exc:
+            read_instance(source)
+        assert str(exc.value) == "line 1: CRLF line ending; instance files use LF"
+    # only the separator line ends in CRLF; the file is otherwise valid
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(io.StringIO(HAND_WRITTEN.replace("\n\naa", "\n\r\naa")))
+    assert str(exc.value) == "line 3: CRLF line ending; instance files use LF"
+    # a CR that no LF follows is a non-hex digit
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(io.StringIO(HAND_WRITTEN.replace("aa\n", "a\r")))
+    assert str(exc.value) == "line 4: non-hex payload 'a\\r'"
+
+
+def _profiled_calls(fn, *args) -> int:
+    """Python and C function calls fn(*args) makes, as sys.setprofile sees them."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_file_layer_makes_no_per_row_calls(tmp_path):
+    """Reading and writing a d=64 instance make as many calls at n=4096 as at n=64.
+
+    Every row is handled inside numpy, so the count of Python and C calls
+    does not grow with n.  This rule only tightens: a later reader or writer
+    may make fewer calls, never a number that grows with the rows.
+    """
+    counts = {}
+    for n in (64, 4096):
+        inst = gen_instance(64, n, 8, UNIFORM, seed=n)
+        path = tmp_path / f"inst-{n}.cpinst"
+        write_instance(inst, path)  # warm: first calls may import or cache
+        read_instance(path)
+        text = path.read_text(encoding="ascii")
+        counts[n] = (
+            _profiled_calls(write_instance, inst, path),
+            _profiled_calls(write_instance, inst, io.StringIO()),
+            _profiled_calls(read_instance, path),
+            _profiled_calls(read_instance, io.StringIO(text)),
+        )
+    assert counts[64] == counts[4096]
