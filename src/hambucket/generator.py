@@ -12,6 +12,11 @@ hex digits; digit t encodes coordinates 4t+1..4t+4, lowest coordinate in the
 lowest bit, i.e. nibble t of the packed word layout.  Padding bits beyond
 the dimension must be zero; readers reject files that violate this.
 
+read_instance and write_instance take a path and work on the file's bytes.
+The header is read only in the form write_instance renders it: integers in
+plain decimal (no sign, leading zero, underscore or whitespace), and the
+model token as DistributionModel.token prints it (fixed:0.3, not fixed:3e-1).
+
 Weighted rows come from the instance's one sequential random stream, drawn as
 uniform keys in fixed-size slabs of rows and packed slab by slab: the slab
 size bounds the memory a draw uses and never changes an instance's bytes.
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,6 +73,8 @@ class DistributionModel:
         else:
             if self.param is None or not 0.0 <= self.param <= 1.0:
                 raise ValueError(f"model parameter must be in [0, 1], got {self.param}")
+            # a Python float, so token() prints it as from_token reads it back
+            object.__setattr__(self, "param", float(self.param))
 
     @classmethod
     def uniform(cls) -> "DistributionModel":
@@ -278,17 +285,24 @@ def gen_instance(d: int, n: int, gamma_count: int, model: DistributionModel, see
 _LF = 0x0A
 
 
-def write_instance(inst: Instance, destination: str | Path | IO[str]) -> None:
-    """Serialize to the plain-text format, LF line endings, trailing newline.
+def _header_line(
+    d: int, n: int, gamma: int, planted: Optional[tuple[int, int]], model: DistributionModel, seed: int
+) -> str:
+    """The header line, without its LF: the one form the writer writes and the reader accepts."""
+    pair = "none" if planted is None else f"{planted[0]},{planted[1]}"
+    return f"{_MAGIC} {_VERSION} d={d} n={n} gamma={gamma} planted={pair} model={model.token()} seed={seed}"
 
-    The file is built in one uint8 buffer; nibble v becomes the ASCII digit
-    48 + v, or 48 + v + 39 (ord('a') + v - 10) for v > 9.
+
+def write_instance(inst: Instance, path: str | Path) -> None:
+    """Write the instance to path in the plain-text format, LF line endings, trailing newline.
+
+    The header is _header_line's, the only form read_instance accepts:
+    integers in plain decimal and the model token as printed.  The file is
+    built in one uint8 buffer; nibble v becomes the ASCII digit 48 + v, or
+    48 + v + 39 (ord('a') + v - 10) for v > 9.
     """
-    planted = "none" if inst.planted is None else f"{inst.planted[0]},{inst.planted[1]}"
-    header = (
-        f"{_MAGIC} {_VERSION} d={inst.d} n={inst.n} gamma={inst.gamma_count} "
-        f"planted={planted} model={inst.model.token()} seed={inst.seed}\n"
-    ).encode("ascii")
+    line = _header_line(inst.d, inst.n, inst.gamma_count, inst.planted, inst.model, inst.seed)
+    header = (line + "\n").encode("ascii")
     digits = (inst.d + 3) // 4
     size = inst.n * (digits + 1)
     text = np.empty(len(header) + 2 * size + 1, dtype=np.uint8)
@@ -301,14 +315,12 @@ def write_instance(inst: Instance, destination: str | Path | IO[str]) -> None:
         nibbles = ((pairs & 0x0F) | (pairs >> 4 << 8)).view(np.uint8)[:, :digits]
         rows[:, :digits] = nibbles + np.uint8(48) + np.uint8(39) * (nibbles > 9)
         rows[:, digits] = _LF
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            fh.write(text)
-    else:
-        destination.write(text.tobytes().decode("ascii"))
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
-def _parse_header(line: str) -> dict:
+def _parse_header(line: str) -> tuple:
+    """(d, n, gamma, planted, model, seed) from a header that reads as _header_line renders them."""
     tokens = line.split(" ")
     keys = ("d", "n", "gamma", "planted", "model", "seed")
     if len(tokens) != 2 + len(keys) or tokens[0] != _MAGIC:
@@ -321,28 +333,30 @@ def _parse_header(line: str) -> dict:
         if not sep or name != key:
             raise InstanceParseError(f"line 1: expected {key}=..., got {token!r}")
         fields[key] = value
-    out = {}
+    ints = {}
     for key in ("d", "n", "gamma", "seed"):
         try:
-            out[key] = int(fields[key])
+            ints[key] = int(fields[key])
         except ValueError:
             raise InstanceParseError(f"line 1: {key} is not an integer: {fields[key]!r}") from None
-    out["planted"] = None
+    planted = None
     if fields["planted"] != "none":
         left, _, right = fields["planted"].partition(",")
         try:
-            out["planted"] = (int(left), int(right))
+            planted = (int(left), int(right))
         except ValueError:
             raise InstanceParseError(f"line 1: malformed planted field {fields['planted']!r}") from None
     try:
-        check_size(out["d"], out["n"], out["gamma"], out["planted"])
+        check_size(ints["d"], ints["n"], ints["gamma"], planted)
+        model = DistributionModel.from_token(fields["model"])
     except ValueError as exc:
         raise InstanceParseError(f"line 1: {exc}") from None
-    try:
-        out["model"] = DistributionModel.from_token(fields["model"])
-    except ValueError as exc:
-        raise InstanceParseError(f"line 1: {exc}") from None
-    return out
+    head = (ints["d"], ints["n"], ints["gamma"], planted, model, ints["seed"])
+    # int() and float() take other spellings too (+8, 0_8, 01, 3e-1): refuse them
+    for want, got in zip(_header_line(*head).split(" "), tokens):
+        if want != got:
+            raise InstanceParseError(f"line 1: expected {want!r}, got {got!r}")
+    return head
 
 
 _HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -352,23 +366,6 @@ _NIBBLE[_HEX_CHARS] = np.arange(16)
 # byte nibble(c0) | nibble(c1) << 4, above 0xFF unless both are hex digits.
 # A row of odd length pairs its last digit with its LF, which reads as 0.
 _HEX_PAIR = (_NIBBLE[None, :] | np.where(np.arange(256) == _LF, 0, _NIBBLE)[:, None] << 4).ravel()
-
-
-def _read_ascii(source: str | Path | IO[str]) -> bytes:
-    """The file's bytes; a non-ASCII character is refused with its line."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-        if raw.isascii():
-            return raw
-        text = raw.decode("latin-1")  # one character per byte, to name the stray one
-    else:
-        text = source.read()
-    try:
-        return text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        line_no = text.count("\n", 0, exc.start) + 1
-        raise InstanceParseError(f"line {line_no}: non-ASCII character {ord(text[exc.start]):#04x}") from None
 
 
 def _parse_rows(data: np.ndarray, start: int, lengths: np.ndarray, first_line_no: int, d: int) -> np.ndarray:
@@ -403,14 +400,22 @@ def _parse_rows(data: np.ndarray, start: int, lengths: np.ndarray, first_line_no
     return mat
 
 
-def read_instance(source: str | Path | IO[str]) -> Instance:
-    """Parse an instance file; raises InstanceParseError with the offending line.
+def read_instance(path: str | Path) -> Instance:
+    """Parse the instance file at path; raises InstanceParseError with the offending line.
 
     Lines are found from the offsets of every LF in the file's bytes, and
     each list is checked and decoded as one (n, digits + 1) array.  A
-    missing final LF is accepted; a CR before an LF is refused.
+    missing final LF is accepted; a CR before an LF is refused.  The header
+    must read exactly as write_instance renders its fields: integers in
+    plain decimal, the model token as printed; any other spelling is refused
+    with the token expected and the one found.
     """
-    raw = _read_ascii(source)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        at = int(np.argmax(np.frombuffer(raw, dtype=np.uint8) > 0x7F))
+        line_no = raw.count(b"\n", 0, at) + 1
+        raise InstanceParseError(f"line {line_no}: non-ASCII character {raw[at]:#04x}")
     crlf = raw.find(b"\r\n") if b"\r" in raw else -1  # the pair search is slow, a CR search is not
     if crlf >= 0:
         line_no = raw.count(b"\n", 0, crlf) + 1
@@ -421,8 +426,7 @@ def read_instance(source: str | Path | IO[str]) -> Instance:
     ends = np.flatnonzero(data == _LF)  # line k ends at ends[k - 1]
     if not ends.size:
         raise InstanceParseError("line 1: empty file")
-    head = _parse_header(raw[: ends[0]].decode("ascii"))
-    n, d = head["n"], head["d"]
+    d, n, gamma, planted, model, seed = _parse_header(raw[: ends[0]].decode("ascii"))
     expected = 1 + n + 1 + n
     if ends.size < expected:
         raise InstanceParseError(
@@ -436,15 +440,6 @@ def read_instance(source: str | Path | IO[str]) -> Instance:
     mat1 = _parse_rows(data, ends[0] + 1, lengths[:n], 2, d)
     mat2 = _parse_rows(data, ends[n + 1] + 1, lengths[n + 1 :], n + 3, d)
     try:
-        return Instance(
-            d=d,
-            n=n,
-            gamma_count=head["gamma"],
-            mat1=mat1,
-            mat2=mat2,
-            planted=head["planted"],
-            model=head["model"],
-            seed=head["seed"],
-        )
+        return Instance(d, n, gamma, mat1, mat2, planted, model, seed)
     except ValueError as exc:
         raise InstanceParseError(f"line 1: {exc}") from None

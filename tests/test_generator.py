@@ -1,5 +1,5 @@
-import io
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +35,18 @@ models = st.sampled_from(
         DistributionModel("fixed", 0.3),
         DistributionModel("bernoulli", 0.2),
         DistributionModel("poisson", 0.25),
+        # stored, and so written, as the Python floats 0.25 and 1.0
+        DistributionModel("fixed", np.float64(0.25)),
+        DistributionModel("bernoulli", 1),
     ]
 )
+
+
+def _file(tmp_path: Path, text: str) -> Path:
+    """A file in tmp_path holding text, one byte per character, with no newline translation."""
+    path = tmp_path / "inst.cpinst"
+    path.write_bytes(text.encode("latin-1"))
+    return path
 
 
 @given(st.integers(2, 80), st.integers(1, 12), st.data(), models)
@@ -51,14 +61,13 @@ def test_planted_pair_at_exact_distance(d, n, data, model):
     assert all(v.dim == d for v in inst.list1 + inst.list2)
 
 
-def test_generation_is_deterministic():
+def test_generation_is_deterministic(tmp_path):
     a = gen_instance(64, 1024, 16, UNIFORM, seed=42)
     b = gen_instance(64, 1024, 16, UNIFORM, seed=42)
     assert (a == b) is True
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_instance(a, buf_a)
-    write_instance(b, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    write_instance(a, tmp_path / "a.cpinst")
+    write_instance(b, tmp_path / "b.cpinst")
+    assert (tmp_path / "a.cpinst").read_bytes() == (tmp_path / "b.cpinst").read_bytes()
     assert gen_instance(64, 1024, 16, UNIFORM, seed=43) != a
 
 
@@ -151,7 +160,7 @@ def _refuse_in(entry, d, n, gamma_count, tmp_path, monkeypatch, capsys) -> str:
             empty = np.zeros((1, 1), dtype=np.uint64)  # the size is checked before the rows
             Instance(d, n, gamma_count, empty, empty, None, UNIFORM, 0)
         elif entry == "read_instance":
-            read_instance(io.StringIO(f"CPINST 1 d={d} n={n} gamma={gamma_count} planted=none model=uniform seed=0\n"))
+            read_instance(_file(tmp_path, f"CPINST 1 d={d} n={n} gamma={gamma_count} planted=none model=uniform seed=0\n"))
         elif entry == "BlockSpec":
             BlockSpec(d, 1)
         elif entry == "choose_params":
@@ -208,7 +217,7 @@ def test_each_instance_field_has_one_range_check(entry, d, n, gamma_count, messa
 
 
 @pytest.mark.parametrize("planted", [(5, 0), (0, 4), (-1, 2)])
-def test_planted_range_has_one_check(planted):
+def test_planted_range_has_one_check(planted, tmp_path):
     """The header and Instance refuse planted indices outside [0, n) with one message naming them and n."""
     message = f"planted indices {planted} outside [0, 4)"
     empty = np.zeros((4, 1), dtype=np.uint64)
@@ -218,7 +227,7 @@ def test_planted_range_has_one_check(planted):
     # refused at the header: no row follows it
     header = f"CPINST 1 d=8 n=4 gamma=0 planted={planted[0]},{planted[1]} model=uniform seed=0\n"
     with pytest.raises(InstanceParseError) as exc:
-        read_instance(io.StringIO(header))
+        read_instance(_file(tmp_path, header))
     assert str(exc.value) == "line 1: " + message
 
 
@@ -252,38 +261,36 @@ def test_instance_is_hashable_consistently_with_eq():
 HAND_WRITTEN = "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0\nf0\n\naa\n"
 
 
-def test_hex_rows_read_low_coordinates_first():
+def test_hex_rows_read_low_coordinates_first(tmp_path):
     """Digit order follows coordinate order: f0 is 11110000, aa is 01010101."""
-    inst = read_instance(io.StringIO(HAND_WRITTEN))
+    inst = read_instance(_file(tmp_path, HAND_WRITTEN))
     assert inst.list1[0] == from_coords(8, [1, 2, 3, 4])
     assert inst.list2[0] == from_coords(8, [2, 4, 6, 8])
     assert distance(inst.list1[0], inst.list2[0]) == 4
 
 
-def test_write_matches_hand_written_form():
-    inst = read_instance(io.StringIO(HAND_WRITTEN))
-    buf = io.StringIO()
-    write_instance(inst, buf)
-    assert buf.getvalue() == HAND_WRITTEN
+def test_write_matches_hand_written_form(tmp_path):
+    path = _file(tmp_path, HAND_WRITTEN)
+    write_instance(read_instance(path), path)
+    assert path.read_bytes() == HAND_WRITTEN.encode("ascii")
 
 
 @given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 2**32), models)
-@settings(max_examples=40)
-def test_roundtrip_through_text(d, n, seed, model):
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_roundtrip_through_text(tmp_path, d, n, seed, model):
     inst = gen_instance(d, n, min(2, d), model, seed=seed)
-    buf = io.StringIO()
-    write_instance(inst, buf)
-    back = read_instance(io.StringIO(buf.getvalue()))
-    assert back == inst
+    path = tmp_path / "inst.cpinst"
+    write_instance(inst, path)
+    assert read_instance(path) == inst
 
 
 @given(st.integers(1, 130), st.integers(1, 6), st.integers(0, 2**32), models)
-@settings(max_examples=40)
-def test_written_rows_match_scalar_hex(d, n, seed, model):
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_written_rows_match_scalar_hex(tmp_path, d, n, seed, model):
     inst = gen_instance(d, n, min(2, d), model, seed=seed)
-    buf = io.StringIO()
-    write_instance(inst, buf)
-    lines = buf.getvalue().split("\n")
+    path = tmp_path / "inst.cpinst"
+    write_instance(inst, path)
+    lines = path.read_text(encoding="ascii").split("\n")
     assert lines[1 : 1 + n] == [hex_row(v) for v in inst.list1]
     assert lines[2 + n : 2 + 2 * n] == [hex_row(v) for v in inst.list2]
 
@@ -340,45 +347,68 @@ def invalid_cases():
 
 
 @pytest.mark.parametrize("label,text,message", invalid_cases(), ids=[c[0] for c in invalid_cases()])
-def test_invalid_inputs_rejected(label, text, message):
+def test_invalid_inputs_rejected(label, text, message, tmp_path):
     with pytest.raises(InstanceParseError) as exc:
-        read_instance(io.StringIO(text))
+        read_instance(_file(tmp_path, text))
     assert str(exc.value) == message
 
 
-def test_missing_final_newline_is_accepted():
-    assert read_instance(io.StringIO(HAND_WRITTEN.removesuffix("\n"))) == read_instance(io.StringIO(HAND_WRITTEN))
+_HEADER_SPELLINGS = [
+    ("d=8", "d=0_8", "expected 'd=8', got 'd=0_8'"),
+    ("d=8", "d=+8", "expected 'd=8', got 'd=+8'"),
+    ("n=1", "n=01", "expected 'n=1', got 'n=01'"),
+    ("gamma=4", "gamma=-0", "expected 'gamma=0', got 'gamma=-0'"),
+    ("seed=0", "seed=0\t", "expected 'seed=0', got 'seed=0\\t'"),
+    ("planted=0,0", "planted=0,+0", "expected 'planted=0,0', got 'planted=0,+0'"),
+    ("planted=0,0", "planted=00,0", "expected 'planted=0,0', got 'planted=00,0'"),
+    ("model=uniform", "model=fixed:3e-1", "expected 'model=fixed:0.3', got 'model=fixed:3e-1'"),
+    ("model=uniform", "model=fixed:.3", "expected 'model=fixed:0.3', got 'model=fixed:.3'"),
+]
 
 
-def test_padding_bits_must_be_zero():
+@pytest.mark.parametrize("token, spelling, message", _HEADER_SPELLINGS, ids=[c[1] for c in _HEADER_SPELLINGS])
+def test_header_reads_only_as_written(token, spelling, message, tmp_path):
+    """int() and float() take spellings write_instance never renders; the reader refuses them at line 1.
+
+    A value out of range keeps its range message (_BAD_SIZES, invalid_cases,
+    test_planted_range_has_one_check): the range checks come first.
+    """
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(_file(tmp_path, HAND_WRITTEN.replace(token, spelling)))
+    assert str(exc.value) == "line 1: " + message
+
+
+def test_missing_final_newline_is_accepted(tmp_path):
+    assert read_instance(_file(tmp_path, HAND_WRITTEN.removesuffix("\n"))) == read_instance(_file(tmp_path, HAND_WRITTEN))
+
+
+def test_padding_bits_must_be_zero(tmp_path):
     text = "CPINST 1 d=5 n=1 gamma=0 planted=0,0 model=uniform seed=0\n1f\n\n1f\n"
     with pytest.raises(InstanceParseError, match="padding"):
-        read_instance(io.StringIO(text))
+        read_instance(_file(tmp_path, text))
 
 
-def test_parse_errors_carry_line_numbers():
+def test_parse_errors_carry_line_numbers(tmp_path):
     text = "CPINST 1 d=8 n=1 gamma=4 planted=0,0 model=uniform seed=0\nf0\n\nzz\n"
     with pytest.raises(InstanceParseError, match="line 4"):
-        read_instance(io.StringIO(text))
+        read_instance(_file(tmp_path, text))
 
 
-def test_parse_error_names_the_first_bad_line():
+def test_parse_error_names_the_first_bad_line(tmp_path):
     head = "CPINST 1 d=8 n=3 gamma=0 planted=none model=uniform seed=0\n"
     hex_then_len = head + "00\nzz\n000\n\n00\n00\n00\n"
     with pytest.raises(InstanceParseError, match="line 3: non-hex"):
-        read_instance(io.StringIO(hex_then_len))
+        read_instance(_file(tmp_path, hex_then_len))
     len_then_hex = head + "000\nzz\n00\n\n00\n00\n00\n"
     with pytest.raises(InstanceParseError, match="line 2: expected 2 hex digits"):
-        read_instance(io.StringIO(len_then_hex))
+        read_instance(_file(tmp_path, len_then_hex))
 
 
 def test_non_ascii_file_names_the_line(tmp_path):
-    p = tmp_path / "bad.cpinst"
-    p.write_bytes(HAND_WRITTEN.encode("ascii").replace(b"aa", b"a\xff"))
     with pytest.raises(InstanceParseError, match=r"line 4: non-ASCII character 0xff"):
-        read_instance(p)
-    with pytest.raises(InstanceParseError, match="line 1: non-ASCII"):
-        read_instance(io.StringIO(HAND_WRITTEN.replace("uniform", "unif\u00f6rm")))
+        read_instance(_file(tmp_path, HAND_WRITTEN.replace("aa", "a\xff")))
+    with pytest.raises(InstanceParseError, match="line 1: non-ASCII character 0xf6"):
+        read_instance(_file(tmp_path, HAND_WRITTEN.replace("uniform", "unif\u00f6rm")))
 
 
 _ROW_FAULTS = {
@@ -396,9 +426,9 @@ def test_a_corrupted_row_is_named_with_its_fault_and_line(d, data, tmp_path):
     """One fault in one row of either list: the reader names it, and the line 2 + row or n + 3 + row."""
     n = data.draw(st.integers(1, 9), label="n")
     inst = gen_instance(d, n, min(2, d), UNIFORM, seed=data.draw(st.integers(0, 2**32), label="seed"))
-    buf = io.StringIO()
-    write_instance(inst, buf)
-    lines = buf.getvalue().split("\n")
+    path = tmp_path / "inst.cpinst"
+    write_instance(inst, path)
+    lines = path.read_text(encoding="ascii").split("\n")
     second = data.draw(st.booleans(), label="list 2")
     row = data.draw(st.integers(0, n - 1), label="row")
     line_no = n + 3 + row if second else 2 + row
@@ -420,30 +450,23 @@ def test_a_corrupted_row_is_named_with_its_fault_and_line(d, data, tmp_path):
     lines[line_no - 1] = text
     fault = row_fault(text, d)
     assert _ROW_FAULTS[kind] in fault
-    path = tmp_path / "corrupt.cpinst"
-    path.write_bytes("\n".join(lines).encode("latin-1"))
-    for source in (path, io.StringIO("\n".join(lines))):
-        with pytest.raises(InstanceParseError) as exc:
-            read_instance(source)
-        assert str(exc.value) == f"line {line_no}: {fault}"
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(_file(tmp_path, "\n".join(lines)))
+    assert str(exc.value) == f"line {line_no}: {fault}"
 
 
 def test_crlf_line_endings_are_refused(tmp_path):
     """A CR before an LF names the first such line, before any other check can misread it."""
-    crlf = HAND_WRITTEN.replace("\n", "\r\n")
-    path = tmp_path / "crlf.cpinst"
-    path.write_bytes(crlf.encode("ascii"))  # a path is read as bytes, with no newline translation
-    for source in (io.StringIO(crlf), path):
-        with pytest.raises(InstanceParseError) as exc:
-            read_instance(source)
-        assert str(exc.value) == "line 1: CRLF line ending; instance files use LF"
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(_file(tmp_path, HAND_WRITTEN.replace("\n", "\r\n")))
+    assert str(exc.value) == "line 1: CRLF line ending; instance files use LF"
     # only the separator line ends in CRLF; the file is otherwise valid
     with pytest.raises(InstanceParseError) as exc:
-        read_instance(io.StringIO(HAND_WRITTEN.replace("\n\naa", "\n\r\naa")))
+        read_instance(_file(tmp_path, HAND_WRITTEN.replace("\n\naa", "\n\r\naa")))
     assert str(exc.value) == "line 3: CRLF line ending; instance files use LF"
     # a CR that no LF follows is a non-hex digit
     with pytest.raises(InstanceParseError) as exc:
-        read_instance(io.StringIO(HAND_WRITTEN.replace("aa\n", "a\r")))
+        read_instance(_file(tmp_path, HAND_WRITTEN.replace("aa\n", "a\r")))
     assert str(exc.value) == "line 4: non-hex payload 'a\\r'"
 
 
@@ -477,11 +500,5 @@ def test_file_layer_makes_no_per_row_calls(tmp_path):
         path = tmp_path / f"inst-{n}.cpinst"
         write_instance(inst, path)  # warm: first calls may import or cache
         read_instance(path)
-        text = path.read_text(encoding="ascii")
-        counts[n] = (
-            _profiled_calls(write_instance, inst, path),
-            _profiled_calls(write_instance, inst, io.StringIO()),
-            _profiled_calls(read_instance, path),
-            _profiled_calls(read_instance, io.StringIO(text)),
-        )
+        counts[n] = (_profiled_calls(write_instance, inst, path), _profiled_calls(read_instance, path))
     assert counts[64] == counts[4096]

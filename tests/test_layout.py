@@ -23,7 +23,11 @@ The library runs in the calling process and is set by its arguments alone:
 no src/ module names environ or getenv, or imports concurrent.futures,
 multiprocessing or subprocess.
 
-These rules only tighten.
+The file layer takes paths: read_instance and write_instance open the file
+themselves and work on its bytes.  No src/ module imports io or names IO,
+TextIO or StringIO, so no second, text-stream medium comes back.
+
+These rules, this one with the others, only tighten.
 """
 
 import ast
@@ -158,5 +162,18 @@ def test_no_module_reads_the_environment_or_starts_processes():
         if (any(name in ("environ", "getenv") for name, _ in _names_used(tree))
                 or any(module == banned or module.startswith(banned + ".")
                        for module in _imported_modules(tree) for banned in _PROCESS_MODULES)):
+            users.append(path.stem)
+    assert users == []
+
+
+_STREAM_NAMES = ("IO", "TextIO", "StringIO")
+
+
+def test_no_module_handles_text_streams():
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if (any(name in _STREAM_NAMES for name, _ in _names_used(tree))
+                or any(module == "io" or module.startswith("io.") for module in _imported_modules(tree))):
             users.append(path.stem)
     assert users == []
