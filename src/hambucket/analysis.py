@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitvec import BlockSpec, check_dim, n_words, round_nearest
+from .bitvec import block_bounds, check_dim, n_words, round_nearest
 from .generator import DistributionModel
 from .solver import _ELEM_BUDGET, _PAIR_BUDGET, AT_MOST, EXACT, SolverParams, Strategy, deviation
 
@@ -397,14 +397,15 @@ def _first_hit(s: np.ndarray, tries: int, slab: int) -> tuple[np.ndarray, np.nda
 def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> float:
     """Predicted seconds per success of solve() with params on two lists of n uniform rows.
 
-    The model follows the walk.  A level-i node holds n p_1 ... p_i rows a
-    side, where p_j is the share of z draws whose bucket, the window
-    SolverParams.window gives block j, takes a uniform row.  It filters them
-    against branching z draws, in slabs sized as the solver sizes them; a
-    child is inner while it holds more than naive_threshold rows and levels
-    remain, and otherwise a leaf, scanned in a ragged pass with its siblings
-    or, once it holds about half a pass of pairs, in a pass of its own.
-    Each operation costs its measured unit time (the _*_S constants).
+    The model follows the walk, levels and blocks counted from 0.  A level-i
+    node holds n p_0 ... p_(i-1) rows a side, where p_j is the share of z
+    draws whose bucket, the window SolverParams.window gives block j, takes
+    a uniform row.  It filters them against branching z draws, in slabs
+    sized as the solver sizes them; a child is inner while it holds more
+    than naive_threshold rows and levels remain, and otherwise a leaf,
+    scanned in a ragged pass with its siblings or, once it holds about half
+    a pass of pairs, in a pass of its own.  Each operation costs its
+    measured unit time (the _*_S constants).
 
     The gamma_count coordinates where the planted pair differs split over
     the blocks hypergeometrically, and the split decides, level by level,
@@ -423,22 +424,22 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
     """
     wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
     tries = params.branching
-    spec = BlockSpec(d, params.depth)
-    blocks = [(spec.width(i), *params.window(spec.width(i))) for i in range(1, params.depth + 1)]
+    blocks = [(start, stop - start, *params.window(stop - start))
+              for start, stop in block_bounds(d, params.depth)]
     # top-down: the rows per side at each level, down to the level whose
     # children are leaves
     levels, rows = [], n
-    for i, (width, lo, hi) in enumerate(blocks, 1):
+    for start, width, lo, hi in blocks:
         if rows <= params.naive_threshold:
             break
         survival = _survival_by_split(width, lo, hi, gamma_count)
-        levels.append((width, survival, d - spec.bounds(i)[0], rows))
+        levels.append((width, survival, d - start, rows))
         # a row is a pair at distance 0: p is the table's first entry
         rows *= survival[0]
     # both weights of a kept pair lie in the window, so a block keeps at most
     # 2 hi of its differences; buckets above the mean size are filtered
     # further down, so every block of the depth counts, not only those walked
-    if levels and sum(min(2 * hi, width) for width, _, hi in blocks) < gamma_count:
+    if levels and sum(min(2 * hi, width) for _, width, _, hi in blocks) < gamma_count:
         return math.inf
     # bottom-up over the pair's remaining differing coordinates r: Pr[the
     # subtree finds the pair] and the expected cost of the walk that does
@@ -535,7 +536,7 @@ def choose_params(
     def at_depth(r: int) -> SolverParams:
         b = branching
         if b is None:
-            width = BlockSpec(d, r).width(1)
+            _, width = block_bounds(d, r)[0]  # block 0 starts at bit 0
             q = block_survival(d, g_all, width, *strategy.window(round_nearest(delta * width)))
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))
         return SolverParams(

@@ -63,39 +63,18 @@ class BitVector:
             raise ValueError("padding bits beyond the dimension must be zero")
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Partition of [1, dim] into r contiguous blocks.
+def block_bounds(dim: int, r: int) -> list[tuple[int, int]]:
+    """Half-open 0-based bit ranges [start, stop) of the r contiguous blocks of [0, dim).
 
-    Blocks 1..r-1 have width k = dim // r; the last block absorbs the
-    remainder and has width k + dim mod r.
+    Blocks 0..r-2 have width dim // r; the last block absorbs the remainder
+    and has width dim // r + dim mod r.  Level i of the solver's tree
+    filters on block i.
     """
-
-    dim: int
-    r: int
-
-    def __post_init__(self):
-        check_dim(self.dim)
-        if not 1 <= self.r <= self.dim:
-            raise ValueError(f"block count must be in [1, {self.dim}], got {self.r}")
-
-    @property
-    def k(self) -> int:
-        return self.dim // self.r
-
-    def width(self, i: int) -> int:
-        self._check_index(i)
-        return self.k + (self.dim % self.r if i == self.r else 0)
-
-    def bounds(self, i: int) -> tuple[int, int]:
-        """Half-open 0-based bit range [start, stop) of block i."""
-        self._check_index(i)
-        start = (i - 1) * self.k
-        return start, start + self.width(i)
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.r:
-            raise ValueError(f"block index {i} outside [1, {self.r}]")
+    check_dim(dim)
+    if not 1 <= r <= dim:
+        raise ValueError(f"block count must be in [1, {dim}], got {r}")
+    k = dim // r
+    return [(i * k, (i + 1) * k) for i in range(r - 1)] + [((r - 1) * k, dim)]
 
 
 # --- seeded randomness -----------------------------------------------------
@@ -200,16 +179,15 @@ def block_local_rows(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def align_block_zs(zs: np.ndarray, spec: BlockSpec, i: int) -> tuple[np.ndarray, int, int, np.ndarray]:
-    """Shift block-local z rows into block i's position inside the full layout.
+def align_block_zs(zs: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """Shift block-local z rows into the bit range [start, stop) of the full layout.
 
     Returns (aligned, w0, w1, mask) where aligned has shape (count, w1 - w0)
     covering words [w0, w1) of the packed layout, and mask selects exactly
-    the block's bits within that word span.  XOR-ing a masked row slice with
-    an aligned z keeps everything outside the block at zero, so a popcount
-    of the result is the block weight.
+    the bits of [start, stop) within that word span.  XOR-ing a masked row
+    slice with an aligned z keeps everything outside the range at zero, so a
+    popcount of the result is the block weight.
     """
-    start, stop = spec.bounds(i)
     w0, w1 = start // WORD_BITS, (stop + WORD_BITS - 1) // WORD_BITS
     span = w1 - w0
     off = start - w0 * WORD_BITS

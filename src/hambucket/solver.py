@@ -2,7 +2,7 @@
 
 solve() runs P permutation rounds.  Each round walks a depth-r tree: at a
 node on level i it draws N random block-local vectors z, keeps exactly the
-elements of both current sublists whose i-th block lands within the chosen
+elements of both current sublists whose block i lands within the chosen
 radius of z, and recurses; sufficiently small sublists are finished by the
 quadratic scan.  A root that small is the naive scan, once: no round is
 walked and nothing is drawn, since permuting columns keeps every distance.
@@ -17,10 +17,11 @@ few numpy passes over its rows (uint8 block weights, one flatnonzero over
 the z-major accept matrix), then splits the hits into per-child index
 ranges, each with the offset where its list-2 rows begin.  The filter
 works on block-local words: the first time a permutation round reaches
-level i, it gathers block i + 1 of the round's column order straight from
-the stack to bit 0 of every row (bitvec.block_local_rows), the layout in
-which draw_block_zs draws z.  So a node compares its rows' block with the
-z's as drawn, and a round gathers only the blocks its walk filters.
+level i, it gathers block i of the round's column order (levels and
+blocks count from 0, bitvec.block_bounds) straight from the stack to bit 0
+of every row (bitvec.block_local_rows), the layout in which draw_block_zs
+draws z.  So a node compares its rows' block with the z's as drawn, and a
+round gathers only the blocks its walk filters.
 Distances do not depend on the column order, so leaf scans read the stack.
 
 Leaf buckets are scanned in batches.  A child is a leaf on the last level
@@ -53,9 +54,9 @@ import numpy as np
 from .bitvec import (
     MAX_DIM,
     WORD_BITS,
-    BlockSpec,
     # align_block_zs, pack_rows and permute_columns go unused: perfbench/spans.py looks them up here by name
     align_block_zs,
+    block_bounds,
     block_local_rows,
     block_weights_batch,
     draw_block_zs,
@@ -340,8 +341,8 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
     d, gamma = inst.d, inst.gamma_count
     split = inst.mat1.shape[0]
     base = np.vstack((inst.mat1, inst.mat2))
-    spec = BlockSpec(d, params.depth)
-    level_window = [params.window(spec.width(i)) for i in range(1, params.depth + 1)]
+    blocks = block_bounds(d, params.depth)
+    level_window = [params.window(stop - start) for start, stop in blocks]
 
     found: set[tuple[int, int]] = set()
     nodes = 0
@@ -384,10 +385,11 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
         """Filter an inner node's rows, list-1 rows idx[:na] first, into the buckets of its z batch."""
         nonlocal nodes, levels
         nodes += 1
+        b0, b1 = blocks[level]
         if local[level] is None:
-            local[level] = block_local_rows(base, cols[slice(*spec.bounds(level + 1))])
+            local[level] = block_local_rows(base, cols[b0:b1])
             levels = max(levels, level + 1)
-        zs = draw_block_zs(rng, params.branching, spec.width(level + 1))
+        zs = draw_block_zs(rng, params.branching, b1 - b0)
         lo, hi = level_window[level]
         sub = local[level].take(idx, 0)
         # zs has the block-local words of the rows' block
@@ -424,7 +426,7 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
     root = np.arange(base.shape[0])
     for rnd in range(params.permutations):
         # column j of the round's layout is column cols[j] of the stack; the filter
-        # at level i compares block i + 1 of the layout, which descend gathers
+        # at level i compares block i of the layout, which descend gathers
         cols = np.arange(d) if rnd == 0 else np.argsort(random_permutation(rng, d))
         local = [None] * params.depth
         if descend(root, split, 0):

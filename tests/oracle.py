@@ -29,7 +29,7 @@ import numpy as np
 from hambucket.bitvec import (
     WORD_BITS,
     BitVector,
-    BlockSpec,
+    block_bounds,
     check_dim,
     align_block_zs,
     block_weights_batch,
@@ -140,17 +140,16 @@ def complement(v: BitVector) -> BitVector:
     return from_int(v.dim, to_int(v) ^ _dim_mask(v.dim))
 
 
-def block_project(v: BitVector, spec: BlockSpec, i: int) -> BitVector:
-    """Block i of v as a block-local vector of the block's width."""
-    if v.dim != spec.dim:
-        raise ValueError("dimension mismatch")
-    start, stop = spec.bounds(i)
+def block_project(v: BitVector, start: int, stop: int) -> BitVector:
+    """The 0-based bits [start, stop) of v as a block-local vector of width stop - start."""
+    if not 0 <= start < stop <= v.dim:
+        raise ValueError(f"block [{start}, {stop}) outside [0, {v.dim})")
     return from_int(stop - start, (to_int(v) >> start) & _dim_mask(stop - start))
 
 
-def block_weight(v: BitVector, z: BitVector, spec: BlockSpec, i: int) -> int:
-    """wt(block_i(v) + z) for a block-local z of matching width."""
-    blk = block_project(v, spec, i)
+def block_weight(v: BitVector, z: BitVector, start: int, stop: int) -> int:
+    """wt(v[start:stop] + z) for a block-local z of matching width."""
+    blk = block_project(v, start, stop)
     if z.dim != blk.dim:
         raise ValueError(f"z must have the block width {blk.dim}, got {z.dim}")
     return distance(blk, z)
@@ -250,8 +249,8 @@ def partition_in_place(
     lo: int,
     hi: int,
     z,
-    spec: BlockSpec,
-    block_index: int,
+    start: int,
+    stop: int,
     delta_count: int,
     strategy: Strategy,
 ) -> int:
@@ -259,18 +258,19 @@ def partition_in_place(
 
     The single-z form of a solver node, using the solver's vectorised
     acceptance rule.  data is a packed (n, words) matrix; order holds row
-    indices into it.  z is the block-local bucket center (a BitVector of the
-    block's width, or its word array).  Returns mid with order[lo:mid]
-    accepted; the multiset of order[lo:hi] is unchanged.
+    indices into it.  The block is the 0-based bit range [start, stop); z is
+    its block-local bucket center (a BitVector of the block's width, or its
+    word array).  Returns mid with order[lo:mid] accepted; the multiset of
+    order[lo:hi] is unchanged.
     """
     if isinstance(z, BitVector):
-        if z.dim != spec.width(block_index):
-            raise ValueError(f"z width {z.dim} != block width {spec.width(block_index)}")
+        if z.dim != stop - start:
+            raise ValueError(f"z width {z.dim} != block width {stop - start}")
         z = np.array(z.words, dtype=np.uint64)
     seg = order[lo:hi]
     if seg.size == 0:
         return lo
-    aligned, w0, w1, mask = align_block_zs(z.reshape(1, -1), spec, block_index)
+    aligned, w0, w1, mask = align_block_zs(z.reshape(1, -1), start, stop)
     weights = block_weights_batch(data[seg, w0:w1] & mask, aligned)[:, 0]
     acc = _accept_mask(weights, *strategy.window(delta_count))
     order[lo:hi] = np.concatenate([seg[acc], seg[~acc]])
@@ -280,27 +280,26 @@ def partition_in_place(
 def survival_rate_probe(inst, params: SolverParams, rng: np.random.Generator, trials: int) -> float:
     """Empirical probability that the planted pair survives one exact z draw.
 
-    Uses the first block of the parameter's block layout and the exact
-    acceptance rule, the setting the closed-form survival probability
-    describes.
+    Uses block 0 of the parameter's block layout and the exact acceptance
+    rule, the setting the closed-form survival probability describes.
     """
     if inst.planted is None:
         raise ValueError("survival probe needs an instance with a planted pair")
     if trials < 1:
         raise ValueError("trials must be positive")
-    spec = BlockSpec(inst.d, params.depth)
-    width = spec.width(1)
+    start, stop = block_bounds(inst.d, params.depth)[0]
+    width = stop - start
     target = round_nearest(params.delta * width)
     i, j = inst.planted
     rows = np.stack([inst.mat1[i], inst.mat2[j]])
 
     hits = 0
     remaining = trials
-    batch = max(1, _ELEM_BUDGET // max(1, 2 * spec.dim // 64 + 2))
+    batch = max(1, _ELEM_BUDGET // max(1, 2 * inst.d // 64 + 2))
     while remaining:
         count = min(remaining, batch)
         zs = draw_block_zs(rng, count, width)
-        aligned, w0, w1, mask = align_block_zs(zs, spec, 1)
+        aligned, w0, w1, mask = align_block_zs(zs, start, stop)
         weights = block_weights_batch(rows[:, w0:w1] & mask, aligned)
         hits += int(((weights[0] == target) & (weights[1] == target)).sum())
         remaining -= count
@@ -408,10 +407,8 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
     t_start = time.perf_counter()
     d, gamma = inst.d, inst.gamma_count
     base_a, base_b = inst.mat1, inst.mat2
-    spec = BlockSpec(d, params.depth)
-    level_target = [
-        round_nearest(params.delta * spec.width(i)) for i in range(1, params.depth + 1)
-    ]
+    blocks = block_bounds(d, params.depth)
+    level_target = [round_nearest(params.delta * (stop - start)) for start, stop in blocks]
 
     found: set[tuple[int, int]] = set()
     nodes = 0
@@ -431,12 +428,11 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
         if level == params.depth or min(ia.size, ib.size) <= params.naive_threshold:
             leaf(a_mat, b_mat, ia, ib)
             return params.stop_on_first and bool(found)
-        blk = level + 1
-        levels = max(levels, blk)
-        width = spec.width(blk)
+        levels = max(levels, level + 1)
+        start, stop = blocks[level]
         target = level_target[level]
-        zs = draw_block_zs(rng, params.branching, width)
-        aligned, w0, w1, mask = align_block_zs(zs, spec, blk)
+        zs = draw_block_zs(rng, params.branching, stop - start)
+        aligned, w0, w1, mask = align_block_zs(zs, start, stop)
         sub_a = a_mat[ia, w0:w1] & mask
         sub_b = b_mat[ib, w0:w1] & mask
         slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * (w1 - w0)))

@@ -26,7 +26,7 @@ from hambucket.analysis import (
     theta_uniform,
     verify_survival_counts,
 )
-from hambucket.bitvec import BlockSpec
+from hambucket.bitvec import block_bounds
 from hambucket.generator import gen_instance
 from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest, solve
 from oracle import bucket_accept, enumerate_survival, strategy_survival_count
@@ -180,9 +180,8 @@ def test_strategy_survival_odd_distance():
     assert strategy_survival_count(12, 3, 4, deviation(1)) > 0
 
 
-def _enumerated_block_survival(d, gamma_count, spec, i, delta_count, strategy):
-    """Share of (error pattern, z) pairs that keep x = 0 and y = e in block i, by enumeration."""
-    start, stop = spec.bounds(i)
+def _enumerated_block_survival(d, gamma_count, start, stop, delta_count, strategy):
+    """Share of (error pattern, z) pairs that keep x = 0 and y = e in the block [start, stop), by enumeration."""
     width = stop - start
     kept = total = 0
     for support in itertools.combinations(range(d), gamma_count):
@@ -202,13 +201,14 @@ def test_block_survival_matches_enumeration(d, r):
     the others.  The planted difference splits over the blocks, so no
     single per-block distance reproduces it.
     """
-    spec = BlockSpec(d, r)
-    for i in (1, r):
-        width = spec.width(i)
+    blocks = block_bounds(d, r)
+    for i in (0, r - 1):
+        start, stop = blocks[i]
+        width = stop - start
         for gamma_count in (1, 2, 3):
             for strategy in (EXACT, deviation(1), AT_MOST):
                 for dc in range(width + 1):
-                    want = _enumerated_block_survival(d, gamma_count, spec, i, dc, strategy)
+                    want = _enumerated_block_survival(d, gamma_count, start, stop, dc, strategy)
                     got = block_survival(d, gamma_count, width, *strategy.window(dc))
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (d, r, i, gamma_count, strategy, dc)
 
@@ -510,36 +510,56 @@ def test_leaf_root_is_priced_as_one_round():
         d, n, gamma_count, dataclasses.replace(filtered, permutations=4))
 
 
-def test_model_prices_the_windows_the_walk_filters_with(monkeypatch):
-    """predicted_cost's survival tables are read at the windows solve filters each level with."""
-    d, n, gamma_count = 128, 2**10, 16
-    params = choose_params(d, math.log2(n) / d, gamma_count / d, strategy=deviation(1), depth=3,
-                           branching=8, permutations=1, naive_threshold=0)
-    spec = BlockSpec(d, params.depth)
-    want = [params.window(spec.width(i)) for i in range(1, params.depth + 1)]
-    assert len(set(want)) > 1  # the last block is wider and has its own window
+@pytest.mark.parametrize("d, depth", [(70, 3), (96, 5), (128, 3), (200, 3)])
+def test_model_prices_the_windows_the_walk_filters_with(monkeypatch, d, depth):
+    """Level by level, solve and predicted_cost use the same block: its bit range and its window.
 
-    walked = {}  # filter level -> windows; level i filters block i + 1
-    accept_mask = solver._accept_mask
+    Every layout has a wider last block (at d = 128 with its own window) and
+    a block that crosses a 64-bit word, so a walk or a model that reads its
+    blocks one level off fails.
+    """
+    n, gamma_count = 2**10, 16
+    params = choose_params(d, math.log2(n) / d, gamma_count / d, strategy=deviation(1), depth=depth,
+                           branching=8, permutations=1, naive_threshold=0)
+    blocks = block_bounds(d, depth)
+    assert len({stop - start for start, stop in blocks}) > 1
+    want = [params.window(stop - start) for start, stop in blocks]
+
+    walked, gathered = {}, {}  # filter level -> windows, bit ranges; level i filters block i
+    accept_mask, local_rows = solver._accept_mask, solver.block_local_rows
 
     def record_walk(weights, lo, hi):
         walked.setdefault(sys._getframe(1).f_locals["level"], set()).add((lo, hi))
         return accept_mask(weights, lo, hi)
 
+    def record_gather(mat, cols):
+        # round 0 keeps the identity column order, so cols is the block's range
+        gathered[sys._getframe(1).f_locals["level"]] = (int(cols[0]), int(cols[-1]) + 1)
+        return local_rows(mat, cols)
+
     monkeypatch.setattr(solver, "_accept_mask", record_walk)
+    monkeypatch.setattr(solver, "block_local_rows", record_gather)
     solve(gen_instance(d, n, gamma_count, UNIFORM, seed=3), params, np.random.default_rng(0))
     assert [walked[level] for level in range(params.depth)] == [{w} for w in want]
+    assert [gathered[level] for level in range(params.depth)] == blocks
 
-    priced = []
-    survival = analysis._survival_by_split
+    priced, rests = [], []
+    survival, split_probs = analysis._survival_by_split, analysis._split_probs
 
     def record_model(width, lo, hi, gmax):
         priced.append((lo, hi))
         return survival(width, lo, hi, gmax)
 
+    def record_split(rest, width, gmax):
+        rests.append((rest, width))
+        return split_probs(rest, width, gmax)
+
     monkeypatch.setattr(analysis, "_survival_by_split", record_model)
+    monkeypatch.setattr(analysis, "_split_probs", record_split)
     assert math.isfinite(predicted_cost.__wrapped__(d, n, gamma_count, params))
     assert priced == want
+    # the model prices its levels bottom-up; a level's rest is the bits from its block on
+    assert rests[::-1] == [(d - start, stop - start) for start, stop in blocks]
 
 
 def test_choose_params_refuses_a_parity_blocked_pair():

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hambucket.bitvec import (
+    MAX_DIM,
     BitVector,
-    BlockSpec,
     align_block_zs,
+    block_bounds,
     block_local_rows,
     block_weights_batch,
     derive_seed,
@@ -110,23 +111,40 @@ def test_distance_symmetry_and_triangle(data):
     assert distance(u, w) <= distance(u, v) + distance(v, w)
 
 
-def test_block_spec_widths():
-    spec = BlockSpec(70, 3)
+def test_block_bounds_widths():
     # remainder lands on the last block
-    assert [spec.width(i) for i in (1, 2, 3)] == [23, 23, 24]
-    assert spec.bounds(1) == (0, 23)
-    assert spec.bounds(3) == (46, 70)
-    assert sum(spec.width(i) for i in range(1, 4)) == 70
+    assert block_bounds(70, 3) == [(0, 23), (23, 46), (46, 70)]
+
+
+@given(st.data())
+def test_block_bounds_partition(data):
+    """r contiguous ranges from 0 to d: r - 1 of width d // r, the last one d // r + d % r wide."""
+    d = data.draw(st.integers(1, 1100))
+    r = data.draw(st.integers(1, d))
+    blocks = block_bounds(d, r)
+    assert len(blocks) == r
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == d
+    assert [stop - start for start, stop in blocks] == [d // r] * (r - 1) + [d // r + d % r]
+    with pytest.raises(ValueError, match=rf"^block count must be in \[1, {d}\], got 0$"):
+        block_bounds(d, 0)
+    with pytest.raises(ValueError, match=rf"^block count must be in \[1, {d}\], got {d + 1}$"):
+        block_bounds(d, d + 1)
+
+
+@pytest.mark.parametrize("d", [0, -1, MAX_DIM + 1])
+def test_block_bounds_refuses_d_outside_the_range(d):
+    with pytest.raises(ValueError, match=rf"^d outside \[1, {MAX_DIM}\]: {d}$"):
+        block_bounds(d, 1)
 
 
 def test_block_weight_example():
-    spec = BlockSpec(8, 2)
     v = from_coords(8, [1, 2, 5])
     z = from_coords(4, [1])
-    # block 1 of v is 1100 -> xor with 1000 leaves weight 1
-    assert block_weight(v, z, spec, 1) == 1
+    # block 0 of v is 1100 -> xor with 1000 leaves weight 1
+    assert block_weight(v, z, *block_bounds(8, 2)[0]) == 1
     z2 = zeros(4)
-    assert block_weight(v, z2, spec, 2) == 1
+    assert block_weight(v, z2, *block_bounds(8, 2)[1]) == 1
 
 
 @given(st.data())
@@ -135,12 +153,8 @@ def test_block_weights_sum_to_distance(data):
     r = data.draw(st.integers(min_value=1, max_value=min(6, d)))
     u = data.draw(vectors(dim=d))
     v = data.draw(vectors(dim=d))
-    spec = BlockSpec(d, r)
     diff = xor(u, v)
-    total = sum(
-        block_weight(block_project(diff, spec, i), zeros(spec.width(i)), BlockSpec(spec.width(i), 1), 1)
-        for i in range(1, r + 1)
-    )
+    total = sum(block_weight(diff, zeros(stop - start), start, stop) for start, stop in block_bounds(d, r))
     assert total == distance(u, v)
 
 
@@ -221,61 +235,59 @@ def test_batched_block_weights_match_scalar(data):
     """The aligned z batch must agree with block_weight vector by vector."""
     d = data.draw(st.integers(min_value=4, max_value=150))
     r = data.draw(st.integers(1, min(4, d // 2)))
-    spec = BlockSpec(d, r)
-    i = data.draw(st.integers(1, r))
+    start, stop = block_bounds(d, r)[data.draw(st.integers(1, r)) - 1]
     rng = make_rng(data.draw(st.integers(0, 2**32)))
     vs = [random_vector(rng, d) for _ in range(5)]
-    zs = draw_block_zs(rng, 3, spec.width(i))
-    aligned, w0, w1, mask = align_block_zs(zs, spec, i)
+    zs = draw_block_zs(rng, 3, stop - start)
+    aligned, w0, w1, mask = align_block_zs(zs, start, stop)
     mat = pack_rows(vs)
     got = block_weights_batch(mat[:, w0:w1] & mask, aligned)
-    zvecs = rows_to_vectors(spec.width(i), zs)
+    zvecs = rows_to_vectors(stop - start, zs)
     for a, v in enumerate(vs):
         for b, z in enumerate(zvecs):
-            assert got[a, b] == block_weight(v, z, spec, i)
+            assert got[a, b] == block_weight(v, z, start, stop)
 
 
 @pytest.mark.parametrize("d, r", [(1024, 2), (600, 2), (600, 3), (600, 4)])
 def test_block_weights_batch_wide_and_word_crossing_blocks(d, r):
     """Counts past 255 must not wrap; spans of at most three words stay uint8."""
-    spec = BlockSpec(d, r)
     rng = make_rng(d + r)
     ones = complement(zeros(d))
     vs = [zeros(d), ones] + [random_vector(rng, d) for _ in range(4)]
     mat = pack_rows(vs)
-    for i in range(1, r + 1):
-        width = spec.width(i)
+    for start, stop in block_bounds(d, r):
+        width = stop - start
         zs = np.vstack([np.zeros((1, n_words(width)), dtype=np.uint64), draw_block_zs(rng, 3, width)])
-        aligned, w0, w1, mask = align_block_zs(zs, spec, i)
+        aligned, w0, w1, mask = align_block_zs(zs, start, stop)
         got = block_weights_batch(mat[:, w0:w1] & mask, aligned)
         assert got.dtype == (np.uint8 if (w1 - w0) * 64 <= 255 else np.int32)
-        want = [[block_weight(v, z, spec, i) for z in rows_to_vectors(width, zs)] for v in vs]
+        want = [[block_weight(v, z, start, stop) for z in rows_to_vectors(width, zs)] for v in vs]
         assert got.tolist() == want
         assert got[1, 0] == width  # all-ones row against the zero z
 
 
-def check_block_local_rows(spec: BlockSpec, i: int, rng) -> None:
+def check_block_local_rows(d: int, start: int, stop: int, rng) -> None:
     """block_local_rows against block_project and block_weight, row by row and z by z.
 
-    Block i is gathered from its own columns, and from the source columns
-    of block i of a permuted layout, argsort(perm)[start:stop].
+    The block [start, stop) of d-bit rows is gathered from its own columns,
+    and from the source columns of the same block of a permuted layout,
+    argsort(perm)[start:stop].
     """
-    d, width = spec.dim, spec.width(i)
-    start, stop = spec.bounds(i)
+    width = stop - start
     vs = [zeros(d), complement(zeros(d))] + [random_vector(rng, d) for _ in range(3)]
     mat = pack_rows(vs)
     local = block_local_rows(mat, np.arange(start, stop))
-    assert [unpack_row(width, row) for row in local] == [block_project(v, spec, i) for v in vs]
+    assert [unpack_row(width, row) for row in local] == [block_project(v, start, stop) for v in vs]
     zs = np.vstack([np.zeros((1, n_words(width)), dtype=np.uint64), draw_block_zs(rng, 3, width)])
     got = block_weights_batch(local, zs)
     assert got.dtype == (np.uint8 if n_words(width) * 64 <= 255 else np.int32)
-    want = [[block_weight(v, z, spec, i) for z in rows_to_vectors(width, zs)] for v in vs]
+    want = [[block_weight(v, z, start, stop) for z in rows_to_vectors(width, zs)] for v in vs]
     assert got.tolist() == want
     assert got[1, 0] == width  # all-ones row against the zero z
     perm = random_permutation(rng, d)
     gathered = block_local_rows(mat, np.argsort(perm)[start:stop])
     assert np.array_equal(gathered, block_local_rows(reference_permute_columns(mat, perm), np.arange(start, stop)))
-    assert [unpack_row(width, row) for row in gathered] == [block_project(apply_permutation(v, perm), spec, i)
+    assert [unpack_row(width, row) for row in gathered] == [block_project(apply_permutation(v, perm), start, stop)
                                                             for v in vs]
 
 
@@ -285,22 +297,25 @@ def test_block_local_rows_match_scalar(data):
     """Every block of every layout, at any offset into its first word."""
     d = data.draw(st.integers(1, 1100))
     r = data.draw(st.one_of(st.integers(1, min(d, 6)), st.integers(1, d)))
-    spec = BlockSpec(d, r)
-    check_block_local_rows(spec, data.draw(st.integers(1, r)), make_rng(data.draw(st.integers(0, 2**32))))
+    start, stop = block_bounds(d, r)[data.draw(st.integers(1, r)) - 1]
+    check_block_local_rows(d, start, stop, make_rng(data.draw(st.integers(0, 2**32))))
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 255, 256, 300])
 def test_block_local_rows_widths_across_words(width):
     """Blocks at word offsets 0, width and 2 * width; for width > 1 also a last
     block of this width that starts one bit before a multiple of width."""
-    layouts = [(BlockSpec(3 * width, 3), i) for i in (1, 2, 3)]
+    layouts = [(3 * width, 3, i) for i in (0, 1, 2)]
     if width > 1:
-        layouts.append((BlockSpec(2 * width - 1, 2), 2))
-    for spec, i in layouts:
-        assert spec.width(i) == width
-        check_block_local_rows(spec, i, make_rng(width + i))
+        layouts.append((2 * width - 1, 2, 1))
+    crossing = []
+    for d, r, i in layouts:
+        start, stop = block_bounds(d, r)[i]
+        assert stop - start == width
+        check_block_local_rows(d, start, stop, make_rng(width + i + 1))
+        if start // 64 != (stop - 1) // 64:
+            crossing.append((start, stop))
     # every width above 1 gets at least one block that crosses a word boundary
-    crossing = [spec.bounds(i) for spec, i in layouts if spec.bounds(i)[0] // 64 != (spec.bounds(i)[1] - 1) // 64]
     assert crossing or width == 1
 
 

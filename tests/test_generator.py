@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hambucket import bench, cli, generator
 from hambucket.analysis import DistributionModel, choose_params
-from hambucket.bitvec import BlockSpec, make_rng, pack_rows
+from hambucket.bitvec import block_bounds, make_rng, pack_rows
 from hambucket.generator import (
     Instance,
     InstanceParseError,
@@ -161,8 +161,8 @@ def _refuse_in(entry, d, n, gamma_count, tmp_path, monkeypatch, capsys) -> str:
             Instance(d, n, gamma_count, empty, empty, None, UNIFORM, 0)
         elif entry == "read_instance":
             read_instance(_file(tmp_path, f"CPINST 1 d={d} n={n} gamma={gamma_count} planted=none model=uniform seed=0\n"))
-        elif entry == "BlockSpec":
-            BlockSpec(d, 1)
+        elif entry == "block_bounds":
+            block_bounds(d, 1)
         elif entry == "choose_params":
             choose_params(d, 0.5, 0.125)
         else:
@@ -185,7 +185,7 @@ def _refuse_in(entry, d, n, gamma_count, tmp_path, monkeypatch, capsys) -> str:
 
 
 # One field out of range each, and the message every check of it gives.
-# BlockSpec and choose_params take d alone; bench's gamma is relative, so
+# block_bounds and choose_params take d alone; bench's gamma is relative, so
 # only its d and n can leave the instance format.
 _BAD_SIZES = [
     ("d", 0, 4, 0, "d outside [1, 1048576]: 0"),
@@ -199,7 +199,7 @@ _ENTRIES = {
     "gen_instance": ("d", "n", "gamma"),
     "Instance": ("d", "n", "gamma"),
     "read_instance": ("d", "n", "gamma"),
-    "BlockSpec": ("d",),
+    "block_bounds": ("d",),
     "choose_params": ("d",),
     "gen": ("d", "n", "gamma"),
     "bench": ("d", "n"),

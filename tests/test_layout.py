@@ -1,11 +1,11 @@
 """Library code only for the callers it has.
 
-Every public module-level function, class or classmethod in src/hambucket
-must be named somewhere other than its own definition: in a src/ module
-other than __init__.py (whose exports do not count as a use), or in any
-perfbench/ file.  A name counts when it occurs as an identifier, an
-attribute or an import.  Scalar helpers that only the tests call belong in
-tests/oracle.py.
+Every public module-level function or class in src/hambucket, and every
+public method, classmethod or property of such a class, must be named
+somewhere other than its own definition: in a src/ module other than
+__init__.py (whose exports do not count as a use), or in any perfbench/
+file.  A name counts when it occurs as an identifier, an attribute or an
+import.  Scalar helpers that only the tests call belong in tests/oracle.py.
 
 Every name a src/ module other than __init__.py imports must be used in
 that module, unless a perfbench/ file names it, as an identifier or as a
@@ -39,16 +39,14 @@ PERFBENCH = ROOT / "perfbench"
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, definition node) for each public module-level function, class and classmethod."""
+    """(name, definition node) for each public module-level function and class, and each public function of a class."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                        and any(isinstance(dec, ast.Name) and dec.id == "classmethod"
-                                for dec in item.decorator_list)):
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield item.name, item
 
 

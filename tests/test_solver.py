@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hambucket.analysis import DistributionModel, choose_params
 from hambucket import bitvec, solver
 from hambucket.bitvec import (
-    BlockSpec,
+    block_bounds,
     draw_block_zs,
     make_rng,
     mask_pad,
@@ -238,40 +238,39 @@ def test_strategy_refuses_a_deviation_width_beyond_max_dim():
 def test_partition_prefix_matches_accept_rule(data):
     d = data.draw(st.integers(4, 100))
     r = data.draw(st.integers(1, min(4, d // 2)))
-    spec = BlockSpec(d, r)
-    blk = data.draw(st.integers(1, r))
+    start, stop = block_bounds(d, r)[data.draw(st.integers(1, r)) - 1]
     rng = make_rng(data.draw(st.integers(0, 2**32)))
     vs = [random_vector(rng, d) for _ in range(data.draw(st.integers(1, 30)))]
     n = len(vs)
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n))
-    z = random_vector(rng, spec.width(blk))
-    dc = data.draw(st.integers(0, spec.width(blk)))
+    z = random_vector(rng, stop - start)
+    dc = data.draw(st.integers(0, stop - start))
     strat = data.draw(st.sampled_from([EXACT, deviation(1), AT_MOST]))
 
     order = np.arange(n, dtype=np.int64)
     before = order.copy()
-    mid = partition_in_place(pack_rows(vs), order, lo, hi, z, spec, blk, dc, strat)
+    mid = partition_in_place(pack_rows(vs), order, lo, hi, z, start, stop, dc, strat)
 
     assert sorted(order[lo:hi]) == sorted(before[lo:hi])
     assert np.array_equal(order[:lo], before[:lo])
     assert np.array_equal(order[hi:], before[hi:])
     for idx in order[lo:mid]:
-        assert bucket_accept(block_weight(vs[idx], z, spec, blk), dc, strat)
+        assert bucket_accept(block_weight(vs[idx], z, start, stop), dc, strat)
     for idx in order[mid:hi]:
-        assert not bucket_accept(block_weight(vs[idx], z, spec, blk), dc, strat)
+        assert not bucket_accept(block_weight(vs[idx], z, start, stop), dc, strat)
 
 
 def test_partition_is_stable():
     rng = make_rng(8)
     d = 16
     vs = [random_vector(rng, d) for _ in range(40)]
-    spec = BlockSpec(d, 2)
+    start, stop = block_bounds(d, 2)[0]
     z = random_vector(rng, 8)
     order = np.arange(40, dtype=np.int64)
-    mid = partition_in_place(pack_rows(vs), order, 0, 40, z, spec, 1, 4, AT_MOST)
+    mid = partition_in_place(pack_rows(vs), order, 0, 40, z, start, stop, 4, AT_MOST)
     accepted = [i for i in range(40)
-                if bucket_accept(block_weight(vs[i], z, spec, 1), 4, AT_MOST)]
+                if bucket_accept(block_weight(vs[i], z, start, stop), 4, AT_MOST)]
     assert order[:mid].tolist() == accepted
     assert order[mid:].tolist() == [i for i in range(40) if i not in accepted]
 
@@ -280,7 +279,7 @@ def test_partition_rejects_wrong_z_width():
     vs = [zeros(8)]
     with pytest.raises(ValueError):
         partition_in_place(pack_rows(vs), np.arange(1), 0, 1,
-                           zeros(3), BlockSpec(8, 2), 1, 2, EXACT)
+                           zeros(3), *block_bounds(8, 2)[0], 2, EXACT)
 
 
 # --- solve --------------------------------------------------------------------
@@ -435,13 +434,13 @@ def test_parity_with_leaf_and_inner_siblings(stop_on_first):
     base = SolverParams(depth=3, branching=8, permutations=2, delta=0.4, strategy=deviation(2),
                         naive_threshold=0, stop_on_first=stop_on_first)
     # the root draws its z batch first, so the same seed reproduces its buckets
-    spec = BlockSpec(96, 3)
-    target = round_nearest(base.delta * spec.width(1))
-    zs = draw_block_zs(make_rng(5), base.branching, spec.width(1))
+    start, stop = block_bounds(96, 3)[0]
+    target = round_nearest(base.delta * (stop - start))
+    zs = draw_block_zs(make_rng(5), base.branching, stop - start)
     sizes = []
     for z in zs:
-        zv = unpack_row(spec.width(1), z)
-        na, nb = (sum(bucket_accept(block_weight(unpack_row(96, row), zv, spec, 1), target, base.strategy)
+        zv = unpack_row(stop - start, z)
+        na, nb = (sum(bucket_accept(block_weight(unpack_row(96, row), zv, start, stop), target, base.strategy)
                       for row in mat) for mat in (inst.mat1, inst.mat2))
         if na and nb:
             sizes.append(min(na, nb))
