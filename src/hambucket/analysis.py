@@ -248,7 +248,10 @@ _FILTER_S = 2.5e-9  # per row x z draw x block-local word, weights through accep
 _SLAB_S = 150e-6  # per filter slab: nonzero, bucket edges and the visit of its children
 _NODE_S = 150e-6  # per inner node: its z draw and row gathers
 _BATCH_PAIR_S = 7.2e-9  # per row pair in a ragged pass over many leaf buckets
-_SCAN_PAIR_S = 2.8e-9  # per row pair in a leaf bucket scanned by its own _scan_pairs pass
+# a bucket in a pass of its own is one broadcast up to _PAIR_BUDGET pairs and
+# _scan_pairs' row chunks above it, as a leaf root is; both costs were fitted
+# when every such pass went through _scan_pairs (ROADMAP item 12 refits them)
+_SCAN_PAIR_S = 2.8e-9  # per row pair in a leaf bucket scanned in a pass of its own
 _SCAN_PASS_S = 30e-6  # per such pass
 _SOLVE_S = 370e-6  # per solve call: stacking the lists, round 0's gathers, final distance checks
 _WIDE_ROW = 1.3  # pair costs of rows longer than one word, relative to one word

@@ -212,7 +212,8 @@ def block_weights_batch(sub: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Pairwise block weights between rows and z draws of one block layout.
 
     sub is (m, w) and zs is (s, w), both block-local: the rows from
-    block_local_rows and the z's from draw_block_zs.  The result is the
+    block_local_rows and the z's from draw_block_zs, either both uint64 or,
+    for a block of at most 32 bits, both cast to uint32.  The result is the
     (m, s) weight matrix, uint8 while the w words hold at most 255 bits and
     int32 beyond.  The kernel is symmetric in its arguments: (zs, sub)
     gives the (s, m) transpose, the z-major matrix the solver filters with.

@@ -13,28 +13,33 @@ Both lists are walked as one stacked matrix, list 2 below list 1, since
 every node filters both with the same z draws: a node is one index array
 into the stack, its list-1 rows first.  Candidate filtering is vectorized:
 each node evaluates the bucket criterion for a whole batch of z draws in a
-few numpy passes over its rows (uint8 block weights, one flatnonzero over
-the z-major accept matrix), then splits the hits into per-child index
-ranges, each with the offset where its list-2 rows begin.  The filter
-works on block-local words: the first time a permutation round reaches
-level i, it gathers block i of the round's column order (levels and
-blocks count from 0, bitvec.block_bounds) straight from the stack to bit 0
-of every row (bitvec.block_local_rows), the layout in which draw_block_zs
-draws z.  So a node compares its rows' block with the z's as drawn, and a
-round gathers only the blocks its walk filters.
+few numpy passes over its rows (uint8 block weights from XOR and popcount
+of block-local words, one flatnonzero over the z-major accept matrix), then
+splits the hits into per-child index ranges, each with the offset where its
+list-2 rows begin.  The filter works on block-local words: the first time
+a permutation round reaches level i, it gathers block i of the round's
+column order (levels and blocks count from 0, bitvec.block_bounds)
+straight from the stack to bit 0 of every row (bitvec.block_local_rows),
+the layout in which draw_block_zs draws z.  So a node compares its rows'
+block with the z's as drawn, and a round gathers only the blocks its walk
+filters.  A block of at most 32 bits is held as uint32, rows and z's alike,
+which halves the bytes the filter reads; the z's are drawn as uint64, so
+the random stream does not depend on the width.
 Distances do not depend on the column order, so leaf scans read the stack.
 
 Leaf buckets are scanned in batches.  A child is a leaf on the last level
 or when its smaller side has at most naive_threshold rows.  A run of
-consecutive leaf children is scanned in one gather, XOR and popcount pass
-over all of their row pairs, and the results are committed in child order:
+consecutive leaf children is packed into passes of at most _PAIR_BUDGET row
+pairs, or one child above it, and the results are committed in child order:
 each child counts as a node, adds its pairs to the comparisons and its hits
-to the matches.  A run of one child is sliced at its list-2 offset; a longer
-run is split into its sides by row id.  With stop_on_first the commit ends
-at the first child with a hit, so the counters are those of scanning leaf
-by leaf and stopping there; pairs the pass scanned beyond that child are
-not counted.  Leaves draw no random numbers, so inner children still draw
-their z batches in the same order.
+to the matches.  A pass over one child is one broadcast XOR and popcount of
+its two sides' words (a child above the budget goes through _scan_pairs in
+row chunks); a pass over several is one ragged gather over all of their
+row pairs.  With stop_on_first the commit ends at the first child with a
+hit, so the counters are those of scanning leaf by leaf and stopping there;
+pairs the pass scanned beyond that child are not counted.  Leaves draw no
+random numbers, so inner children still draw their z batches in the same
+order.
 
 The leaf scans and the naive baseline share one kernel, _pair_hits.  It
 compares word 0 for every pair and adds the other words one at a time.  A
@@ -66,7 +71,7 @@ from .bitvec import (
     round_nearest,
 )
 
-# Work per numpy pass: uint64 elements per filter slab, and row pairs per
+# Work per numpy pass: block-local words per filter slab, and row pairs per
 # scan pass (a scan's bulk temporaries hold one word per pair, see
 # _pair_hits).  Timed alone on 1-word rows, a batched leaf pass costs about
 # 2.5x more per pair above about 19k pairs, but inside solve its temporaries
@@ -251,18 +256,39 @@ def _pair_hits(dense_word, pair_rows, cols_a, cols_b, gamma_count: int, collect:
     return hit if collect else hit.size
 
 
+def _one_bucket_hits(mat, rows_a, rows_b, gamma_count: int):
+    """Scan one bucket: every pair of a row of rows_a with a row of rows_b.
+
+    Returns (i, j) arrays, the row ids in mat of the pairs at gamma_count in
+    row-major order, or None when no pair hits.  Up to _PAIR_BUDGET pairs are
+    one broadcast pass over the rows' word columns; a larger bucket goes
+    through _scan_pairs in row chunks, so memory stays bounded.
+    """
+    sub_a, sub_b = mat.take(rows_a, 0), mat.take(rows_b, 0)
+    if rows_a.size * rows_b.size > _PAIR_BUDGET:
+        _, hit_a, hit_b = _scan_pairs(sub_a, sub_b, gamma_count, True)
+    else:
+        n_b, cols_a, cols_b = rows_b.size, sub_a.T, sub_b.T
+        hit = _pair_hits(
+            lambda t: np.bitwise_count(cols_a[t][:, None] ^ cols_b[t][None, :]).ravel(),
+            lambda pos: np.divmod(pos, n_b),
+            cols_a, cols_b, gamma_count,
+        )
+        if not hit.size:
+            return None
+        hit_a, hit_b = np.divmod(hit, n_b)
+    return (rows_a[hit_a], rows_b[hit_b]) if hit_a.size else None
+
+
 def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
-    """Scan a run of buckets in one pass: each bucket's full cross product.
+    """Scan a run of buckets in one ragged pass: each bucket's full cross product.
 
     mat holds list 1 in rows below split and list 2 from split on.  Bucket k
     is the k-th segment of rows: na[k] list-1 rows, then nb[k] list-2 rows.
     Returns (i, j, k) arrays for the pairs at gamma_count, ordered by bucket:
-    the pair's list-1 and list-2 row ids in mat, and the bucket holding it.
+    the pair's list-1 and list-2 row ids in mat, and the bucket holding it;
+    None when no pair hits.
     """
-    if na.size == 1:
-        sub = mat.take(rows, 0)
-        _, hit_i, hit_j = _scan_pairs(sub[: na[0]], sub[na[0] :], gamma_count, True)
-        return rows[hit_i], rows[na[0] + hit_j], np.zeros(hit_i.size, dtype=np.intp)
     side_a = rows < split
     rows_a, rows_b = rows[side_a], rows[~side_a]
     # flatten the pairs a-row by a-row: each a-row meets the nb[k] b-rows of
@@ -280,6 +306,8 @@ def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
         lambda pos: (np.repeat(np.arange(per_row.size, dtype=np.int32), per_row)[pos], pb[pos]),
         cols_a, cols_b, gamma_count,
     )
+    if not hit.size:
+        return None
     # the a-row of a pair is the one whose run of per_row pairs holds it
     pa = np.searchsorted(end_pair, hit, side="right")
     bucket = np.searchsorted(np.cumsum(na * nb), hit, side="right")
@@ -343,6 +371,8 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
     base = np.vstack((inst.mat1, inst.mat2))
     blocks = block_bounds(d, params.depth)
     level_window = [params.window(stop - start) for start, stop in blocks]
+    # a block of at most 32 bits is filtered as uint32: half the bytes per xor and popcount
+    level_dtype = [np.uint32 if stop - start <= 32 else np.uint64 for start, stop in blocks]
 
     found: set[tuple[int, int]] = set()
     nodes = 0
@@ -354,31 +384,44 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
 
         Child j holds rows sel[start[j]:start[j + 1]], its list-2 rows from
         mid[j] on; a child with an empty side is no node.  One pass scans up
-        to _PAIR_BUDGET pairs.  Returns True when stop_on_first ends the walk
-        at a child with a hit; later children stay uncounted.
+        to _PAIR_BUDGET pairs, or one child above it; the passes are packed in
+        Python ints.  Returns True when stop_on_first ends the walk at a child
+        with a hit; later children stay uncounted.
         """
         nonlocal nodes, comparisons
-        na = mid[lo:hi] - start[lo:hi]
-        nb = start[lo + 1 : hi + 1] - mid[lo:hi]
-        pairs = na * nb
-        cum = np.concatenate(([0], np.cumsum(pairs)))
-        k0 = 0
-        while k0 < hi - lo:
-            k1 = int(np.searchsorted(cum, cum[k0] + _PAIR_BUDGET, side="right")) - 1
-            k1 = min(max(k1, k0 + 1), hi - lo)
-            if cum[k1] > cum[k0]:
-                rows = sel[start[lo + k0] : start[lo + k1]]
-                hit_i, hit_j, hit_k = _bucket_hits(base, rows, na[k0:k1], nb[k0:k1], split, gamma)
-                if hit_k.size and params.stop_on_first:
-                    k1 = k0 + int(hit_k[0]) + 1
+        na, nb = mid[lo:hi] - start[lo:hi], start[lo + 1 : hi + 1] - mid[lo:hi]
+        pairs = (na * nb).tolist()
+        offs, mids = start[lo : hi + 1].tolist(), mid[lo:hi].tolist()
+        k = 0
+        while k < hi - lo:
+            if not pairs[k]:
+                k += 1
+                continue
+            # a pass takes children from k0 on while their pairs fit _PAIR_BUDGET;
+            # end - 1 is the last of them with pairs
+            k0, total, live = k, pairs[k], 1
+            end = k = k0 + 1
+            while k < hi - lo and total + pairs[k] <= _PAIR_BUDGET:
+                if pairs[k]:
+                    total, live, end = total + pairs[k], live + 1, k + 1
+                k += 1
+            if live == 1:
+                hits = _one_bucket_hits(base, sel[offs[k0] : mids[k0]], sel[mids[k0] : offs[end]], gamma)
+            else:
+                hits = _bucket_hits(base, sel[offs[k0] : offs[end]], na[k0:end], nb[k0:end], split, gamma)
+                if hits is not None and params.stop_on_first:
+                    # commit up to the first child with a hit, and only its hits
+                    hit_i, hit_j, hit_k = hits
                     first = hit_k == hit_k[0]
-                    hit_i, hit_j = hit_i[first], hit_j[first]
-                nodes += int(np.count_nonzero(pairs[k0:k1]))
-                comparisons += int(cum[k1] - cum[k0])
-                found.update(zip(hit_i.tolist(), (hit_j - split).tolist()))
-                if params.stop_on_first and found:
+                    hits = hit_i[first], hit_j[first]
+                    done = pairs[k0 : k0 + int(hit_k[0]) + 1]
+                    live, total = len(done) - done.count(0), sum(done)
+            nodes += live
+            comparisons += total
+            if hits is not None:
+                found.update(zip(hits[0].tolist(), (hits[1] - split).tolist()))
+                if params.stop_on_first:
                     return True
-            k0 = k1
         return False
 
     def descend(idx, na: int, level: int) -> bool:
@@ -387,9 +430,9 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
         nodes += 1
         b0, b1 = blocks[level]
         if local[level] is None:
-            local[level] = block_local_rows(base, cols[b0:b1])
+            local[level] = block_local_rows(base, cols[b0:b1]).astype(level_dtype[level], copy=False)
             levels = max(levels, level + 1)
-        zs = draw_block_zs(rng, params.branching, b1 - b0)
+        zs = draw_block_zs(rng, params.branching, b1 - b0).astype(level_dtype[level], copy=False)
         lo, hi = level_window[level]
         sub = local[level].take(idx, 0)
         # zs has the block-local words of the rows' block

@@ -9,6 +9,7 @@ from hambucket.analysis import DistributionModel, choose_params
 from hambucket import bitvec, solver
 from hambucket.bitvec import (
     block_bounds,
+    block_weights_batch,
     draw_block_zs,
     make_rng,
     mask_pad,
@@ -23,6 +24,7 @@ from hambucket.solver import (
     MatchPair,
     _accept_mask,
     _bucket_hits,
+    _one_bucket_hits,
     _scan_pairs,
     SolverParams,
     Strategy,
@@ -121,6 +123,11 @@ def test_pruned_scan_matches_unpruned_reference(d):
         assert _scan_pairs(mat_a, mat_b, g, False)[0] == want_count
 
 
+def hit_list(hits):
+    """A leaf pass's hit arrays as a list of tuples, one per pair; None has no pair."""
+    return [] if hits is None else list(zip(*(x.tolist() for x in hits)))
+
+
 @pytest.mark.parametrize("d", [64, 128, 200, 600])
 def test_batched_leaf_pass_matches_per_bucket_scans(d):
     """The pairs a batched leaf pass reports, bucket by bucket, are the unpruned scan's.
@@ -129,7 +136,8 @@ def test_batched_leaf_pass_matches_per_bucket_scans(d):
     the tested gammas (or 256 more), so each gamma has hits; gammas from 64
     up keep several words dense before the pass follows the few pairs left.
     The lists are stacked as the solver stacks them, list 2 from row n on,
-    and each bucket is also scanned alone, the pass for a single bucket.
+    and each bucket is also scanned alone, by a ragged pass and by the
+    broadcast pass for a single bucket.
     """
     rng = make_rng(d + 1)
     n = 120
@@ -161,10 +169,11 @@ def test_batched_leaf_pass_matches_per_bucket_scans(d):
                 _, r, c = unpruned_scan_pairs(mat_a[sa], mat_b[sb], g, True)
                 alone = [(int(sa[i]), int(sb[j]) + n, 0) for i, j in zip(r, c)]
                 got_alone = _bucket_hits(mat, buckets[k], na[k : k + 1], nb[k : k + 1], n, g)
-                assert list(zip(*(x.tolist() for x in got_alone))) == alone
+                assert hit_list(got_alone) == alone
+                assert hit_list(_one_bucket_hits(mat, sa, sb + n, g)) == [(i, j) for i, j, _ in alone]
                 want += [(i, j, k) for i, j, _ in alone]
         assert want
-        assert list(zip(*(x.tolist() for x in got))) == want
+        assert hit_list(got) == want
         assert (got[0] < n).all() and (got[1] >= n).all()
 
 
@@ -450,6 +459,88 @@ def test_parity_with_leaf_and_inner_siblings(stop_on_first):
     got = solve(inst, params, make_rng(5))
     assert report_key(got) == report_key(reference_solve(inst, params, make_rng(5)))
     assert got.levels >= 2
+
+
+@pytest.mark.parametrize("d, depth", [(64, 2), (65, 2), (96, 3)])
+@pytest.mark.parametrize("stop_on_first", [False, True])
+def test_parity_at_the_uint32_block_boundary(monkeypatch, d, depth, stop_on_first):
+    """Blocks of 32 bits are filtered as uint32, a 33-bit block as uint64; reports and draws stay the reference's."""
+    inst = gen_instance(d, 160, 8, UNIFORM, seed=d)
+    params = SolverParams(depth=depth, branching=8, permutations=3, delta=0.45, strategy=deviation(1),
+                          naive_threshold=0, stop_on_first=stop_on_first)
+    want_rng = make_rng(11)
+    want = reference_solve(inst, params, want_rng)
+    dtypes = set()
+
+    def weights(zs, rows):
+        dtypes.add((zs.dtype, rows.dtype))
+        return block_weights_batch(zs, rows)
+
+    monkeypatch.setattr(solver, "block_weights_batch", weights)
+    rng = make_rng(11)
+    got = solve(inst, params, rng)
+    assert report_key(got) == report_key(want)
+    assert got.levels == depth
+    assert repr(rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+    u32, u64 = np.dtype(np.uint32), np.dtype(np.uint64)
+    assert dtypes == ({(u32, u32), (u64, u64)} if d == 65 else {(u32, u32)})
+
+
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("stop_on_first", [False, True])
+def test_leaf_buckets_within_the_pair_budget_skip_the_chunked_scan(monkeypatch, d, stop_on_first):
+    """A leaf bucket within _PAIR_BUDGET is one broadcast pass, or part of a ragged one: never _scan_pairs.
+
+    The root's exact window takes about a seventh (d=64) or a tenth (d=128)
+    of each list into a bucket, so single buckets of 10k-30k pairs fill
+    passes of their own next to ragged passes over several smaller ones.
+    """
+    n = 1024
+    inst = gen_instance(d, n, 8, UNIFORM, seed=d)
+    params = SolverParams(depth=2, branching=16, permutations=2, delta=0.5, strategy=EXACT,
+                          naive_threshold=n - 1, stop_on_first=stop_on_first)
+    want = reference_solve(inst, params, make_rng(3))
+    one_bucket = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chunked scan called")
+
+    def spy(mat, rows_a, rows_b, gamma_count):
+        one_bucket.append(rows_a.size * rows_b.size)
+        return _one_bucket_hits(mat, rows_a, rows_b, gamma_count)
+
+    monkeypatch.setattr(solver, "_scan_pairs", refuse)
+    monkeypatch.setattr(solver, "_one_bucket_hits", spy)
+    got = solve(inst, params, make_rng(3))
+    assert report_key(got) == report_key(want)
+    assert got.levels == 1
+    assert one_bucket and max(one_bucket) <= solver._PAIR_BUDGET
+
+
+@pytest.mark.parametrize("d", [64, 200])
+def test_one_bucket_above_the_pair_budget_is_scanned_in_chunks(monkeypatch, d):
+    """A 200 x 200 bucket exceeds _PAIR_BUDGET: _scan_pairs scans it in row chunks, as the unpruned scan."""
+    rng = make_rng(d + 2)
+    n = 200
+    assert n * n > solver._PAIR_BUDGET
+    mat_a = mask_pad(rng.integers(0, 1 << 64, size=(n, n_words(d)), dtype=np.uint64), d)
+    flips = np.zeros((n, d), dtype=np.uint8)
+    for i in range(0, n, 7):
+        flips[i, rng.permutation(d)[:12]] = 1
+    mat_b = (mat_a ^ pack_bit_matrix(flips))[rng.permutation(n)]
+    mat = np.vstack((mat_a, mat_b))
+    chunked = []
+
+    def spy(*args):
+        chunked.append(args[0].shape[0])
+        return _scan_pairs(*args)
+
+    monkeypatch.setattr(solver, "_scan_pairs", spy)
+    _, r, c = unpruned_scan_pairs(mat_a, mat_b, 12, True)
+    assert r.size >= n // 7
+    got = _one_bucket_hits(mat, np.arange(n), np.arange(n, 2 * n), 12)
+    assert hit_list(got) == list(zip(r.tolist(), (c + n).tolist()))
+    assert chunked == [n]
 
 
 # --- survival probe -----------------------------------------------------------
