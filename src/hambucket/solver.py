@@ -46,11 +46,19 @@ compares word 0 for every pair and adds the other words one at a time.  A
 pair whose distance over its first words already exceeds gamma cannot hit,
 so once at most an eighth of the pairs are left in the running only those
 are followed.
+
+The walk and the naive scan run their kernels with a small ufunc buffer
+(_small_ufunc_buffer).  numpy copies a broadcast operand through that
+buffer whenever the broadcast's inner axis is short, which at the default
+8192 elements made a 64 x 512 XOR cost about two and a half times what it
+costs with a 64-element buffer.  The kernels compute only integers, so the
+buffer size cannot change a result.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -78,9 +86,16 @@ from .bitvec import (
 # are not faulted in afresh (48 d=64 solves: 0-140 minor faults in all), and
 # with equal reports the median time-to-solution was lowest at this
 # _PAIR_BUDGET: against half and a quarter of it at d=128, and twice it at
-# d=64 (2-vCPU VM; ROADMAP item 9).
+# d=64 (2-vCPU VM; ROADMAP item 9).  Both were tuned while broadcasts still
+# went through numpy's default ufunc buffer, and were kept: they feed
+# analysis.predicted_cost, so moving them moves choose_params.
 _ELEM_BUDGET = 1 << 18
 _PAIR_BUDGET = _ELEM_BUDGET >> 3
+# Elements in numpy's ufunc buffer while the kernels run (_small_ufunc_buffer).
+# On the one-word leaf kernel 16 to 256 cost the same per pair, and from 512
+# on a 157 x 157 broadcast is copied again; 64 and 128 filtered 70-row nodes
+# fastest, and 64 gave the lowest time-to-solution at d=64 (2-vCPU VM).
+_UFUNC_BUFFER = 64
 
 
 @dataclass(frozen=True)
@@ -185,6 +200,19 @@ class SolveReport:
     naive_comparisons: int
     wall_time: float
     planted_found: Optional[bool]
+
+
+@contextmanager
+def _small_ufunc_buffer():
+    """Run the block with a ufunc buffer of _UFUNC_BUFFER elements.
+
+    errstate restores the caller's buffer size and error handling on exit,
+    an exception included.  Only integer kernels may run inside: a float
+    reduction can depend on the buffer size.
+    """
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFFER)
+        yield
 
 
 def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
@@ -319,7 +347,8 @@ def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    _, rows, cols = _scan_pairs(inst.mat1, inst.mat2, g, True)
+    with _small_ufunc_buffer():
+        _, rows, cols = _scan_pairs(inst.mat1, inst.mat2, g, True)
     return [MatchPair(i, j, g) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
@@ -328,7 +357,8 @@ def naive_count(inst, gamma_count: int | None = None) -> int:
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    total, _, _ = _scan_pairs(inst.mat1, inst.mat2, g, False)
+    with _small_ufunc_buffer():
+        total, _, _ = _scan_pairs(inst.mat1, inst.mat2, g, False)
     return total
 
 
@@ -343,7 +373,8 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     if inst.n <= params.naive_threshold:
         matches, nodes, levels, comparisons = naive_search(inst), 1, 0, inst.n * inst.n
     else:
-        matches, nodes, levels, comparisons = _walk(inst, params, rng)
+        with _small_ufunc_buffer():
+            matches, nodes, levels, comparisons = _walk(inst, params, rng)
     return SolveReport(
         matches=tuple(matches),
         nodes_visited=nodes,

@@ -27,6 +27,10 @@ The file layer takes paths: read_instance and write_instance open the file
 themselves and work on its bytes.  No src/ module imports io or names IO,
 TextIO or StringIO, so no second, text-stream medium comes back.
 
+numpy's global state is set in one place: its setters (setbufsize, seterr,
+seterrcall) appear in src/ only in solver._small_ufunc_buffer, inside a
+`with np.errstate()` block that restores the caller's state on exit.
+
 These rules, this one with the others, only tighten.
 """
 
@@ -175,3 +179,32 @@ def test_no_module_handles_text_streams():
                 or any(module == "io" or module.startswith("io.") for module in _imported_modules(tree))):
             users.append(path.stem)
     assert users == []
+
+
+_NUMPY_SETTERS = ("setbufsize", "seterr", "seterrcall")
+
+
+def numpy_setter_uses() -> list[tuple[str, str, bool]]:
+    """(module, enclosing function, inside a `with np.errstate()` block) for each use of a numpy state setter in src/."""
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for name, node in _names_used(tree):
+            if name not in _NUMPY_SETTERS:
+                continue
+            function, errstate, up = None, False, node
+            while up in parent:
+                up = parent[up]
+                if isinstance(up, ast.With):
+                    errstate |= any(isinstance(item.context_expr, ast.Call)
+                                    and isinstance(item.context_expr.func, ast.Attribute)
+                                    and item.context_expr.func.attr == "errstate" for item in up.items)
+                elif isinstance(up, ast.FunctionDef) and function is None:
+                    function = up.name
+            uses.append((path.stem, function, errstate))
+    return uses
+
+
+def test_numpy_state_is_set_only_in_the_solver_scope():
+    assert numpy_setter_uses() == [("solver", "_small_ufunc_buffer", True)]

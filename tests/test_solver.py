@@ -25,6 +25,7 @@ from hambucket.solver import (
     _accept_mask,
     _bucket_hits,
     _one_bucket_hits,
+    _pair_hits,
     _scan_pairs,
     SolverParams,
     Strategy,
@@ -541,6 +542,100 @@ def test_one_bucket_above_the_pair_budget_is_scanned_in_chunks(monkeypatch, d):
     got = _one_bucket_hits(mat, np.arange(n), np.arange(n, 2 * n), 12)
     assert hit_list(got) == list(zip(r.tolist(), (c + n).tolist()))
     assert chunked == [n]
+
+
+def test_kernels_run_in_one_scope_that_restores_numpy_state(monkeypatch):
+    """solve, naive_count and naive_search run their kernels with the small ufunc buffer and leave numpy's state as they found it.
+
+    That holds when a call raises too: before its scan, or from a kernel in
+    the middle of a walk.
+    """
+    inst = gen_instance(64, 256, 8, UNIFORM, seed=2)
+    params = SolverParams(depth=2, branching=16, permutations=2, delta=0.5, strategy=deviation(1),
+                          naive_threshold=16, stop_on_first=False)
+    buffers = []
+
+    def spy(*args):
+        buffers.append(np.getbufsize())
+        return _pair_hits(*args)
+
+    monkeypatch.setattr(solver, "_pair_hits", spy)
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(4096)
+        state = np.getbufsize(), np.geterr()
+        assert solve(inst, params, make_rng(1)).levels == 2
+        assert naive_count(inst) == len(naive_search(inst)) >= 1
+        assert (np.getbufsize(), np.geterr()) == state
+        with pytest.raises(ValueError, match="gamma_count outside"):
+            naive_count(inst, gamma_count=-1)
+        assert (np.getbufsize(), np.geterr()) == state
+        calls = []
+
+        def failing(zs, rows):
+            calls.append(np.getbufsize())
+            if len(calls) == 3:
+                raise RuntimeError("kernel failed")
+            return block_weights_batch(zs, rows)
+
+        monkeypatch.setattr(solver, "block_weights_batch", failing)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            solve(inst, params, make_rng(1))
+        assert (np.getbufsize(), np.geterr()) == state
+    assert buffers and set(buffers + calls) == {solver._UFUNC_BUFFER}
+
+
+def greedy_passes(pairs: list[int]) -> list[list[int]]:
+    """Children's pair counts packed in order: a pass takes children while their pairs fit _PAIR_BUDGET, at least one."""
+    passes, total = [], 0
+    for p in filter(None, pairs):
+        if passes and total + p <= solver._PAIR_BUDGET:
+            passes[-1].append(p)
+            total += p
+        else:
+            passes.append([p])
+            total = p
+    return passes
+
+
+def test_leaf_passes_are_the_greedy_packing_under_the_pair_budget(monkeypatch):
+    """On the d=128 fixed-weight config, each root slab's leaf children are packed greedily into passes.
+
+    The root is the only node filtered there, so a slab's children are one
+    run of leaves.  Their pair counts come from the slab's accept mask: row
+    k is bucket k, with list 1's rows in the first n columns.  With
+    stop_on_first the last slab's passes end at the one with the hit.
+    """
+    n = 1024
+    inst = gen_instance(128, n, 16, DistributionModel("fixed", 0.3), seed=4)
+    params = choose_params(128, math.log2(n) / 128, 16 / 128, strategy=deviation(1), stop_on_first=True)
+    slabs = []  # per slab: the children's pair counts, and the passes made over them
+
+    def mask_spy(weights, lo, hi):
+        acc = _accept_mask(weights, lo, hi)
+        slabs.append(((acc[:, :n].sum(1) * acc[:, n:].sum(1)).tolist(), []))
+        return acc
+
+    def one_spy(mat, rows_a, rows_b, gamma_count):
+        slabs[-1][1].append([rows_a.size * rows_b.size])
+        return _one_bucket_hits(mat, rows_a, rows_b, gamma_count)
+
+    def ragged_spy(mat, rows, na, nb, split, gamma_count):
+        slabs[-1][1].append([p for p in (na * nb).tolist() if p])
+        return _bucket_hits(mat, rows, na, nb, split, gamma_count)
+
+    monkeypatch.setattr(solver, "_accept_mask", mask_spy)
+    monkeypatch.setattr(solver, "_one_bucket_hits", one_spy)
+    monkeypatch.setattr(solver, "_bucket_hits", ragged_spy)
+    rep = solve(inst, params, make_rng(6))
+    assert rep.levels == 1 and rep.planted_found
+    packed = 0
+    for k, (pairs, passes) in enumerate(slabs):
+        want = greedy_passes(pairs)
+        if k == len(slabs) - 1:
+            want = want[: len(passes)]
+        assert passes == want
+        packed += sum(len(p) > 1 for p in passes)
+    assert packed
 
 
 # --- survival probe -----------------------------------------------------------
