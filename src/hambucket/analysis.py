@@ -406,12 +406,14 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
     The model follows the walk, levels and blocks counted from 0.  A level-i
     node holds n p_0 ... p_(i-1) rows a side, where p_j is the share of z
     draws whose bucket, the window SolverParams.window gives block j, takes
-    a uniform row.  It filters them against branching z draws, in slabs
-    sized as the solver sizes them; a child is inner while it holds more
-    than naive_threshold rows and levels remain, and otherwise a leaf,
-    scanned in a ragged pass with its siblings or, once it holds about half
-    a pass of pairs, in a pass of its own.  Each operation costs its
-    measured unit time (the _*_S constants).
+    a uniform row.  It filters them against branching z draws, in slabs of
+    _ELEM_BUDGET block-local words: the solver's slab in a full round.  A
+    stop-on-first walk weighs a quarter of that a slab, so the model
+    overprices the filter work such a walk does past its hit.  A child is
+    inner while it holds more than naive_threshold rows and levels remain,
+    and otherwise a leaf, scanned in a ragged pass with its siblings or,
+    once it holds about half a pass of pairs, in a pass of its own.  Each
+    operation costs its measured unit time (the _*_S constants).
 
     The gamma_count coordinates where the planted pair differs split over
     the blocks hypergeometrically, and the split decides, level by level,

@@ -12,11 +12,16 @@ contains a false positive.
 Both lists are walked as one stacked matrix, list 2 below list 1, since
 every node filters both with the same z draws: a node is one index array
 into the stack, its list-1 rows first.  Candidate filtering is vectorized:
-each node evaluates the bucket criterion for a whole batch of z draws in a
-few numpy passes over its rows (uint8 block weights from XOR and popcount
-of block-local words, one flatnonzero over the z-major accept matrix), then
-splits the hits into per-child index ranges, each with the offset where its
-list-2 rows begin.  The filter works on block-local words: the first time
+each node draws its whole z batch, then weighs its rows against a slab of
+z's at a time in a few numpy passes (uint8 block weights from XOR and
+popcount of block-local words, then the z-major accept matrix's hits, read
+eight bytes at a time by _sparse_flatnonzero), splits the slab's hits into
+per-child index ranges, each with the offset where its list-2 rows begin,
+and visits those children before it weighs the next slab.  A slab holds
+_ELEM_BUDGET block-local words in a full round and a quarter of that when
+the walk stops at its first hit, so less of the batch past the hit is
+weighed; the draws and the order of the children do not depend on it.
+The filter works on block-local words: the first time
 a permutation round reaches level i, it gathers block i of the round's
 column order (levels and blocks count from 0, bitvec.block_bounds)
 straight from the stack to bit 0 of every row (bitvec.block_local_rows),
@@ -79,8 +84,8 @@ from .bitvec import (
     round_nearest,
 )
 
-# Work per numpy pass: block-local words per filter slab, and row pairs per
-# scan pass (a scan's bulk temporaries hold one word per pair, see
+# Work per numpy pass: block-local words per filter slab in a full round, and
+# row pairs per scan pass (a scan's bulk temporaries hold one word per pair, see
 # _pair_hits).  Timed alone on 1-word rows, a batched leaf pass costs about
 # 2.5x more per pair above about 19k pairs, but inside solve its temporaries
 # are not faulted in afresh (48 d=64 solves: 0-140 minor faults in all), and
@@ -91,6 +96,16 @@ from .bitvec import (
 # analysis.predicted_cost, so moving them moves choose_params.
 _ELEM_BUDGET = 1 << 18
 _PAIR_BUDGET = _ELEM_BUDGET >> 3
+# Block-local words per filter slab when the walk stops at its first hit.
+# The filter weighs at most one slab past the child with the hit: at the
+# d=128, n=2^10 root a full slab is 128 z's, and the planted pair turns up
+# after about 77 children.  With equal reports, 2^15 was slower than 2^16 and
+# 2^17 within noise of it (median per-search ratio to 2^16: 1.01-1.05 for
+# 2^17, over 288 searches at each of d=64, n=2^12 and d=128, n=2^10; 2-vCPU
+# VM).  Full rounds keep _ELEM_BUDGET: scan_leaves packs passes within one
+# slab, and quarter slabs made those searches 1.18-1.23x slower.
+# predicted_cost prices every slab at _ELEM_BUDGET (ROADMAP item 12).
+_FIRST_HIT_ELEM_BUDGET = _ELEM_BUDGET >> 2
 # Elements in numpy's ufunc buffer while the kernels run (_small_ufunc_buffer).
 # On the one-word leaf kernel 16 to 256 cost the same per pair, and from 512
 # on a 157 x 157 broadcast is copied again; 64 and 128 filtered 70-row nodes
@@ -213,6 +228,28 @@ def _small_ufunc_buffer():
     with np.errstate():
         np.setbufsize(_UFUNC_BUFFER)
         yield
+
+
+def _sparse_flatnonzero(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero of a bool array, read eight bytes at a time.
+
+    The prefix of whole 8-byte groups is viewed as uint64: one bool pass
+    finds the groups that hold a hit, and only their bytes are searched; the
+    tail goes through np.flatnonzero.  Once more than half of the groups hold
+    a hit (above about 8% density) the two passes cost more than one, and the
+    mask goes through np.flatnonzero whole.
+    """
+    flat = mask.ravel()
+    head = flat.size & ~7
+    words = flat[:head].view(np.uint64)
+    groups = np.flatnonzero(words != 0)
+    if 2 * groups.size > words.size:
+        return np.flatnonzero(flat)
+    pos = np.flatnonzero(words[groups].view(np.bool_))
+    hits = (groups[pos >> 3] << 3) | (pos & 7)
+    if head == flat.size:
+        return hits
+    return np.concatenate((hits, np.flatnonzero(flat[head:]) + head))
 
 
 def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
@@ -404,6 +441,7 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
     level_window = [params.window(stop - start) for start, stop in blocks]
     # a block of at most 32 bits is filtered as uint32: half the bytes per xor and popcount
     level_dtype = [np.uint32 if stop - start <= 32 else np.uint64 for start, stop in blocks]
+    elem_budget = _FIRST_HIT_ELEM_BUDGET if params.stop_on_first else _ELEM_BUDGET
 
     found: set[tuple[int, int]] = set()
     nodes = 0
@@ -467,13 +505,13 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
         lo, hi = level_window[level]
         sub = local[level].take(idx, 0)
         # zs has the block-local words of the rows' block
-        slab = max(1, _ELEM_BUDGET // max(1, idx.size * zs.shape[1]))
+        slab = max(1, elem_budget // max(1, idx.size * zs.shape[1]))
         for s0 in range(0, params.branching, slab):
             za = zs[s0 : s0 + slab]
             # a z-major accept matrix (the weight helper is symmetric in its
             # arguments), so each bucket's members sit contiguously, list-1
-            # rows first, after one flatnonzero pass
-            flat = np.flatnonzero(_accept_mask(block_weights_batch(za, sub), lo, hi))
+            # rows first, in its flat hit positions
+            flat = _sparse_flatnonzero(_accept_mask(block_weights_batch(za, sub), lo, hi))
             edges = np.arange(za.shape[0] + 1) * idx.size
             start = np.searchsorted(flat, edges)
             mid = np.searchsorted(flat, edges[:-1] + na)

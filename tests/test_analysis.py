@@ -482,6 +482,19 @@ def test_choose_params_depth_against_measured_grid(config):
     assert params.depth in acceptable
 
 
+@pytest.mark.parametrize("d, log_n, gamma_count, depth, delta", [
+    (64, 12, 8, 3, 0.2507723646431871),  # solve-d64-uniform
+    (128, 10, 16, 3, 0.3369549996940838),  # solve-d128-fixed
+    (64, 9, 8, 1, 0.28290206059286704),  # exponent-sweep: the root is one leaf
+])
+def test_benchmark_walks_are_pinned(d, log_n, gamma_count, depth, delta):
+    """The parameters perfbench's searches run with, so a cost-model edit cannot move them unseen."""
+    params = choose_params(d, log_n / d, gamma_count / d, strategy=deviation(1), stop_on_first=True)
+    assert params == dataclasses.replace(params, depth=depth, branching=512, permutations=4,
+                                         strategy=deviation(1), naive_threshold=512, stop_on_first=True)
+    assert params.delta == pytest.approx(delta, rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [32, 64, 128])
 @pytest.mark.parametrize("n", [64, 100, 512, 1024, 4096, 2**15])
 def test_default_threshold_rule(d, n):

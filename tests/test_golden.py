@@ -115,10 +115,10 @@ def test_block_weights_before_the_first_hit(monkeypatch):
         return got
 
     # naive_threshold=128 keeps the walks these counts were recorded from
-    assert solves(naive_threshold=128) == [(560, 293863, 499712, True), (185, 44776, 524006, True),
-                                           (2901, 716247, 1572352, True), (1320, 161120, 737792, True)]
-    assert solves() == [(78, 268745, 262144, True), (6, 99860, 262144, True),
-                        (211, 650309, 524288, True), (32, 129847, 262144, True)]
+    assert solves(naive_threshold=128) == [(560, 293863, 434176, True), (185, 44776, 196156, True),
+                                           (2901, 716247, 1506816, True), (1320, 161120, 541184, True)]
+    assert solves() == [(78, 268745, 196608, True), (6, 99860, 65536, True),
+                        (211, 650309, 458752, True), (32, 129847, 65536, True)]
 
 
 def test_large_buckets_are_scanned(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -636,6 +637,89 @@ def test_leaf_passes_are_the_greedy_packing_under_the_pair_budget(monkeypatch):
         assert passes == want
         packed += sum(len(p) > 1 for p in passes)
     assert packed
+
+
+@pytest.mark.parametrize("shape", [(k,) for k in range(18)] + [(8193,), (3, 1021), (32, 8191), (7, 13)])
+@pytest.mark.parametrize("density", [0.0, 1e-4, 0.038, 0.083, 0.2, 1.0])
+def test_sparse_flatnonzero_is_flatnonzero(shape, density):
+    """The filter's 8-byte hit extraction equals np.flatnonzero, values and dtype, past its fallback density too."""
+    mask = np.random.default_rng(shape[-1]).random(shape) < density
+    got, want = solver._sparse_flatnonzero(mask), np.flatnonzero(mask)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+# the benchmark's two solve configs at their chosen parameters, and the d=128
+# walk at naive_threshold=128, which filters below the root and stops there
+FIRST_HIT_WALKS = {
+    "d64-uniform": (64, 4096, 8, UNIFORM, {}),
+    "d128-fixed": (128, 1024, 16, DistributionModel("fixed", 0.3), {}),
+    "d128-recursive": (128, 1024, 16, DistributionModel("fixed", 0.3), {"naive_threshold": 128}),
+}
+
+
+def weighed_solve(monkeypatch, inst, params, seed: int, full_slabs: bool):
+    """Run solve(); returns its report, its rng, and [calls, rows x z, rows of the last call] of block_weights_batch.
+
+    full_slabs sizes stop-on-first slabs at _ELEM_BUDGET, as full rounds are.
+    """
+    count = [0, 0, 0]
+
+    def counting(zs, rows):
+        count[0] += 1
+        count[1] += zs.shape[0] * rows.shape[0]
+        count[2] = rows.shape[0]
+        return block_weights_batch(zs, rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "block_weights_batch", counting)
+        if full_slabs:
+            m.setattr(solver, "_FIRST_HIT_ELEM_BUDGET", solver._ELEM_BUDGET)
+        rng = make_rng(seed)
+        rep = solve(inst, params, rng)
+    return rep, rng, count
+
+
+def first_hit_walk(name):
+    d, n, gamma_count, model, threshold = FIRST_HIT_WALKS[name]
+    inst = gen_instance(d, n, gamma_count, model, seed=7)
+    params = choose_params(d, math.log2(n) / d, gamma_count / d, strategy=deviation(1), stop_on_first=True,
+                           **threshold)
+    return inst, params
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_HIT_WALKS))
+def test_first_hit_walks_weigh_quarter_slabs(monkeypatch, name):
+    """With stop_on_first the filter weighs no more past the hit than full slabs do, and the walk is the reference's.
+
+    The z batch is drawn whole and the children are visited in z order,
+    so only the rows x z weighed after the child with the hit can change.
+    """
+    inst, params = first_hit_walk(name)
+    fewer = []  # per seed that weighs fewer: the rows of the node it stopped in
+    for seed in range(4):
+        rep, rng, (_, weighed, last_rows) = weighed_solve(monkeypatch, inst, params, seed, False)
+        want_rng = make_rng(seed)
+        assert report_key(rep) == report_key(reference_solve(inst, params, want_rng))
+        assert repr(rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        _, _, (_, full, _) = weighed_solve(monkeypatch, inst, params, seed, True)
+        assert weighed <= full
+        if weighed < full:
+            fewer.append(last_rows)
+    assert fewer
+    if name == "d128-recursive":
+        assert min(fewer) < 2 * inst.n  # a walk that stopped inside a batch below the root
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_HIT_WALKS))
+def test_full_rounds_weigh_full_slabs(monkeypatch, name):
+    """Without stop_on_first the slabs stay at _ELEM_BUDGET: the same weight calls and rows x z as full slabs."""
+    inst, params = first_hit_walk(name)
+    params = dataclasses.replace(params, stop_on_first=False, permutations=1)
+    got, _, got_count = weighed_solve(monkeypatch, inst, params, 3, False)
+    want, _, want_count = weighed_solve(monkeypatch, inst, params, 3, True)
+    assert report_key(got) == report_key(want)
+    assert got_count[:2] == want_count[:2]
 
 
 # --- survival probe -----------------------------------------------------------
