@@ -248,11 +248,11 @@ _FILTER_S = 2.5e-9  # per row x z draw x block-local word, weights through accep
 _SLAB_S = 150e-6  # per filter slab: nonzero, bucket edges and the visit of its children
 _NODE_S = 150e-6  # per inner node: its z draw and row gathers
 _BATCH_PAIR_S = 7.2e-9  # per row pair in a ragged pass over many leaf buckets
-# a bucket in a pass of its own is one broadcast up to _PAIR_BUDGET pairs and
-# _scan_pairs' row chunks above it, as a leaf root is; both costs were fitted
-# when every such pass went through _scan_pairs and numpy's default ufunc
-# buffer.  The solver now runs its kernels with a small buffer, so they
-# overprice these passes by more; ROADMAP item 12 refits them, and with them
+# a bucket in a pass of its own goes through solver._scan_pairs, as a leaf
+# root does: one broadcast up to _PAIR_BUDGET pairs, row chunks above it.
+# Both costs were fitted when that scan concatenated its hits on every pass
+# and ran with numpy's default ufunc buffer.  It does neither now, so they
+# overprice these passes; ROADMAP item 12 refits them, and with them
 # choose_params' picks
 _SCAN_PAIR_S = 2.8e-9  # per row pair in a leaf bucket scanned in a pass of its own
 _SCAN_PASS_S = 30e-6  # per such pass

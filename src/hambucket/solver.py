@@ -37,20 +37,21 @@ or when its smaller side has at most naive_threshold rows.  A run of
 consecutive leaf children is packed into passes of at most _PAIR_BUDGET row
 pairs, or one child above it, and the results are committed in child order:
 each child counts as a node, adds its pairs to the comparisons and its hits
-to the matches.  A pass over one child is one broadcast XOR and popcount of
-its two sides' words (a child above the budget goes through _scan_pairs in
-row chunks); a pass over several is one ragged gather over all of their
-row pairs.  With stop_on_first the commit ends at the first child with a
-hit, so the counters are those of scanning leaf by leaf and stopping there;
-pairs the pass scanned beyond that child are not counted.  Leaves draw no
-random numbers, so inner children still draw their z batches in the same
-order.
+to the matches.  A pass over one child is the cross scan the naive baseline
+runs, _scan_pairs: one broadcast XOR and popcount of its two sides' words,
+or row chunks of at most _PAIR_BUDGET pairs for a child above the budget,
+so memory stays bounded.  A pass over several children is one ragged
+gather over all of their row pairs (_bucket_hits).  With stop_on_first the
+commit ends at the first child with a hit, so the counters are those of
+scanning leaf by leaf and stopping there; pairs the pass scanned beyond
+that child are not counted.  Leaves draw no random numbers, so inner
+children still draw their z batches in the same order.
 
-The leaf scans and the naive baseline share one kernel, _pair_hits.  It
-compares word 0 for every pair and adds the other words one at a time.  A
-pair whose distance over its first words already exceeds gamma cannot hit,
-so once at most an eighth of the pairs are left in the running only those
-are followed.
+_scan_pairs and the ragged pass share one kernel, _pair_hits.  It compares
+word 0 for every pair and adds the other words one at a time.  A pair whose
+distance over its first words already exceeds gamma cannot hit, so once at
+most an eighth of the pairs are left in the running only those are
+followed.
 
 The walk and the naive scan run their kernels with a small ufunc buffer
 (_small_ufunc_buffer).  numpy copies a broadcast operand through that
@@ -253,33 +254,32 @@ def _sparse_flatnonzero(mask: np.ndarray) -> np.ndarray:
 
 
 def _scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
-    """Full cross scan in row chunks; returns (hit_count, hit_rows, hit_cols).
+    """Cross scan of every row of mat_a with every row of mat_b, which holds at least one row.
 
-    With collect the hits come as row-major index arrays, otherwise as None.
-    Each chunk goes through _pair_hits, pruned word by word.
+    With collect returns (i, j), the row indices of the pairs at gamma_count
+    in row-major order, or None when no pair hits; otherwise their number.
+    The rows of mat_a go in chunks of at most _PAIR_BUDGET pairs (one row
+    when a row of mat_a alone has more), each one broadcast pass through
+    _pair_hits, so a scan within the budget is one pass.
     """
-    n_b = mat_b.shape[0]
-    chunk = max(1, _PAIR_BUDGET // max(1, n_b))
+    n_b = len(mat_b)
+    chunk = _PAIR_BUDGET // n_b or 1
+    # each word column contiguous: strided ones made naive_count 1.3x slower at d=128, n=2^10
     cols_b = np.ascontiguousarray(mat_b.T)
-    total = 0
-    rows, cols = [], []
-    for lo in range(0, mat_a.shape[0], chunk):
+    found = []
+    for lo in range(0, len(mat_a), chunk):
         cols_a = mat_a[lo : lo + chunk].T
-        found = _pair_hits(
-            lambda t: np.bitwise_count(cols_a[t][:, None] ^ cols_b[t][None, :]).ravel(),
+        hit = _pair_hits(
+            lambda t: np.bitwise_count(cols_a[t, :, None] ^ cols_b[t]).ravel(),
             lambda pos: np.divmod(pos, n_b),
             cols_a, cols_b, gamma_count, collect,
         )
-        if not collect:
-            total += found
-            continue
-        r, c = np.divmod(found, n_b)
-        total += r.size
-        rows.append(r + lo)
-        cols.append(c)
+        # pair (i, j) of the whole scan has flat index i * n_b + j
+        found.append(hit + lo * n_b if lo and collect else hit)
     if not collect:
-        return total, None, None
-    return total, np.concatenate(rows), np.concatenate(cols)
+        return sum(found)
+    hit = found[0] if len(found) == 1 else np.concatenate(found)
+    return np.divmod(hit, n_b) if hit.size else None
 
 
 def _pair_hits(dense_word, pair_rows, cols_a, cols_b, gamma_count: int, collect: bool = True):
@@ -321,30 +321,6 @@ def _pair_hits(dense_word, pair_rows, cols_a, cols_b, gamma_count: int, collect:
     return hit if collect else hit.size
 
 
-def _one_bucket_hits(mat, rows_a, rows_b, gamma_count: int):
-    """Scan one bucket: every pair of a row of rows_a with a row of rows_b.
-
-    Returns (i, j) arrays, the row ids in mat of the pairs at gamma_count in
-    row-major order, or None when no pair hits.  Up to _PAIR_BUDGET pairs are
-    one broadcast pass over the rows' word columns; a larger bucket goes
-    through _scan_pairs in row chunks, so memory stays bounded.
-    """
-    sub_a, sub_b = mat.take(rows_a, 0), mat.take(rows_b, 0)
-    if rows_a.size * rows_b.size > _PAIR_BUDGET:
-        _, hit_a, hit_b = _scan_pairs(sub_a, sub_b, gamma_count, True)
-    else:
-        n_b, cols_a, cols_b = rows_b.size, sub_a.T, sub_b.T
-        hit = _pair_hits(
-            lambda t: np.bitwise_count(cols_a[t][:, None] ^ cols_b[t][None, :]).ravel(),
-            lambda pos: np.divmod(pos, n_b),
-            cols_a, cols_b, gamma_count,
-        )
-        if not hit.size:
-            return None
-        hit_a, hit_b = np.divmod(hit, n_b)
-    return (rows_a[hit_a], rows_b[hit_b]) if hit_a.size else None
-
-
 def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
     """Scan a run of buckets in one ragged pass: each bucket's full cross product.
 
@@ -379,24 +355,24 @@ def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
     return rows_a[pa], rows_b[pb[hit]], bucket
 
 
-def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
-    """Every cross pair at the target distance, in lexicographic order."""
+def _naive_scan(inst, gamma_count: int | None, collect: bool):
+    """The target distance, checked, and _scan_pairs' result on the instance's two lists."""
     g = inst.gamma_count if gamma_count is None else gamma_count
     if not 0 <= g <= inst.d:
         raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
     with _small_ufunc_buffer():
-        _, rows, cols = _scan_pairs(inst.mat1, inst.mat2, g, True)
-    return [MatchPair(i, j, g) for i, j in zip(rows.tolist(), cols.tolist())]
+        return g, _scan_pairs(inst.mat1, inst.mat2, g, collect)
+
+
+def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
+    """Every cross pair at the target distance, in lexicographic order."""
+    g, hits = _naive_scan(inst, gamma_count, True)
+    return [] if hits is None else [MatchPair(i, j, g) for i, j in zip(hits[0].tolist(), hits[1].tolist())]
 
 
 def naive_count(inst, gamma_count: int | None = None) -> int:
     """Number of cross pairs at the target distance, without materializing them."""
-    g = inst.gamma_count if gamma_count is None else gamma_count
-    if not 0 <= g <= inst.d:
-        raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
-    with _small_ufunc_buffer():
-        total, _, _ = _scan_pairs(inst.mat1, inst.mat2, g, False)
-    return total
+    return _naive_scan(inst, gamma_count, False)[1]
 
 
 def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
@@ -475,7 +451,10 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
                     total, live, end = total + pairs[k], live + 1, k + 1
                 k += 1
             if live == 1:
-                hits = _one_bucket_hits(base, sel[offs[k0] : mids[k0]], sel[mids[k0] : offs[end]], gamma)
+                rows_a, rows_b = sel[offs[k0] : mids[k0]], sel[mids[k0] : offs[end]]
+                hits = _scan_pairs(base.take(rows_a, 0), base.take(rows_b, 0), gamma, True)
+                if hits is not None:
+                    hits = rows_a[hits[0]], rows_b[hits[1]]
             else:
                 hits = _bucket_hits(base, sel[offs[k0] : offs[end]], na[k0:end], nb[k0:end], split, gamma)
                 if hits is not None and params.stop_on_first:

@@ -336,7 +336,7 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
 #
 # The solver's cross scan before rows of several words were pruned word by word:
 # every word of every pair is XORed and counted, with numpy alone rather than
-# the package's kernels.
+# the package's kernels.  The per-leaf solver below scans its leaves with it.
 
 
 def unpruned_scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
@@ -385,23 +385,6 @@ def _reference_accept(weights: np.ndarray, delta_count: int, strategy: Strategy)
     return weights <= delta_count
 
 
-def reference_scan_pairs(mat_a: np.ndarray, mat_b: np.ndarray, gamma_count: int, collect: bool):
-    """Full cross scan in row chunks; returns (hit_count, [(i, j), ...])."""
-    n_b, w = mat_b.shape
-    chunk = max(1, _ELEM_BUDGET // max(1, n_b * w))
-    total = 0
-    pairs: list[tuple[int, int]] = []
-    for lo in range(0, mat_a.shape[0], chunk):
-        sub = mat_a[lo : lo + chunk]
-        dist = np.bitwise_count(sub[:, None, :] ^ mat_b[None, :, :]).sum(axis=2, dtype=np.int32)
-        hit = dist == gamma_count
-        total += int(hit.sum())
-        if collect:
-            for r, c in np.argwhere(hit):
-                pairs.append((lo + int(r), int(c)))
-    return total, pairs
-
-
 def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
     """Run the bucketing search on a planted instance, one leaf scan at a time."""
     t_start = time.perf_counter()
@@ -418,9 +401,8 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
     def leaf(a_mat, b_mat, ia, ib) -> None:
         nonlocal comparisons
         comparisons += ia.size * ib.size
-        _, pairs = reference_scan_pairs(a_mat[ia], b_mat[ib], gamma, True)
-        for r, c in pairs:
-            found.add((int(ia[r]), int(ib[c])))
+        _, rows, cols = unpruned_scan_pairs(a_mat[ia], b_mat[ib], gamma, True)
+        found.update(zip(ia[rows].tolist(), ib[cols].tolist()))
 
     def descend(a_mat, b_mat, ia, ib, level: int) -> bool:
         nonlocal nodes, levels

@@ -31,6 +31,10 @@ numpy's global state is set in one place: its setters (setbufsize, seterr,
 seterrcall) appear in src/ only in solver._small_ufunc_buffer, inside a
 `with np.errstate()` block that restores the caller's state on exit.
 
+The cross scan has one routine: in src/, only solver._scan_pairs and
+solver._bucket_hits, the ragged pass over several buckets, name the kernel
+_pair_hits, so no second one-bucket path comes back.
+
 These rules, this one with the others, only tighten.
 """
 
@@ -208,3 +212,22 @@ def numpy_setter_uses() -> list[tuple[str, str, bool]]:
 
 def test_numpy_state_is_set_only_in_the_solver_scope():
     assert numpy_setter_uses() == [("solver", "_small_ufunc_buffer", True)]
+
+
+def kernel_users() -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function, None at module level) for each use of _pair_hits in src/."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for name, node in _names_used(tree):
+            if name != "_pair_hits":
+                continue
+            while node in parent and not isinstance(node, ast.FunctionDef):
+                node = parent[node]
+            users.add((path.stem, getattr(node, "name", None)))
+    return users
+
+
+def test_only_the_cross_scan_and_the_ragged_pass_call_the_pair_kernel():
+    assert kernel_users() == {("solver", "_scan_pairs"), ("solver", "_bucket_hits")}

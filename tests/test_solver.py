@@ -25,7 +25,6 @@ from hambucket.solver import (
     MatchPair,
     _accept_mask,
     _bucket_hits,
-    _one_bucket_hits,
     _pair_hits,
     _scan_pairs,
     SolverParams,
@@ -117,12 +116,11 @@ def test_pruned_scan_matches_unpruned_reference(d):
     mat_b = mat_b[rng.permutation(mat_b.shape[0])]
     for g in gammas:
         want_count, want_rows, want_cols = unpruned_scan_pairs(mat_a, mat_b, g, True)
-        got_count, got_rows, got_cols = _scan_pairs(mat_a, mat_b, g, True)
+        got_rows, got_cols = _scan_pairs(mat_a, mat_b, g, True)
         assert want_count >= 1
-        assert got_count == want_count
         assert got_rows.tolist() == want_rows.tolist()
         assert got_cols.tolist() == want_cols.tolist()
-        assert _scan_pairs(mat_a, mat_b, g, False)[0] == want_count
+        assert _scan_pairs(mat_a, mat_b, g, False) == want_count
 
 
 def hit_list(hits):
@@ -139,7 +137,7 @@ def test_batched_leaf_pass_matches_per_bucket_scans(d):
     up keep several words dense before the pass follows the few pairs left.
     The lists are stacked as the solver stacks them, list 2 from row n on,
     and each bucket is also scanned alone, by a ragged pass and by the
-    broadcast pass for a single bucket.
+    cross scan a pass over a single bucket runs.
     """
     rng = make_rng(d + 1)
     n = 120
@@ -172,7 +170,7 @@ def test_batched_leaf_pass_matches_per_bucket_scans(d):
                 alone = [(int(sa[i]), int(sb[j]) + n, 0) for i, j in zip(r, c)]
                 got_alone = _bucket_hits(mat, buckets[k], na[k : k + 1], nb[k : k + 1], n, g)
                 assert hit_list(got_alone) == alone
-                assert hit_list(_one_bucket_hits(mat, sa, sb + n, g)) == [(i, j) for i, j, _ in alone]
+                assert hit_list(_scan_pairs(mat[sa], mat[sb + n], g, True)) == list(zip(r.tolist(), c.tolist()))
                 want += [(i, j, k) for i, j, _ in alone]
         assert want
         assert hit_list(got) == want
@@ -491,32 +489,41 @@ def test_parity_at_the_uint32_block_boundary(monkeypatch, d, depth, stop_on_firs
 @pytest.mark.parametrize("d", [64, 128])
 @pytest.mark.parametrize("stop_on_first", [False, True])
 def test_leaf_buckets_within_the_pair_budget_skip_the_chunked_scan(monkeypatch, d, stop_on_first):
-    """A leaf bucket within _PAIR_BUDGET is one broadcast pass, or part of a ragged one: never _scan_pairs.
+    """A leaf bucket within _PAIR_BUDGET is one _pair_hits call, in a pass of its own or in a ragged one.
 
     The root's exact window takes about a seventh (d=64) or a tenth (d=128)
-    of each list into a bucket, so single buckets of 10k-30k pairs fill
-    passes of their own next to ragged passes over several smaller ones.
+    of each list into a bucket.  At d=64 every pass holds one bucket of
+    17k-24k pairs; at d=128 ragged passes over several buckets come next to
+    a one-bucket pass.  Each pass makes one kernel call, so no pass is split
+    into row chunks.
     """
     n = 1024
     inst = gen_instance(d, n, 8, UNIFORM, seed=d)
     params = SolverParams(depth=2, branching=16, permutations=2, delta=0.5, strategy=EXACT,
                           naive_threshold=n - 1, stop_on_first=stop_on_first)
     want = reference_solve(inst, params, make_rng(3))
-    one_bucket = []
+    kernel_calls, one_bucket, ragged = [], [], []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("chunked scan called")
+    def kernel_spy(*args):
+        kernel_calls.append(1)
+        return _pair_hits(*args)
 
-    def spy(mat, rows_a, rows_b, gamma_count):
-        one_bucket.append(rows_a.size * rows_b.size)
-        return _one_bucket_hits(mat, rows_a, rows_b, gamma_count)
+    def scan_spy(mat_a, mat_b, gamma_count, collect):
+        one_bucket.append(len(mat_a) * len(mat_b))
+        return _scan_pairs(mat_a, mat_b, gamma_count, collect)
 
-    monkeypatch.setattr(solver, "_scan_pairs", refuse)
-    monkeypatch.setattr(solver, "_one_bucket_hits", spy)
+    def ragged_spy(*args):
+        ragged.append(1)
+        return _bucket_hits(*args)
+
+    monkeypatch.setattr(solver, "_pair_hits", kernel_spy)
+    monkeypatch.setattr(solver, "_scan_pairs", scan_spy)
+    monkeypatch.setattr(solver, "_bucket_hits", ragged_spy)
     got = solve(inst, params, make_rng(3))
     assert report_key(got) == report_key(want)
     assert got.levels == 1
     assert one_bucket and max(one_bucket) <= solver._PAIR_BUDGET
+    assert len(kernel_calls) == len(one_bucket) + len(ragged)
 
 
 @pytest.mark.parametrize("d", [64, 200])
@@ -524,25 +531,58 @@ def test_one_bucket_above_the_pair_budget_is_scanned_in_chunks(monkeypatch, d):
     """A 200 x 200 bucket exceeds _PAIR_BUDGET: _scan_pairs scans it in row chunks, as the unpruned scan."""
     rng = make_rng(d + 2)
     n = 200
-    assert n * n > solver._PAIR_BUDGET
+    per_chunk = solver._PAIR_BUDGET // n
+    assert n * n > solver._PAIR_BUDGET and n < 2 * per_chunk
     mat_a = mask_pad(rng.integers(0, 1 << 64, size=(n, n_words(d)), dtype=np.uint64), d)
     flips = np.zeros((n, d), dtype=np.uint8)
     for i in range(0, n, 7):
         flips[i, rng.permutation(d)[:12]] = 1
     mat_b = (mat_a ^ pack_bit_matrix(flips))[rng.permutation(n)]
-    mat = np.vstack((mat_a, mat_b))
-    chunked = []
+    chunks = []
 
     def spy(*args):
-        chunked.append(args[0].shape[0])
-        return _scan_pairs(*args)
+        chunks.append(args[2].shape[1])
+        return _pair_hits(*args)
 
-    monkeypatch.setattr(solver, "_scan_pairs", spy)
+    monkeypatch.setattr(solver, "_pair_hits", spy)
     _, r, c = unpruned_scan_pairs(mat_a, mat_b, 12, True)
     assert r.size >= n // 7
-    got = _one_bucket_hits(mat, np.arange(n), np.arange(n, 2 * n), 12)
-    assert hit_list(got) == list(zip(r.tolist(), (c + n).tolist()))
-    assert chunked == [n]
+    assert hit_list(_scan_pairs(mat_a, mat_b, 12, True)) == list(zip(r.tolist(), c.tolist()))
+    assert chunks == [per_chunk, n - per_chunk]
+
+
+@pytest.mark.parametrize("d, n_a, n_b", [(64, 5, solver._PAIR_BUDGET + 5), (128, 400, 150), (600, 90, 1000)])
+def test_scan_pairs_places_hits_of_later_chunks(monkeypatch, d, n_a, n_b):
+    """Hits only in row chunks after the first: _scan_pairs gives the unpruned scan's pairs and count.
+
+    A chunk is _PAIR_BUDGET // n_b rows of mat_a, or one row when a row alone
+    has more pairs (the first case); in the other two the last chunk is
+    short.  Every third row of mat_a from the second chunk on has a partner
+    in mat_b at distance 4, and no other pair is, so hits read at their
+    offset within their chunk would land on rows of the first chunk.
+    """
+    rng = make_rng(d + n_a)
+    per_chunk = max(1, solver._PAIR_BUDGET // n_b)
+    mat_a = mask_pad(rng.integers(0, 1 << 64, size=(n_a, n_words(d)), dtype=np.uint64), d)
+    mat_b = mask_pad(rng.integers(0, 1 << 64, size=(n_b, n_words(d)), dtype=np.uint64), d)
+    planted = range(per_chunk, n_a, 3)
+    for k, i in enumerate(planted):
+        flip = np.zeros(d, dtype=np.uint8)
+        flip[rng.permutation(d)[:4]] = 1
+        mat_b[(97 * k) % n_b] = mat_a[i] ^ pack_bit_matrix(flip[None, :])[0]
+    chunks = []
+
+    def spy(*args):
+        chunks.append(args[2].shape[1])
+        return _pair_hits(*args)
+
+    monkeypatch.setattr(solver, "_pair_hits", spy)
+    count, r, c = unpruned_scan_pairs(mat_a, mat_b, 4, True)
+    assert r.tolist() == list(planted)
+    assert hit_list(_scan_pairs(mat_a, mat_b, 4, True)) == list(zip(r.tolist(), c.tolist()))
+    assert _scan_pairs(mat_a, mat_b, 4, False) == count
+    want_chunks = [min(per_chunk, n_a - lo) for lo in range(0, n_a, per_chunk)]
+    assert len(want_chunks) >= 2 and chunks == 2 * want_chunks
 
 
 def test_kernels_run_in_one_scope_that_restores_numpy_state(monkeypatch):
@@ -616,16 +656,16 @@ def test_leaf_passes_are_the_greedy_packing_under_the_pair_budget(monkeypatch):
         slabs.append(((acc[:, :n].sum(1) * acc[:, n:].sum(1)).tolist(), []))
         return acc
 
-    def one_spy(mat, rows_a, rows_b, gamma_count):
-        slabs[-1][1].append([rows_a.size * rows_b.size])
-        return _one_bucket_hits(mat, rows_a, rows_b, gamma_count)
+    def one_spy(mat_a, mat_b, gamma_count, collect):
+        slabs[-1][1].append([len(mat_a) * len(mat_b)])
+        return _scan_pairs(mat_a, mat_b, gamma_count, collect)
 
     def ragged_spy(mat, rows, na, nb, split, gamma_count):
         slabs[-1][1].append([p for p in (na * nb).tolist() if p])
         return _bucket_hits(mat, rows, na, nb, split, gamma_count)
 
     monkeypatch.setattr(solver, "_accept_mask", mask_spy)
-    monkeypatch.setattr(solver, "_one_bucket_hits", one_spy)
+    monkeypatch.setattr(solver, "_scan_pairs", one_spy)
     monkeypatch.setattr(solver, "_bucket_hits", ragged_spy)
     rep = solve(inst, params, make_rng(6))
     assert rep.levels == 1 and rep.planted_found
