@@ -1,13 +1,14 @@
 """The bucketing solver and the exhaustive baseline it is measured against.
 
-solve() runs P permutation rounds.  Each round walks a depth-r tree: at a
-node on level i it draws N random block-local vectors z, keeps exactly the
-elements of both current sublists whose block i lands within the chosen
-radius of z, and recurses; sufficiently small sublists are finished by the
-quadratic scan.  A root that small is the naive scan, once: no round is
-walked and nothing is drawn, since permuting columns keeps every distance.
-Matches are verified by a final distance check, so the output never
-contains a false positive.
+solve() runs P permutation rounds, walked by one _Walk, which holds the
+stack, the round's block gathers and the report's counters.  Each round
+walks a depth-r tree: at a node on level i it draws N random block-local
+vectors z, keeps exactly the elements of both current sublists whose block
+i lands within the chosen radius of z, and recurses; sufficiently small
+sublists are finished by the quadratic scan.  A root that small is the
+naive scan, once: no round is walked, nothing is drawn and no _Walk is
+built, since permuting columns keeps every distance.  Matches are verified
+by a final distance check, so the output never contains a false positive.
 
 Both lists are walked as one stacked matrix, list 2 below list 1, since
 every node filters both with the same z draws: a node is one index array
@@ -213,6 +214,8 @@ class SolveReport:
     matches: tuple[MatchPair, ...]
     nodes_visited: int
     levels: int  # the deepest level filtered, 0 when the root is scanned
+    rounds: int  # permutation rounds walked, 0 when the root is scanned
+    weighed: int  # rows x z block weights the filter computed
     naive_comparisons: int
     wall_time: float
     planted_found: Optional[bool]
@@ -380,26 +383,27 @@ def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:
 
     A root of at most naive_threshold rows a side is a leaf: the naive scan
     of the instance's own matrices, once, drawing nothing from rng.  Any
-    other root is walked (_walk).
+    other root is walked by a _Walk, whose counters the report gives.
     """
     t_start = time.perf_counter()
     if inst.n <= params.naive_threshold:
-        matches, nodes, levels, comparisons = naive_search(inst), 1, 0, inst.n * inst.n
+        # nodes_visited, levels, rounds, weighed, naive_comparisons
+        matches, counts = naive_search(inst), (1, 0, 0, 0, inst.n * inst.n)
     else:
         with _small_ufunc_buffer():
-            matches, nodes, levels, comparisons = _walk(inst, params, rng)
+            walk = _Walk(inst, params, rng)
+            matches = walk.run()
+        counts = walk.nodes, walk.levels, walk.rounds, walk.weighed, walk.comparisons
     return SolveReport(
-        matches=tuple(matches),
-        nodes_visited=nodes,
-        levels=levels,
-        naive_comparisons=comparisons,
+        tuple(matches),
+        *counts,
         wall_time=time.perf_counter() - t_start,
         planted_found=None if inst.planted is None else tuple(inst.planted) in {(m.i, m.j) for m in matches},
     )
 
 
-def _walk(inst, params: SolverParams, rng: np.random.Generator):
-    """solve's walk of a root it filters; returns (matches, nodes, levels, comparisons).
+class _Walk:
+    """solve's walk of a root it filters, and its counters.
 
     Both lists are walked as one stacked matrix, list 2 from row split on.
     A node is one index array into it, its list-1 rows first; a slab's
@@ -408,23 +412,83 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
     rounds draw a fresh uniform coordinate permutation, whose blocks are
     gathered from the stack as the walk first reaches their level.  With
     stop_on_first the walk unwinds at the first verified match; otherwise
-    matches from all rounds are unioned and deduplicated.
+    matches from all rounds are unioned and deduplicated.  The counters
+    nodes, levels, rounds, weighed and comparisons are the report's
+    nodes_visited, levels, rounds, weighed and naive_comparisons.
     """
-    d, gamma = inst.d, inst.gamma_count
-    split = inst.mat1.shape[0]
-    base = np.vstack((inst.mat1, inst.mat2))
-    blocks = block_bounds(d, params.depth)
-    level_window = [params.window(stop - start) for start, stop in blocks]
-    # a block of at most 32 bits is filtered as uint32: half the bytes per xor and popcount
-    level_dtype = [np.uint32 if stop - start <= 32 else np.uint64 for start, stop in blocks]
-    elem_budget = _FIRST_HIT_ELEM_BUDGET if params.stop_on_first else _ELEM_BUDGET
 
-    found: set[tuple[int, int]] = set()
-    nodes = 0
-    levels = 0
-    comparisons = 0
+    def __init__(self, inst, params: SolverParams, rng: np.random.Generator):
+        self.inst, self.params, self.rng = inst, params, rng
+        self.split = inst.mat1.shape[0]
+        self.base = np.vstack((inst.mat1, inst.mat2))
+        self.blocks = block_bounds(inst.d, params.depth)
+        self.windows = [params.window(stop - start) for start, stop in self.blocks]
+        # a block of at most 32 bits is filtered as uint32: half the bytes per xor and popcount
+        self.dtypes = [np.uint32 if stop - start <= 32 else np.uint64 for start, stop in self.blocks]
+        self.elem_budget = _FIRST_HIT_ELEM_BUDGET if params.stop_on_first else _ELEM_BUDGET
+        self.found: set[tuple[int, int]] = set()
+        self.nodes = self.levels = self.comparisons = self.rounds = self.weighed = 0
 
-    def scan_leaves(sel, start, mid, lo: int, hi: int) -> bool:
+    def run(self) -> list[MatchPair]:
+        """Walk the permutation rounds; returns the verified matches in order."""
+        d, root = self.inst.d, np.arange(self.base.shape[0])
+        for rnd in range(self.params.permutations):
+            # column j of the round's layout is column cols[j] of the stack; the filter
+            # at level i compares block i of the layout, which descend gathers
+            self.cols = np.arange(d) if rnd == 0 else np.argsort(random_permutation(self.rng, d))
+            self.local = [None] * self.params.depth
+            self.rounds += 1
+            if self.descend(root, self.split, 0):
+                break
+        matches = []
+        for i, j in sorted(self.found):
+            dist = int(np.bitwise_count(self.inst.mat1[i] ^ self.inst.mat2[j]).sum())
+            if dist == self.inst.gamma_count:
+                matches.append(MatchPair(i, j, dist))
+        return matches
+
+    def descend(self, idx, na: int, level: int) -> bool:
+        """Filter an inner node's rows, list-1 rows idx[:na] first, into the buckets of its z batch.
+
+        Each slab's children are visited in order before the next slab is
+        weighed: runs of leaves are scanned, the others descended into.
+        Returns True when stop_on_first ends the walk.
+        """
+        params = self.params
+        self.nodes += 1
+        b0, b1 = self.blocks[level]
+        if self.local[level] is None:
+            self.local[level] = block_local_rows(self.base, self.cols[b0:b1]).astype(self.dtypes[level], copy=False)
+            self.levels = max(self.levels, level + 1)
+        zs = draw_block_zs(self.rng, params.branching, b1 - b0).astype(self.dtypes[level], copy=False)
+        lo, hi = self.windows[level]
+        sub = self.local[level].take(idx, 0)
+        # zs has the block-local words of the rows' block
+        slab = max(1, self.elem_budget // max(1, idx.size * zs.shape[1]))
+        for s0 in range(0, params.branching, slab):
+            za = zs[s0 : s0 + slab]
+            # a z-major accept matrix (the weight helper is symmetric in its
+            # arguments), so each bucket's members sit contiguously, list-1
+            # rows first, in its flat hit positions
+            flat = _sparse_flatnonzero(_accept_mask(block_weights_batch(za, sub), lo, hi))
+            self.weighed += za.shape[0] * idx.size
+            edges = np.arange(za.shape[0] + 1) * idx.size
+            start = np.searchsorted(flat, edges)
+            mid = np.searchsorted(flat, edges[:-1] + na)
+            sel, count, inner = idx[flat % idx.size], mid.size, []
+            if level + 1 < params.depth:
+                sizes = np.minimum(mid - start[:-1], start[1:] - mid)
+                inner = np.flatnonzero(sizes > params.naive_threshold).tolist()
+            j = 0
+            for c in inner + [count]:
+                if c > j and self.scan_leaves(sel, start, mid, j, c):
+                    return True
+                if c < count and self.descend(sel[start[c] : start[c + 1]], mid[c] - start[c], level + 1):
+                    return True
+                j = c + 1
+        return False
+
+    def scan_leaves(self, sel, start, mid, lo: int, hi: int) -> bool:
         """Scan children lo..hi-1 of a node, none of them inner, and commit them in order.
 
         Child j holds rows sel[start[j]:start[j + 1]], its list-2 rows from
@@ -433,7 +497,7 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
         Python ints.  Returns True when stop_on_first ends the walk at a child
         with a hit; later children stay uncounted.
         """
-        nonlocal nodes, comparisons
+        base, split, gamma, stop_on_first = self.base, self.split, self.inst.gamma_count, self.params.stop_on_first
         na, nb = mid[lo:hi] - start[lo:hi], start[lo + 1 : hi + 1] - mid[lo:hi]
         pairs = (na * nb).tolist()
         offs, mids = start[lo : hi + 1].tolist(), mid[lo:hi].tolist()
@@ -457,75 +521,17 @@ def _walk(inst, params: SolverParams, rng: np.random.Generator):
                     hits = rows_a[hits[0]], rows_b[hits[1]]
             else:
                 hits = _bucket_hits(base, sel[offs[k0] : offs[end]], na[k0:end], nb[k0:end], split, gamma)
-                if hits is not None and params.stop_on_first:
+                if hits is not None and stop_on_first:
                     # commit up to the first child with a hit, and only its hits
                     hit_i, hit_j, hit_k = hits
                     first = hit_k == hit_k[0]
                     hits = hit_i[first], hit_j[first]
                     done = pairs[k0 : k0 + int(hit_k[0]) + 1]
                     live, total = len(done) - done.count(0), sum(done)
-            nodes += live
-            comparisons += total
+            self.nodes += live
+            self.comparisons += total
             if hits is not None:
-                found.update(zip(hits[0].tolist(), (hits[1] - split).tolist()))
-                if params.stop_on_first:
+                self.found.update(zip(hits[0].tolist(), (hits[1] - split).tolist()))
+                if stop_on_first:
                     return True
         return False
-
-    def descend(idx, na: int, level: int) -> bool:
-        """Filter an inner node's rows, list-1 rows idx[:na] first, into the buckets of its z batch."""
-        nonlocal nodes, levels
-        nodes += 1
-        b0, b1 = blocks[level]
-        if local[level] is None:
-            local[level] = block_local_rows(base, cols[b0:b1]).astype(level_dtype[level], copy=False)
-            levels = max(levels, level + 1)
-        zs = draw_block_zs(rng, params.branching, b1 - b0).astype(level_dtype[level], copy=False)
-        lo, hi = level_window[level]
-        sub = local[level].take(idx, 0)
-        # zs has the block-local words of the rows' block
-        slab = max(1, elem_budget // max(1, idx.size * zs.shape[1]))
-        for s0 in range(0, params.branching, slab):
-            za = zs[s0 : s0 + slab]
-            # a z-major accept matrix (the weight helper is symmetric in its
-            # arguments), so each bucket's members sit contiguously, list-1
-            # rows first, in its flat hit positions
-            flat = _sparse_flatnonzero(_accept_mask(block_weights_batch(za, sub), lo, hi))
-            edges = np.arange(za.shape[0] + 1) * idx.size
-            start = np.searchsorted(flat, edges)
-            mid = np.searchsorted(flat, edges[:-1] + na)
-            if visit(idx[flat % idx.size], start, mid, level + 1):
-                return True
-        return False
-
-    def visit(sel, start, mid, level: int) -> bool:
-        """Visit the children of one of descend's slabs in order: scan runs of leaves, descend into the rest."""
-        count = mid.size
-        inner = []
-        if level < params.depth:
-            sizes = np.minimum(mid - start[:-1], start[1:] - mid)
-            inner = np.flatnonzero(sizes > params.naive_threshold).tolist()
-        j = 0
-        for c in inner + [count]:
-            if c > j and scan_leaves(sel, start, mid, j, c):
-                return True
-            if c < count and descend(sel[start[c] : start[c + 1]], mid[c] - start[c], level):
-                return True
-            j = c + 1
-        return False
-
-    root = np.arange(base.shape[0])
-    for rnd in range(params.permutations):
-        # column j of the round's layout is column cols[j] of the stack; the filter
-        # at level i compares block i of the layout, which descend gathers
-        cols = np.arange(d) if rnd == 0 else np.argsort(random_permutation(rng, d))
-        local = [None] * params.depth
-        if descend(root, split, 0):
-            break
-
-    matches = []
-    for i, j in sorted(found):
-        dist = int(np.bitwise_count(inst.mat1[i] ^ inst.mat2[j]).sum())
-        if dist == gamma:
-            matches.append(MatchPair(i, j, dist))
-    return matches, nodes, levels, comparisons

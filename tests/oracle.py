@@ -40,6 +40,8 @@ from hambucket.bitvec import (
     random_permutation,
 )
 from hambucket.solver import (
+    _ELEM_BUDGET as _WALK_ELEM_BUDGET,
+    _FIRST_HIT_ELEM_BUDGET,
     _PAIR_BUDGET,
     MatchPair,
     SolveReport,
@@ -397,6 +399,9 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
     nodes = 0
     levels = 0
     comparisons = 0
+    weighed = 0
+    # the walk's slabs, so that weighed counts what it weighs before a stop
+    elem_budget = _FIRST_HIT_ELEM_BUDGET if params.stop_on_first else _WALK_ELEM_BUDGET
 
     def leaf(a_mat, b_mat, ia, ib) -> None:
         nonlocal comparisons
@@ -405,7 +410,7 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
         found.update(zip(ia[rows].tolist(), ib[cols].tolist()))
 
     def descend(a_mat, b_mat, ia, ib, level: int) -> bool:
-        nonlocal nodes, levels
+        nonlocal nodes, levels, weighed
         nodes += 1
         if level == params.depth or min(ia.size, ib.size) <= params.naive_threshold:
             leaf(a_mat, b_mat, ia, ib)
@@ -417,9 +422,10 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
         aligned, w0, w1, mask = align_block_zs(zs, start, stop)
         sub_a = a_mat[ia, w0:w1] & mask
         sub_b = b_mat[ib, w0:w1] & mask
-        slab = max(1, _ELEM_BUDGET // max(1, (ia.size + ib.size) * (w1 - w0)))
+        slab = max(1, elem_budget // max(1, (ia.size + ib.size) * n_words(stop - start)))
         for s0 in range(0, params.branching, slab):
             za = aligned[s0 : s0 + slab]
+            weighed += za.shape[0] * (ia.size + ib.size)
             acc_a = _reference_accept(_reference_weights(za, sub_a), target, params.strategy)
             acc_b = _reference_accept(_reference_weights(za, sub_b), target, params.strategy)
             zrow_a, hit_a = np.nonzero(acc_a)
@@ -444,6 +450,7 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
 
     all_a = np.arange(base_a.shape[0], dtype=np.int64)
     all_b = np.arange(base_b.shape[0], dtype=np.int64)
+    leaf_root = min(all_a.size, all_b.size) <= params.naive_threshold
     for rnd in range(params.permutations):
         if rnd == 0:
             a_mat, b_mat = base_a, base_b
@@ -451,8 +458,8 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
             perm = random_permutation(rng, d)
             a_mat = reference_permute_columns(base_a, perm)
             b_mat = reference_permute_columns(base_b, perm)
-        # a leaf root is scanned once: permuting columns keeps every distance
-        if descend(a_mat, b_mat, all_a, all_b, 0) or min(all_a.size, all_b.size) <= params.naive_threshold:
+        # a leaf root is scanned once, in no round: permuting columns keeps every distance
+        if descend(a_mat, b_mat, all_a, all_b, 0) or leaf_root:
             break
 
     matches = []
@@ -467,6 +474,8 @@ def reference_solve(inst, params: SolverParams, rng: np.random.Generator) -> Sol
         matches=tuple(matches),
         nodes_visited=nodes,
         levels=levels,
+        rounds=0 if leaf_root else rnd + 1,
+        weighed=weighed,
         naive_comparisons=comparisons,
         wall_time=time.perf_counter() - t_start,
         planted_found=planted_found,

@@ -89,6 +89,9 @@ def test_solve_respects_tuning_flags(tmp_path):
     assert r.returncode == 0, r.stderr
     # the exhaustive configuration must report the planted pair
     assert "planted_found=true" in r.stdout
+    # and walks the root in every round, weighing its 2 x 64 rows against the one z
+    summary = dict(field.split("=") for field in r.stdout.splitlines()[-1].split()[1:])
+    assert summary["levels"] == "1" and int(summary["weighed"]) == 128 * int(summary["rounds"]) > 0
 
 
 def test_solve_summary_reports_chosen_parameters(tmp_path):
@@ -116,6 +119,7 @@ def test_solve_scans_a_root_within_the_branching(tmp_path, d, n, gamma):
     r = run_cli("solve", "--in", str(path))
     assert r.returncode == 0, r.stderr
     assert f" nodes=1 comparisons={n * n} levels=0 " in r.stdout
+    assert " levels=0 rounds=0 weighed=0 time=" in r.stdout
     assert r.stdout.splitlines()[-1].endswith(" planted_found=true depth=1 branching=512 threshold=512")
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from hambucket import cli, solver
 from hambucket.analysis import DistributionModel, choose_params
-from hambucket.bitvec import block_weights_batch, make_rng
+from hambucket.bitvec import block_local_rows, make_rng
 from hambucket.generator import gen_instance
 
 
@@ -87,32 +87,19 @@ def test_weighted_instances(tmp_path, capsys, d, n, model, prefix):
     assert sha256(path).startswith(prefix)
 
 
-def test_block_weights_before_the_first_hit(monkeypatch):
+def test_block_weights_before_the_first_hit():
     """Rows x z draws the filter weighs in stop-on-first solves of the d=128 instance.
 
     The walk stops inside a node's z batch, so these counts pin where the
     batch is split into slabs, along with the walk's own counters.
     """
     inst = gen_instance(128, 1024, 16, DistributionModel("fixed", 0.3), seed=7)
-    weighed = 0
-
-    def counting(sub, zs):
-        nonlocal weighed
-        weighed += sub.shape[0] * zs.shape[0]
-        return block_weights_batch(sub, zs)
-
-    monkeypatch.setattr(solver, "block_weights_batch", counting)
 
     def solves(**threshold):
-        nonlocal weighed
         params = choose_params(128, 10 / 128, 16 / 128, strategy=solver.deviation(1), stop_on_first=True,
                                **threshold)
-        got = []
-        for seed in range(4):
-            weighed = 0
-            rep = solver.solve(inst, params, make_rng(seed))
-            got.append((rep.nodes_visited, rep.naive_comparisons, weighed, rep.planted_found))
-        return got
+        reports = [solver.solve(inst, params, make_rng(seed)) for seed in range(4)]
+        return [(rep.nodes_visited, rep.naive_comparisons, rep.weighed, rep.planted_found) for rep in reports]
 
     # naive_threshold=128 keeps the walks these counts were recorded from
     assert solves(naive_threshold=128) == [(560, 293863, 434176, True), (185, 44776, 196156, True),
@@ -126,25 +113,23 @@ def test_large_buckets_are_scanned(monkeypatch):
 
     Its largest root buckets hold a few hundred rows a side, at most the
     branching of 512, so scanning them costs less than filtering them.
-    Each round walked draws one z batch and gathers one block, the root's:
-    round 0 and one round per random_permutation draw after it.
+    Each round walked gathers one block and weighs one z batch, the root's:
+    every row against every z in the rounds before the last, and up to the
+    hit in the last.  Blocks are gathered as the walk reaches their level,
+    which the report does not show, so the gathers are counted.
     """
     inst = gen_instance(128, 1024, 16, DistributionModel("fixed", 0.3), seed=7)
-    calls = {"draw_block_zs": 0, "block_local_rows": 0, "random_permutation": 0}
+    gathers = []
 
-    def counted(name):
-        real = getattr(solver, name)
+    def gather(mat, cols):
+        gathers.append(cols.size)
+        return block_local_rows(mat, cols)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(solver, name, counted(name))
+    monkeypatch.setattr(solver, "block_local_rows", gather)
     params = choose_params(128, 10 / 128, 16 / 128, strategy=solver.deviation(1), stop_on_first=True)
+    batch = 2 * inst.n * params.branching
     for seed in range(4):
-        calls.update(dict.fromkeys(calls, 0))
+        gathers.clear()
         rep = solver.solve(inst, params, make_rng(seed))
-        assert rep.planted_found and rep.levels == 1
-        assert calls["draw_block_zs"] == calls["block_local_rows"] == 1 + calls["random_permutation"]
+        assert rep.planted_found and rep.levels == 1 and len(gathers) == rep.rounds
+        assert (rep.rounds - 1) * batch < rep.weighed <= rep.rounds * batch

@@ -35,6 +35,10 @@ The cross scan has one routine: in src/, only solver._scan_pairs and
 solver._bucket_hits, the ragged pass over several buckets, name the kernel
 _pair_hits, so no second one-bucket path comes back.
 
+No src/ function rebinds a name of an enclosing one (nonlocal): state that
+nested functions would share, such as the walk's counters, lives in one
+object (solver._Walk) that a caller can read.
+
 These rules, this one with the others, only tighten.
 """
 
@@ -231,3 +235,9 @@ def kernel_users() -> set[tuple[str, str | None]]:
 
 def test_only_the_cross_scan_and_the_ragged_pass_call_the_pair_kernel():
     assert kernel_users() == {("solver", "_scan_pairs"), ("solver", "_bucket_hits")}
+
+
+def test_no_function_shares_state_through_nonlocal():
+    users = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Nonlocal))
+    assert users == []

@@ -376,23 +376,17 @@ def test_leaf_root_is_scanned_once():
 @pytest.mark.parametrize("d", [1, 64, 65, 200])
 @pytest.mark.parametrize("stop_on_first", [False, True])
 @pytest.mark.parametrize("permutations", [1, 4])
-def test_leaf_root_is_the_naive_scan(monkeypatch, d, stop_on_first, permutations):
-    """A root of at most naive_threshold rows a side is naive_search's scan, once: no walk, no draw."""
+def test_leaf_root_is_the_naive_scan(d, stop_on_first, permutations):
+    """A root of at most naive_threshold rows a side is naive_search's scan, once: no round, no weight, no draw."""
     n = 48
     inst = gen_instance(d, n, min(d, 4), UNIFORM, seed=d)
     params = SolverParams(depth=1, branching=8, permutations=permutations, delta=0.25,
                           strategy=deviation(1), naive_threshold=n, stop_on_first=stop_on_first)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the walk ran")
-
-    for name in ("_bucket_hits", "block_local_rows", "draw_block_zs", "random_permutation"):
-        monkeypatch.setattr(solver, name, refuse)
     rng = make_rng(7)
     state = repr(rng.bit_generator.state)  # its counter and key arrays print in full
     rep = solve(inst, params, rng)
     assert list(rep.matches) == naive_search(inst)
-    assert (rep.nodes_visited, rep.levels, rep.naive_comparisons) == (1, 0, n * n)
+    assert (rep.nodes_visited, rep.levels, rep.rounds, rep.weighed, rep.naive_comparisons) == (1, 0, 0, 0, n * n)
     assert rep.planted_found is True
     assert repr(rng.bit_generator.state) == state
 
@@ -410,7 +404,7 @@ def test_planted_flag_absent_without_plant():
 
 
 def report_key(rep):
-    return rep.matches, rep.nodes_visited, rep.levels, rep.naive_comparisons, rep.planted_found
+    return rep.matches, rep.nodes_visited, rep.levels, rep.rounds, rep.weighed, rep.naive_comparisons, rep.planted_found
 
 
 @given(st.data())
@@ -699,16 +693,15 @@ FIRST_HIT_WALKS = {
 
 
 def weighed_solve(monkeypatch, inst, params, seed: int, full_slabs: bool):
-    """Run solve(); returns its report, its rng, and [calls, rows x z, rows of the last call] of block_weights_batch.
+    """Run solve(); returns its report, its rng, and [calls, rows of the last call] of block_weights_batch.
 
     full_slabs sizes stop-on-first slabs at _ELEM_BUDGET, as full rounds are.
     """
-    count = [0, 0, 0]
+    count = [0, 0]
 
     def counting(zs, rows):
         count[0] += 1
-        count[1] += zs.shape[0] * rows.shape[0]
-        count[2] = rows.shape[0]
+        count[1] = rows.shape[0]
         return block_weights_batch(zs, rows)
 
     with monkeypatch.context() as m:
@@ -738,13 +731,13 @@ def test_first_hit_walks_weigh_quarter_slabs(monkeypatch, name):
     inst, params = first_hit_walk(name)
     fewer = []  # per seed that weighs fewer: the rows of the node it stopped in
     for seed in range(4):
-        rep, rng, (_, weighed, last_rows) = weighed_solve(monkeypatch, inst, params, seed, False)
+        rep, rng, (_, last_rows) = weighed_solve(monkeypatch, inst, params, seed, False)
         want_rng = make_rng(seed)
         assert report_key(rep) == report_key(reference_solve(inst, params, want_rng))
         assert repr(rng.bit_generator.state) == repr(want_rng.bit_generator.state)
-        _, _, (_, full, _) = weighed_solve(monkeypatch, inst, params, seed, True)
-        assert weighed <= full
-        if weighed < full:
+        full = weighed_solve(monkeypatch, inst, params, seed, True)[0].weighed
+        assert rep.weighed <= full
+        if rep.weighed < full:
             fewer.append(last_rows)
     assert fewer
     if name == "d128-recursive":
@@ -756,10 +749,10 @@ def test_full_rounds_weigh_full_slabs(monkeypatch, name):
     """Without stop_on_first the slabs stay at _ELEM_BUDGET: the same weight calls and rows x z as full slabs."""
     inst, params = first_hit_walk(name)
     params = dataclasses.replace(params, stop_on_first=False, permutations=1)
-    got, _, got_count = weighed_solve(monkeypatch, inst, params, 3, False)
-    want, _, want_count = weighed_solve(monkeypatch, inst, params, 3, True)
+    got, _, (got_calls, _) = weighed_solve(monkeypatch, inst, params, 3, False)
+    want, _, (want_calls, _) = weighed_solve(monkeypatch, inst, params, 3, True)
     assert report_key(got) == report_key(want)
-    assert got_count[:2] == want_count[:2]
+    assert got_calls == want_calls
 
 
 # --- survival probe -----------------------------------------------------------
