@@ -236,28 +236,26 @@ def theta_distribution(lam: float, gamma: float, model: DistributionModel) -> Ex
 # several shallower permutation rounds recover the success probability.
 _BRANCHING_CAP = 512
 
-# Unit costs of the solver's operations, in seconds on a 2-vCPU x86-64 VM
-# with numpy 2.4 on one thread.  They come from 2688 repeat-until-found
-# searches (d = 32 to 128, n = 2^8 to 2^13, depth 1 to 5, uniform and
-# weighted rows, dev:1, stop_on_first): each search's time was fitted, by
-# non-negative least squares in relative error, against the operations it
-# counted.  The fit's median error per search is 18%.  Scaling any one cost
-# by 0.8 or 1.25 leaves every configuration of the measured depth grid in
-# tests/test_analysis.py at a depth within 1.3x of its fastest.
-_FILTER_S = 2.5e-9  # per row x z draw x block-local word, weights through accept mask
-_SLAB_S = 150e-6  # per filter slab: nonzero, bucket edges and the visit of its children
-_NODE_S = 150e-6  # per inner node: its z draw and row gathers
-_BATCH_PAIR_S = 7.2e-9  # per row pair in a ragged pass over many leaf buckets
-# a bucket in a pass of its own goes through solver._scan_pairs, as a leaf
-# root does: one broadcast up to _PAIR_BUDGET pairs, row chunks above it.
-# Both costs were fitted when that scan concatenated its hits on every pass
-# and ran with numpy's default ufunc buffer.  It does neither now, so they
-# overprice these passes; ROADMAP item 12 refits them, and with them
-# choose_params' picks
-_SCAN_PAIR_S = 2.8e-9  # per row pair in a leaf bucket scanned in a pass of its own
-_SCAN_PASS_S = 30e-6  # per such pass
-_SOLVE_S = 370e-6  # per solve call: stacking the lists, round 0's gathers, final distance checks
-_WIDE_ROW = 1.3  # pair costs of rows longer than one word, relative to one word
+# Seconds per unit of predicted_work's counts, in its order, on a 2-vCPU
+# x86-64 VM with numpy 2.4 on one thread: a non-negative least-squares fit,
+# in relative error, of 2688 repeat-until-found searches (d = 32 to 128,
+# n = 2^8 to 2^13, depth 1 to 5, uniform and weighted rows, dev:1,
+# stop_on_first) against the operations each counted.  Its median error per
+# search is 18%.  Scaling any one price by 0.8 or 1.25 leaves every
+# configuration of the measured depth grid in tests/test_analysis.py at a
+# depth within 1.3x of its fastest.  The scan prices were fitted before
+# solver._scan_pairs dropped its per-pass concatenation and numpy's default
+# ufunc buffer, so they overprice own passes; ROADMAP item 12 refits them.
+_PRICES = np.array([
+    370e-6,  # per solve call: stacking the lists, round 0's gathers, final distance checks
+    150e-6,  # per inner node: its z draw and row gathers
+    150e-6,  # per filter slab: nonzero, bucket edges and the visit of its children
+    2.5e-9,  # per row x z draw x block-local word, weights through accept mask
+    7.2e-9,  # per row pair in a ragged pass over many leaf buckets
+    2.8e-9,  # per row pair in a leaf bucket scanned in a pass of its own
+    30e-6,  # per such pass
+])
+_WIDE_ROW = 1.3  # pair prices of rows longer than one word, relative to one word
 
 
 @lru_cache(maxsize=64)
@@ -399,9 +397,13 @@ def _first_hit(s: np.ndarray, tries: int, slab: int) -> tuple[np.ndarray, np.nda
     return hit, first, filtered
 
 
-@lru_cache(maxsize=256)
-def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> float:
-    """Predicted seconds per success of solve() with params on two lists of n uniform rows.
+def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np.ndarray:
+    """Expected operations per success of solve() with params on two lists of n uniform rows.
+
+    In order: solve calls, inner nodes, filter slabs, block weights (rows x
+    z draws x block-local words), row pairs in ragged leaf passes, row pairs
+    in passes of their own, and own passes.  work[0] is 1 / Pr[a call finds
+    the pair], so work / work[0] is one call's work.
 
     The model follows the walk, levels and blocks counted from 0.  A level-i
     node holds n p_0 ... p_(i-1) rows a side, where p_j is the share of z
@@ -409,11 +411,11 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
     a uniform row.  It filters them against branching z draws, in slabs of
     _ELEM_BUDGET block-local words: the solver's slab in a full round.  A
     stop-on-first walk weighs a quarter of that a slab, so the model
-    overprices the filter work such a walk does past its hit.  A child is
+    overcounts the filter work such a walk does past its hit.  A child is
     inner while it holds more than naive_threshold rows and levels remain,
-    and otherwise a leaf, scanned in a ragged pass with its siblings or,
-    once it holds about half a pass of pairs, in a pass of its own.  Each
-    operation costs its measured unit time (the _*_S constants).
+    and otherwise a leaf, scanned in a ragged pass with its siblings or, once
+    its pairs times _WIDE_ROW (for rows of several words) reach half a pass,
+    in a pass of its own.
 
     The gamma_count coordinates where the planted pair differs split over
     the blocks hypergeometrically, and the split decides, level by level,
@@ -422,13 +424,13 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
     With stop_on_first the walk ends at that hit, so a success costs the
     rounds that fail, walked in full, plus the walk up to the first hit of
     the round that succeeds.  Without it every call walks every round, and
-    the cost is a call's divided by its success probability.
+    the work is a call's divided by its success probability.
 
     The root takes the leaf rule of every node: at most naive_threshold rows
     a side make it a leaf, which solve() hands to the naive scan, once, and
-    which always finds the pair.  Returns inf when no round can find the pair:
-    when no split of its differing coordinates passes every level, or when
-    the depth's blocks cannot hold them all and the root is filtered.
+    which always finds the pair.  Every count is inf when no round can find
+    the pair: when no split of its differing coordinates passes every level,
+    or when the depth's blocks cannot hold them all and the root is filtered.
     """
     wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
     tries = params.branching
@@ -444,42 +446,49 @@ def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> fl
         levels.append((width, survival, d - start, rows))
         # a row is a pair at distance 0: p is the table's first entry
         rows *= survival[0]
-    # both weights of a kept pair lie in the window, so a block keeps at most
-    # 2 hi of its differences; buckets above the mean size are filtered
-    # further down, so every block of the depth counts, not only those walked
-    if levels and sum(min(2 * hi, width) for _, width, _, hi in blocks) < gamma_count:
-        return math.inf
     # bottom-up over the pair's remaining differing coordinates r: Pr[the
-    # subtree finds the pair] and the expected cost of the walk that does
-    x = rows * rows * wide
-    if x >= _PAIR_BUDGET / 2 or not levels:
-        full = _SCAN_PAIR_S * x + _SCAN_PASS_S
-    else:
-        full = _BATCH_PAIR_S * x
+    # subtree finds the pair] and the expected work of the walk that does
+    x = rows * rows
+    own = x * wide >= _PAIR_BUDGET / 2 or not levels
+    full = np.array([0.0, 0, 0, 0, 0 if own else x, x if own else 0, own])
     found = np.ones(gamma_count + 1)
-    found_cost = np.full(gamma_count + 1, full)
+    found_work = np.tile(full, (gamma_count + 1, 1))
     for width, survival, rest, rows in reversed(levels):
         # the root holds all gamma_count of them, a deeper node any number
         r = np.arange(gamma_count + 1) if rest < d else np.array([gamma_count])
         below = np.maximum(r[:, None] - np.arange(gamma_count + 1), 0)
         slab = max(1, _ELEM_BUDGET // max(1, round(2 * rows) * n_words(width)))
-        per_z = _FILTER_S * 2 * rows * n_words(width)
+        per_z = 2 * rows * n_words(width)
         survive = survival * found[below]
         hit, first, filtered = _first_hit(survive, tries, slab)
-        walk = (_NODE_S + filtered * _SLAB_S + np.minimum(tries, filtered * slab) * per_z
-                + (first - 1) * full + found_cost[below])
-        split = _split_probs(rest, width, gamma_count)[r]
-        found = (split * hit).sum(axis=1)
+        walk = (first - 1)[..., None] * full + found_work[below]
+        # a node's own work is itself, its slabs and the weights they hold
+        walk[..., 1:4] += np.stack((np.ones_like(first), filtered, np.minimum(tries, filtered * slab) * per_z), -1)
+        kept = _split_probs(rest, width, gamma_count)[r] * hit
+        found = kept.sum(axis=1)
         with np.errstate(invalid="ignore"):
-            found_cost = np.where(found > 0, (split * hit * walk).sum(axis=1) / found, 0.0)
-        full = _NODE_S + -(-tries // slab) * _SLAB_S + tries * (per_z + full)
-    p_round, hit_cost = found[0], found_cost[0]
+            found_work = np.where(found[:, None] > 0, (kept[..., None] * walk).sum(axis=1) / found[:, None], 0.0)
+        full = np.array([0, 1, -(-tries // slab), tries * per_z, 0, 0, 0]) + tries * full
+    p_round, hit_work = found[0], found_work[0]
     p_call = 1.0 if p_round >= 1.0 else -math.expm1(params.permutations * math.log1p(-p_round))
-    if p_call <= 0.0:
-        return math.inf
+    # both weights of a kept pair lie in the window, so a block keeps at most
+    # 2 hi of its differences; buckets above the mean size are filtered
+    # further down, so every block of the depth counts, not only those walked
+    if p_call <= 0.0 or (levels and sum(min(2 * hi, width) for _, width, _, hi in blocks) < gamma_count):
+        return np.full(_PRICES.size, math.inf)
     if params.stop_on_first:
-        return (p_round * hit_cost + (1.0 - p_round) * full) / p_round + _SOLVE_S / p_call
-    return (_SOLVE_S + (params.permutations if levels else 1) * full) / p_call
+        work = (p_round * hit_work + (1.0 - p_round) * full) / p_round
+    else:
+        work = (params.permutations if levels else 1) * full / p_call
+    work[0] = 1.0 / p_call
+    return work
+
+
+@lru_cache(maxsize=256)
+def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> float:
+    """Predicted seconds per success: predicted_work priced by _PRICES, pair prices x _WIDE_ROW past one-word rows."""
+    pair = 1.0 if n_words(d) == 1 else _WIDE_ROW
+    return float(predicted_work(d, n, gamma_count, params) @ (_PRICES * (1, 1, 1, 1, pair, pair, 1)))
 
 
 def list_exponent(d: int, n: int) -> float:
@@ -497,11 +506,11 @@ def choose_params(
     *,
     depth: int | None = None,
     branching: int | None = None,
-    permutations: int | None = None,
+    permutations: int = 4,
     delta: float | None = None,
-    strategy: Strategy | None = None,
+    strategy: Strategy = EXACT,
     naive_threshold: int | None = None,
-    stop_on_first: bool | None = None,
+    stop_on_first: bool = False,
 ) -> SolverParams:
     """Concrete solver parameters for a d-dimensional instance.
 
@@ -514,8 +523,9 @@ def choose_params(
       n = round(2^(lam d)) uniform rows a side and round(gamma d) differing
       coordinates; rows drawn otherwise get the depth chosen for uniform
       rows, and an explicit depth (--depth) overrides it.
-      Ties go to the lowest depth, as when the root holds at most
-      naive_threshold rows and is scanned as one leaf at every depth.
+      Costs within a relative 1e-9 of the least tie, and ties go to the
+      lowest depth, as when the root holds at most naive_threshold rows and
+      is scanned as one leaf at every depth.
       Depths of infinite predicted cost are skipped, and the call raises
       ValueError when every depth has one: no walk can find the pair.
     - branching: d / q for the exact survival q of the first block
@@ -537,7 +547,6 @@ def choose_params(
         delta = theta_uniform(lam, gamma).delta
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta outside [0, 1]: {delta}")
-    strategy = EXACT if strategy is None else strategy
     g_all = round_nearest(gamma * d)
     n = round(2.0 ** (lam * d))
 
@@ -550,11 +559,11 @@ def choose_params(
         return SolverParams(
             depth=r,
             branching=b,
-            permutations=4 if permutations is None else permutations,
+            permutations=permutations,
             delta=delta,
             strategy=strategy,
             naive_threshold=max(32, b) if naive_threshold is None else naive_threshold,
-            stop_on_first=False if stop_on_first is None else stop_on_first,
+            stop_on_first=stop_on_first,
         )
 
     if depth is None:
@@ -564,7 +573,7 @@ def choose_params(
     else:
         raise ValueError(f"depth outside [1, {d}]: {depth}")
     costs = [(predicted_cost(d, n, g_all, p), p) for p in map(at_depth, depths)]
-    cost, params = min(costs, key=lambda c: c[0])
-    if cost == math.inf:
+    least = min(c for c, _ in costs)
+    if least == math.inf:
         raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g}")
-    return params
+    return next(p for c, p in costs if c - least <= 1e-9 * abs(least))

@@ -95,7 +95,7 @@ from .bitvec import (
 # _PAIR_BUDGET: against half and a quarter of it at d=128, and twice it at
 # d=64 (2-vCPU VM; ROADMAP item 9).  Both were tuned while broadcasts still
 # went through numpy's default ufunc buffer, and were kept: they feed
-# analysis.predicted_cost, so moving them moves choose_params.
+# analysis.predicted_work, so moving them moves choose_params.
 _ELEM_BUDGET = 1 << 18
 _PAIR_BUDGET = _ELEM_BUDGET >> 3
 # Block-local words per filter slab when the walk stops at its first hit.
@@ -106,7 +106,7 @@ _PAIR_BUDGET = _ELEM_BUDGET >> 3
 # 2^17, over 288 searches at each of d=64, n=2^12 and d=128, n=2^10; 2-vCPU
 # VM).  Full rounds keep _ELEM_BUDGET: scan_leaves packs passes within one
 # slab, and quarter slabs made those searches 1.18-1.23x slower.
-# predicted_cost prices every slab at _ELEM_BUDGET (ROADMAP item 12).
+# analysis.predicted_work counts every slab at _ELEM_BUDGET (ROADMAP item 12).
 _FIRST_HIT_ELEM_BUDGET = _ELEM_BUDGET >> 2
 # Elements in numpy's ufunc buffer while the kernels run (_small_ufunc_buffer).
 # On the one-word leaf kernel 16 to 256 cost the same per pair, and from 512
@@ -358,24 +358,17 @@ def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
     return rows_a[pa], rows_b[pb[hit]], bucket
 
 
-def _naive_scan(inst, gamma_count: int | None, collect: bool):
-    """The target distance, checked, and _scan_pairs' result on the instance's two lists."""
-    g = inst.gamma_count if gamma_count is None else gamma_count
-    if not 0 <= g <= inst.d:
-        raise ValueError(f"gamma_count outside [0, {inst.d}]: {g}")
+def naive_search(inst) -> list[MatchPair]:
+    """Every cross pair at the instance's distance, in lexicographic order."""
     with _small_ufunc_buffer():
-        return g, _scan_pairs(inst.mat1, inst.mat2, g, collect)
+        hits = _scan_pairs(inst.mat1, inst.mat2, inst.gamma_count, True)
+    return [] if hits is None else [MatchPair(i, j, inst.gamma_count) for i, j in zip(*(h.tolist() for h in hits))]
 
 
-def naive_search(inst, gamma_count: int | None = None) -> list[MatchPair]:
-    """Every cross pair at the target distance, in lexicographic order."""
-    g, hits = _naive_scan(inst, gamma_count, True)
-    return [] if hits is None else [MatchPair(i, j, g) for i, j in zip(hits[0].tolist(), hits[1].tolist())]
-
-
-def naive_count(inst, gamma_count: int | None = None) -> int:
-    """Number of cross pairs at the target distance, without materializing them."""
-    return _naive_scan(inst, gamma_count, False)[1]
+def naive_count(inst) -> int:
+    """Number of cross pairs at the instance's distance, without materializing them."""
+    with _small_ufunc_buffer():
+        return _scan_pairs(inst.mat1, inst.mat2, inst.gamma_count, False)
 
 
 def solve(inst, params: SolverParams, rng: np.random.Generator) -> SolveReport:

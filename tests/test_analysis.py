@@ -22,11 +22,12 @@ from hambucket.analysis import (
     inverse_entropy,
     lower_bound_exponent,
     predicted_cost,
+    predicted_work,
     theta_distribution,
     theta_uniform,
     verify_survival_counts,
 )
-from hambucket.bitvec import block_bounds
+from hambucket.bitvec import block_bounds, n_words
 from hambucket.generator import gen_instance
 from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest, solve
 from oracle import bucket_accept, enumerate_survival, strategy_survival_count
@@ -573,6 +574,83 @@ def test_model_prices_the_windows_the_walk_filters_with(monkeypatch, d, depth):
     assert priced == want
     # the model prices its levels bottom-up; a level's rest is the bits from its block on
     assert rests[::-1] == [(d - start, stop - start) for start, stop in blocks]
+
+
+@pytest.mark.parametrize("d, log_n, gamma_count, kw", [
+    (64, 12, 8, {"strategy": deviation(1), "stop_on_first": True}),  # solve-d64-uniform
+    (128, 10, 16, {"strategy": deviation(1), "stop_on_first": True}),  # solve-d128-fixed: two-word rows
+    (128, 10, 16, {"strategy": deviation(1)}),
+    (96, 12, 12, {"strategy": AT_MOST, "depth": 4, "naive_threshold": 32}),
+    (64, 8, 8, {"naive_threshold": 256}),  # a leaf root
+])
+def test_predicted_cost_is_the_work_priced(monkeypatch, d, log_n, gamma_count, kw):
+    """predicted_cost is predicted_work dotted with _PRICES and nothing else.
+
+    With the price table one unit vector, the cost is that entry of the
+    work, the pair entries scaled by _WIDE_ROW for rows of several words.
+    """
+    n = 2**log_n
+    params = choose_params(d, log_n / d, gamma_count / d, **kw)
+    work = predicted_work(d, n, gamma_count, params)
+    wide = 1.0 if n_words(d) == 1 else analysis._WIDE_ROW
+    assert work.shape == analysis._PRICES.shape and np.isfinite(work).all()
+    assert type(predicted_cost(d, n, gamma_count, params)) is float
+    for k, unit in enumerate(np.eye(work.size)):
+        monkeypatch.setattr(analysis, "_PRICES", unit)
+        assert predicted_cost.__wrapped__(d, n, gamma_count, params) == work[k] * (wide if k in (4, 5) else 1.0)
+
+
+# (d, log2 n, gamma d, depth, strategy, naive_threshold, branching), from
+# the benchmark's sizes down to a leaf root; every block is at most 64 bits
+# wide, so the model's weights (rows x z x block-local words) are weighed.
+COUNTED_WALKS = [
+    (64, 11, 8, 3, deviation(1), 32, 128),
+    (128, 11, 16, 3, deviation(1), 32, 128),
+    (96, 12, 12, 4, AT_MOST, 32, 64),
+    (64, 12, 8, 3, EXACT, 64, 256),
+    (64, 8, 8, 3, deviation(1), 256, 256),  # a leaf root: one scan of n^2 pairs
+]
+
+
+@pytest.mark.parametrize("d, log_n, gamma_count, depth, strategy, threshold, branching", COUNTED_WALKS)
+def test_predicted_work_counts_what_the_walk_reports(d, log_n, gamma_count, depth, strategy, threshold, branching):
+    """One call's predicted work against the mean of 8 reports: weighed within 2%, leaf pairs within 3%.
+
+    With one full round (permutations=1, no stop_on_first) work[0], the
+    solve calls per success, is 1 / Pr[a call finds the pair], so
+    work / work[0] is one call's work; with four rounds a call walks four
+    of them.  The reports' weighed is the rows x z the filter weighed, and
+    naive_comparisons the leaf pairs scanned, ragged passes and own passes
+    alike.  nodes_visited is not compared: it counts leaf buckets too, and
+    the model counts only the inner nodes it prices.
+    """
+    n = 2**log_n
+    params = choose_params(d, log_n / d, gamma_count / d, depth=depth, strategy=strategy, naive_threshold=threshold,
+                           branching=branching, permutations=1)
+    work = predicted_work(d, n, gamma_count, params)
+    call = work / work[0]
+    four = predicted_work(d, n, gamma_count, dataclasses.replace(params, permutations=4))
+    rounds = 4 if n > threshold else 1  # a leaf root is scanned once
+    assert four[0] == pytest.approx(1 / (1 - (1 - 1 / work[0]) ** 4), rel=1e-9)
+    np.testing.assert_allclose(four / four[0], [1, *rounds * call[1:]], rtol=1e-12)
+    reports = [solve(gen_instance(d, n, gamma_count, UNIFORM, seed=s), params, np.random.default_rng(s))
+               for s in range(8)]
+    assert np.mean([r.weighed for r in reports]) == pytest.approx(call[3], rel=0.02)
+    assert np.mean([r.naive_comparisons for r in reports]) == pytest.approx(call[4] + call[5], rel=0.03)
+
+
+def test_costs_tied_within_float_noise_go_to_the_lowest_depth():
+    """d=16, n=2^10, gamma 0, exact: depths 2 and 3 walk the same tree and cost the same, up to rounding.
+
+    Each filters the root alone: blocks of 8 and of 5 bits whose windows,
+    weight 1 and weight 0, both keep 1/32 of the rows, so every bucket is a
+    leaf of about 32 rows.  The least cost is theirs, and the pick is 2.
+    """
+    d, lam = 16, 10 / 16
+    costs = {r: model_cost(d, lam, 0.0, choose_params(d, lam, 0.0, depth=r)) for r in range(1, d // 4 + 1)}
+    assert costs[2] == pytest.approx(costs[3], rel=1e-9, abs=0)
+    assert min(costs.values()) == pytest.approx(costs[2], rel=1e-9, abs=0)
+    assert choose_params(d, lam, 0.0).depth == 2
 
 
 def test_choose_params_refuses_a_parity_blocked_pair():

@@ -53,10 +53,11 @@ from oracle import (
 UNIFORM = DistributionModel.uniform()
 
 
-def tiny_instance():
+def tiny_instance(gamma_count=1):
+    """Two lists of two rows; the pair (0, 0) is at distance 1, (0, 1) at 3 and none at 2."""
     l1 = pack_rows([from_bits([0, 0, 0]), from_bits([0, 1, 1])])
     l2 = pack_rows([from_bits([0, 0, 1]), from_bits([1, 1, 1])])
-    return Instance(3, 2, 1, l1, l2, (0, 0), UNIFORM, 0)
+    return Instance(3, 2, gamma_count, l1, l2, (0, 0) if gamma_count == 1 else None, UNIFORM, 0)
 
 
 def test_naive_search_lists_all_pairs_in_order():
@@ -66,8 +67,9 @@ def test_naive_search_lists_all_pairs_in_order():
 
 
 def test_naive_search_distance_override():
-    assert naive_search(tiny_instance(), gamma_count=3) == [MatchPair(0, 1, 3)]
-    assert naive_search(tiny_instance(), gamma_count=2) == []
+    """The scan's target is the instance's gamma_count: the same rows built at 3 and at 2."""
+    assert naive_search(tiny_instance(3)) == [MatchPair(0, 1, 3)]
+    assert naive_search(tiny_instance(2)) == [] and naive_count(tiny_instance(2)) == 0
 
 
 def test_naive_identical_lists_have_diagonal():
@@ -87,8 +89,9 @@ def test_naive_scan_counts_distances_past_255():
     assert max(dist.values()) > 255
     for g in (300, 300 - 256, 290, 290 - 256):
         want = sorted(p for p, x in dist.items() if x == g)
-        assert [(m.i, m.j) for m in naive_search(inst, g)] == want
-        assert naive_count(inst, g) == len(want)
+        at_g = dataclasses.replace(inst, gamma_count=g, planted=None)
+        assert [(m.i, m.j) for m in naive_search(at_g)] == want
+        assert naive_count(at_g) == len(want)
     assert tuple(inst.planted) in {(m.i, m.j) for m in naive_search(inst)}
 
 
@@ -582,8 +585,7 @@ def test_scan_pairs_places_hits_of_later_chunks(monkeypatch, d, n_a, n_b):
 def test_kernels_run_in_one_scope_that_restores_numpy_state(monkeypatch):
     """solve, naive_count and naive_search run their kernels with the small ufunc buffer and leave numpy's state as they found it.
 
-    That holds when a call raises too: before its scan, or from a kernel in
-    the middle of a walk.
+    That holds when a call raises too, from a kernel in the middle of a walk.
     """
     inst = gen_instance(64, 256, 8, UNIFORM, seed=2)
     params = SolverParams(depth=2, branching=16, permutations=2, delta=0.5, strategy=deviation(1),
@@ -600,9 +602,6 @@ def test_kernels_run_in_one_scope_that_restores_numpy_state(monkeypatch):
         state = np.getbufsize(), np.geterr()
         assert solve(inst, params, make_rng(1)).levels == 2
         assert naive_count(inst) == len(naive_search(inst)) >= 1
-        assert (np.getbufsize(), np.geterr()) == state
-        with pytest.raises(ValueError, match="gamma_count outside"):
-            naive_count(inst, gamma_count=-1)
         assert (np.getbufsize(), np.geterr()) == state
         calls = []
 
