@@ -383,20 +383,21 @@ def _first_hit(s: np.ndarray, tries: int, slab: int) -> tuple[np.ndarray, np.nda
     Each draw hits with probability s, independently; draws are filtered
     slab at a time, so a hit at draw j has cost ceil(j / slab) slabs.
     """
+    s = np.minimum(s, 1.0)  # a product of probabilities can round past 1
     slabs = -(-tries // slab)
     rare = tries * s < 1e-9  # hits spread evenly; the formulas below cancel
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_miss = np.log1p(-np.minimum(s, 1.0))
-        hit = -np.expm1(tries * log_miss)
-        miss = 1.0 - hit
-        first = 1.0 / s - tries * miss / hit
-        geo = np.expm1(slabs * slab * log_miss) / np.expm1(slab * log_miss)
-        filtered = (geo - slabs * miss) / hit
+    log_miss = np.log1p(-s)
+    hit = -np.expm1(tries * log_miss)
+    miss = 1.0 - hit
+    first = 1.0 / s - tries * miss / hit
+    geo = np.expm1(slabs * slab * log_miss) / np.expm1(slab * log_miss)
+    filtered = (geo - slabs * miss) / hit
     first = np.where(rare, (tries + 1) / 2, first)
     filtered = np.where(rare, (slabs + 1) / 2, filtered)
     return hit, first, filtered
 
 
+@np.errstate(all="ignore")
 def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np.ndarray:
     """Expected operations per success of solve() with params on two lists of n uniform rows.
 
@@ -428,9 +429,10 @@ def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np
 
     The root takes the leaf rule of every node: at most naive_threshold rows
     a side make it a leaf, which solve() hands to the naive scan, once, and
-    which always finds the pair.  Every count is inf when no round can find
-    the pair: when no split of its differing coordinates passes every level,
-    or when the depth's blocks cannot hold them all and the root is filtered.
+    which always finds the pair.  Every count is inf when the depth's blocks
+    cannot hold the pair's differing coordinates and the root is filtered,
+    or when any count is not finite: no round can find the pair, or a count
+    overflows a float, with numpy's float warnings off throughout.
     """
     wide = 1.0 if n_words(d) == 1 else _WIDE_ROW
     tries = params.branching
@@ -438,7 +440,7 @@ def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np
               for start, stop in block_bounds(d, params.depth)]
     # top-down: the rows per side at each level, down to the level whose
     # children are leaves
-    levels, rows = [], n
+    levels, rows = [], float(n)
     for start, width, lo, hi in blocks:
         if rows <= params.naive_threshold:
             break
@@ -453,34 +455,32 @@ def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np
     full = np.array([0.0, 0, 0, 0, 0 if own else x, x if own else 0, own])
     found = np.ones(gamma_count + 1)
     found_work = np.tile(full, (gamma_count + 1, 1))
+    below = np.maximum(np.arange(gamma_count + 1)[:, None] - np.arange(gamma_count + 1), 0)
     for width, survival, rest, rows in reversed(levels):
-        # the root holds all gamma_count of them, a deeper node any number
-        r = np.arange(gamma_count + 1) if rest < d else np.array([gamma_count])
-        below = np.maximum(r[:, None] - np.arange(gamma_count + 1), 0)
-        slab = max(1, _ELEM_BUDGET // max(1, round(2 * rows) * n_words(width)))
+        slab = max(1, _ELEM_BUDGET // max(1, round(min(2 * rows, _ELEM_BUDGET)) * n_words(width)))
         per_z = 2 * rows * n_words(width)
         survive = survival * found[below]
         hit, first, filtered = _first_hit(survive, tries, slab)
         walk = (first - 1)[..., None] * full + found_work[below]
         # a node's own work is itself, its slabs and the weights they hold
         walk[..., 1:4] += np.stack((np.ones_like(first), filtered, np.minimum(tries, filtered * slab) * per_z), -1)
-        kept = _split_probs(rest, width, gamma_count)[r] * hit
-        found = kept.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            found_work = np.where(found[:, None] > 0, (kept[..., None] * walk).sum(axis=1) / found[:, None], 0.0)
+        kept = _split_probs(rest, width, gamma_count) * hit
+        found = np.minimum(kept.sum(axis=1), 1.0)  # split shares can sum past 1 by rounding
+        found_work = np.where(found[:, None] > 0, (kept[..., None] * walk).sum(axis=1) / found[:, None], 0.0)
         full = np.array([0, 1, -(-tries // slab), tries * per_z, 0, 0, 0]) + tries * full
-    p_round, hit_work = found[0], found_work[0]
-    p_call = 1.0 if p_round >= 1.0 else -math.expm1(params.permutations * math.log1p(-p_round))
-    # both weights of a kept pair lie in the window, so a block keeps at most
-    # 2 hi of its differences; buckets above the mean size are filtered
-    # further down, so every block of the depth counts, not only those walked
-    if p_call <= 0.0 or (levels and sum(min(2 * hi, width) for _, width, _, hi in blocks) < gamma_count):
-        return np.full(_PRICES.size, math.inf)
+    # the root holds all gamma_count of them; a call's rounds are draws that hit with p_round
+    p_round, hit_work = found[-1], found_work[-1]
+    p_call = _first_hit(p_round, params.permutations, 1)[0]
     if params.stop_on_first:
         work = (p_round * hit_work + (1.0 - p_round) * full) / p_round
     else:
         work = (params.permutations if levels else 1) * full / p_call
     work[0] = 1.0 / p_call
+    # both weights of a kept pair lie in the window, so a block keeps at most
+    # 2 hi of its differences; buckets above the mean size are filtered
+    # further down, so every block of the depth counts, not only those walked
+    if not np.isfinite(work).all() or (levels and sum(min(2 * hi, width) for _, width, _, hi in blocks) < gamma_count):
+        return np.full(_PRICES.size, math.inf)
     return work
 
 
@@ -526,8 +526,7 @@ def choose_params(
       Costs within a relative 1e-9 of the least tie, and ties go to the
       lowest depth, as when the root holds at most naive_threshold rows and
       is scanned as one leaf at every depth.
-      Depths of infinite predicted cost are skipped, and the call raises
-      ValueError when every depth has one: no walk can find the pair.
+      Depths predicted_work cannot price (inf cost) are skipped; ValueError if every depth is one.
     - branching: d / q for the exact survival q of the first block
       (block_survival), capped at _BRANCHING_CAP
     - naive_threshold: max(32, branching) of the depth being priced.
@@ -575,5 +574,6 @@ def choose_params(
     costs = [(predicted_cost(d, n, g_all, p), p) for p in map(at_depth, depths)]
     least = min(c for c, _ in costs)
     if least == math.inf:
-        raise ValueError(f"no z can keep a pair at gamma={gamma:g} with delta={delta:g}")
+        raise ValueError(f"no depth has a finite predicted cost at gamma={gamma:g} with delta={delta:g}: "
+                         "its walk cannot find the pair, or its counts overflow a float")
     return next(p for c, p in costs if c - least <= 1e-9 * abs(least))

@@ -5,6 +5,7 @@ asserts the same condition, so the suite fails loudly if any guarantee slips.
 The heavy solver checks keep to fixed seeds; total runtime is a few minutes.
 """
 
+import itertools
 import math
 import statistics
 import time
@@ -200,3 +201,31 @@ def test_criterion_8_determinism_and_soundness():
         sound &= {(m.i, m.j) for m in a.matches} <= naive
     _report(8, "determinism and soundness", deterministic and sound,
             f"100 instances, identical reruns {deterministic}, subset of naive {sound}")
+
+
+def test_criterion_9_fewer_operations_than_naive():
+    """Row pairs scanned plus block weights computed, per success, stay below n^2 / 4.
+
+    Each instance is solved with solve seeds 0, 1, ... until the planted
+    pair is found, so the totals are one success's operations, failed calls
+    included.  The counts are deterministic on these fixed seeds.
+    """
+    d, gc = 128, 8
+    t0 = time.perf_counter()
+    ratios = {}
+    for log_n in (15, 16, 17):
+        n = 1 << log_n
+        params = choose_params(d, log_n / d, gc / d, strategy=deviation(1), stop_on_first=True)
+        for seed in range(3):
+            inst = gen_instance(d, n, gc, UNIFORM, seed=seed)
+            ops = 0
+            for t in itertools.count():
+                rep = solve(inst, params, make_rng(t))
+                ops += rep.naive_comparisons + rep.weighed
+                if rep.planted_found:
+                    break
+            ratios.setdefault(log_n, []).append(ops / n**2)
+    elapsed = time.perf_counter() - t0
+    _report(9, "operations per success", all(r < 0.25 for rs in ratios.values() for r in rs),
+            "; ".join(f"n=2^{k}: {', '.join(f'{r:.3f}' for r in rs)} n^2" for k, rs in ratios.items())
+            + f" (bound 0.25 n^2), {elapsed:.0f}s")

@@ -658,7 +658,7 @@ def test_choose_params_refuses_a_parity_blocked_pair():
 
     4096 rows exceed every threshold, so the root is filtered and no walk can find the pair.
     """
-    with pytest.raises(ValueError, match="no z can keep a pair"):
+    with pytest.raises(ValueError, match=r"no depth has a finite predicted cost at gamma=0\.0833333 "):
         choose_params(12, 1.0, 1 / 12)
 
 
@@ -671,9 +671,39 @@ def test_chosen_params_have_finite_cost(d, strategy):
         try:
             params = choose_params(d, lam, gamma, strategy=strategy, stop_on_first=stop)
         except ValueError as exc:
-            assert str(exc).startswith("no z can keep a pair")
+            assert str(exc).startswith(f"no depth has a finite predicted cost at gamma={gamma:g} ")
             continue
         assert math.isfinite(model_cost(d, lam, gamma, params))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stop", [False, True], ids=["all", "first"])
+@pytest.mark.parametrize("strategy", [EXACT, deviation(1), AT_MOST], ids=["exact", "dev1", "atmost"])
+def test_choose_params_prices_its_pick_or_refuses(strategy, stop):
+    """choose_params returns params of finite, positive predicted cost or raises ValueError: no other error, no warning.
+
+    Explicit depths reach d, branching 2^20 and lambda d 1023.  Named cases:
+    d=256, lambda d=12, gamma d=32 at depth 146, whose dev:1 counts overflow
+    a float; lambda d=600, whose rows squared overflow at every depth;
+    lambda d=1023, whose rows doubled overflow too; and d=16, n=1189,
+    gamma d=8 at depth 15, whose split shares round past 1.
+    The rest are drawn from a fixed seed.
+    """
+    rng = np.random.default_rng(20)
+    cases = [(256, 12, 32, 146, None), (600, 600, 60, None, None), (1023, 1023, 3, None, None),
+             (16, math.log2(1189), 8, 15, None), (1000, 1000, 10, 1000, 1 << 20), (64, 64, 32, 64, 1 << 20)]
+    for _ in range(60):
+        d = int(rng.choice([4, 16, 33, 64, 128, 256]))
+        depth = [None, 1, int(rng.integers(1, d + 1)), d][rng.integers(4)]
+        branching = [None, 1, int(rng.integers(1, 1 << 20)), 1 << 20][rng.integers(4)]
+        cases.append((d, rng.uniform(0, d), int(rng.integers(0, d // 2 + 1)), depth, branching))
+    for d, lam_d, gamma_count, depth, branching in cases:
+        lam, gamma = lam_d / d, gamma_count / d
+        try:
+            params = choose_params(d, lam, gamma, depth=depth, branching=branching, strategy=strategy, stop_on_first=stop)
+        except ValueError:
+            continue
+        assert 0 < model_cost(d, lam, gamma, params) < math.inf, (d, lam_d, gamma_count, depth, branching)
 
 
 def test_choose_params_overrides_pass_through():

@@ -313,7 +313,19 @@ def test_solve_refuses_a_walk_that_cannot_find_the_pair(tmp_path):
     assert run_cli("gen", "--d", "12", "--n", "4096", "--gamma", "1", "--out", str(path)).returncode == 0
     r = run_cli("solve", "--in", str(path))
     assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr.startswith("error: no z can keep a pair at gamma=0.0833333 ") and r.stderr.count("\n") == 1
+    assert r.stderr.startswith("error: no depth has a finite predicted cost at gamma=0.0833333 ")
+    assert r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("stop", [[], ["--all"]], ids=["first", "all"])
+def test_solve_refuses_a_walk_whose_cost_overflows(tmp_path, stop):
+    """At d=256, n=4096, distance 32, a dev:1 walk of depth 146 has counts past the float range: exit 2, one line."""
+    path = tmp_path / "deep.cpinst"
+    assert run_cli("gen", "--d", "256", "--n", "4096", "--gamma", "32", "--seed", "1", "--out", str(path)).returncode == 0
+    r = run_cli("solve", "--in", str(path), "--depth", "146", "--strategy", "dev:1", *stop)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: no depth has a finite predicted cost at gamma=0.125 ")
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr and "Warning" not in r.stderr
 
 
 def test_solve_scans_a_small_root_at_any_depth(tmp_path):
