@@ -12,7 +12,7 @@ ranges where theory says it should.  The package splits into:
 - ``cli``:       the ``hambucket`` command
 """
 
-from .bitvec import BitVector, block_bounds, make_rng, random_permutation
+from .bitvec import block_bounds, make_rng, random_permutation
 from .analysis import (
     ExponentResult,
     binary_entropy,

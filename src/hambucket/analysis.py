@@ -258,7 +258,6 @@ _PRICES = np.array([
 _WIDE_ROW = 1.3  # pair prices of rows longer than one word, relative to one word
 
 
-@lru_cache(maxsize=64)
 def _log_factorials(n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
 
@@ -271,8 +270,9 @@ def _log_comb_arr(lf: np.ndarray, n, m) -> np.ndarray:
     return np.where((0 <= m) & (m <= n), val, -np.inf)
 
 
-# The tables below and predicted_cost are cached: choose_params meets the
-# same blocks at several depths, and callers repeat the same configuration.
+# Two memos: _survival_by_split's vector, which verify_survival_counts and
+# every equal-width level ask for again, and choose_params' pick, which
+# callers repeat.  No (gmax+1)^2 split table outlives a pick.
 
 
 @lru_cache(maxsize=1024)
@@ -300,17 +300,16 @@ def _survival_by_split(width: int, lo: int, hi: int, gmax: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1024)
 def _split_probs(rest: int, width: int, gmax: int) -> np.ndarray:
     """[r, g]: Pr[g of r differing coordinates, uniform among rest, fall in a block of width]."""
     lf = _log_factorials(max(rest, gmax))
-    r = np.arange(gmax + 1)[:, None]
-    g = np.arange(gmax + 1)[None, :]
+    k = np.arange(-gmax, gmax + 1)
+    # ln C(n, k) for n = width, rest - width and rest, with k at column gmax + k
+    in_block, out_block, total = _log_comb_arr(lf, np.array([[width], [rest - width], [rest]]), k)
+    r = g = np.arange(gmax + 1)
     # more differing coordinates than remain is impossible: a zero row, not 0/0
-    total = np.maximum(_log_comb_arr(lf, rest, r), 0.0)
-    out = np.exp(_log_comb_arr(lf, width, g) + _log_comb_arr(lf, rest - width, r - g) - total)
-    out.flags.writeable = False
-    return out
+    total = np.maximum(total[gmax + r], 0.0)[:, None]
+    return np.exp(in_block[gmax + g] + out_block[gmax + r[:, None] - g] - total)
 
 
 def block_survival(d: int, gamma_count: int, width: int, lo: int, hi: int) -> float:
@@ -484,7 +483,6 @@ def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np
     return work
 
 
-@lru_cache(maxsize=256)
 def predicted_cost(d: int, n: int, gamma_count: int, params: SolverParams) -> float:
     """Predicted seconds per success: predicted_work priced by _PRICES, pair prices x _WIDE_ROW past one-word rows."""
     pair = 1.0 if n_words(d) == 1 else _WIDE_ROW
@@ -499,6 +497,7 @@ def list_exponent(d: int, n: int) -> float:
     return math.log2(n) / d
 
 
+@lru_cache(maxsize=256, typed=True)
 def choose_params(
     d: int,
     lam: float,
@@ -512,7 +511,7 @@ def choose_params(
     naive_threshold: int | None = None,
     stop_on_first: bool = False,
 ) -> SolverParams:
-    """Concrete solver parameters for a d-dimensional instance.
+    """Concrete solver parameters for a d-dimensional instance; identical calls share one cached result.
 
     Every keyword given overrides the corresponding default; the rest are:
 

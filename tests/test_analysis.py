@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,7 +453,7 @@ def test_choose_params_depth_range_bounds(monkeypatch):
     monkeypatch.setattr(analysis, "predicted_cost", deepest_is_cheapest)
     for d, top in [(1, 1), (3, 1), (7, 1), (8, 2), (31, 7), (32, 8), (1024, 8)]:
         seen.clear()
-        assert choose_params(d, 0.3, 0.0).depth == top
+        assert choose_params.__wrapped__(d, 0.3, 0.0).depth == top
         assert sorted(seen) == list(range(1, top + 1))
 
 
@@ -570,7 +571,7 @@ def test_model_prices_the_windows_the_walk_filters_with(monkeypatch, d, depth):
 
     monkeypatch.setattr(analysis, "_survival_by_split", record_model)
     monkeypatch.setattr(analysis, "_split_probs", record_split)
-    assert math.isfinite(predicted_cost.__wrapped__(d, n, gamma_count, params))
+    assert math.isfinite(predicted_cost(d, n, gamma_count, params))
     assert priced == want
     # the model prices its levels bottom-up; a level's rest is the bits from its block on
     assert rests[::-1] == [(d - start, stop - start) for start, stop in blocks]
@@ -597,7 +598,7 @@ def test_predicted_cost_is_the_work_priced(monkeypatch, d, log_n, gamma_count, k
     assert type(predicted_cost(d, n, gamma_count, params)) is float
     for k, unit in enumerate(np.eye(work.size)):
         monkeypatch.setattr(analysis, "_PRICES", unit)
-        assert predicted_cost.__wrapped__(d, n, gamma_count, params) == work[k] * (wide if k in (4, 5) else 1.0)
+        assert predicted_cost(d, n, gamma_count, params) == work[k] * (wide if k in (4, 5) else 1.0)
 
 
 # (d, log2 n, gamma d, depth, strategy, naive_threshold, branching), from
@@ -704,6 +705,32 @@ def test_choose_params_prices_its_pick_or_refuses(strategy, stop):
         except ValueError:
             continue
         assert 0 < model_cost(d, lam, gamma, params) < math.inf, (d, lam_d, gamma_count, depth, branching)
+
+
+def test_choose_params_repeats_its_pick_from_the_memo(monkeypatch):
+    """An identical call returns the same SolverParams without pricing again; an argument of another type is a new call."""
+    kw = {"permutations": 4, "strategy": deviation(1), "stop_on_first": True}
+    first = choose_params(64, 11 / 64, 8 / 64, **kw)
+    calls = []
+    monkeypatch.setattr(analysis, "theta_uniform", lambda *args: calls.append(args))
+    monkeypatch.setattr(analysis, "block_survival", lambda *args: calls.append(args))
+    assert choose_params(64, 11 / 64, 8 / 64, **kw) is first
+    assert calls == []
+    monkeypatch.undo()
+    assert type(choose_params(64, 11 / 64, 8 / 64, **{**kw, "permutations": 4.0}).permutations) is float
+
+
+def test_a_pick_leaves_no_memory_behind():
+    """A deep explicit walk builds a (gamma d + 1)^2 split table per level; none outlives the pick, here a refusal."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="no depth has a finite predicted cost"):
+            choose_params(256, 250 / 256, 96 / 256, depth=128, strategy=deviation(1))
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 2**20
 
 
 def test_choose_params_overrides_pass_through():
