@@ -126,6 +126,84 @@ def test_pruned_scan_matches_unpruned_reference(d):
         assert _scan_pairs(mat_a, mat_b, g, False) == want_count
 
 
+def weight_parities(mat):
+    return np.bitwise_count(mat).sum(axis=1) & 1
+
+
+def with_parity(mat, mode):
+    """mat with bit 0 of a row flipped where its weight parity disagrees with mode ("even", "odd" or "mixed")."""
+    if mode != "mixed":
+        mat[weight_parities(mat) != (mode == "odd"), 0] ^= np.uint64(1)
+    return mat
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_naive_scan_matches_unpruned_reference(data):
+    """naive_count and naive_search over the parity classes give the unpruned scan's count and lexicographic pairs.
+
+    The lists mix weight parities, or hold one class only on one side or on
+    both; half of list 2 are near copies of list-1 rows, so small distances
+    of both parities occur.  gamma is 0, the distance of a drawn pair, or any
+    value in [0, d].
+    """
+    d = data.draw(st.sampled_from([1, 63, 64, 65, 96, 128, 200]), label="d")
+    n = data.draw(st.integers(1, 40), label="n")
+    modes = data.draw(st.tuples(*[st.sampled_from(["mixed", "even", "odd"])] * 2), label="parities")
+    rng = make_rng(data.draw(st.integers(0, 2**32), label="seed"))
+    mat_a = mask_pad(rng.integers(0, 1 << 64, size=(n, n_words(d)), dtype=np.uint64), d)
+    mat_b = mask_pad(rng.integers(0, 1 << 64, size=(n, n_words(d)), dtype=np.uint64), d)
+    for j in range(0, n, 2):
+        flip = np.zeros(d, dtype=np.uint8)
+        flip[rng.permutation(d)[: rng.integers(0, min(d, 4) + 1)]] = 1
+        mat_b[j] = mat_a[rng.integers(n)] ^ pack_bit_matrix(flip[None, :])[0]
+    mat_a, mat_b = with_parity(mat_a, modes[0]), with_parity(mat_b, modes[1])
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="pair")
+    pair_dist = int(np.bitwise_count(mat_a[i] ^ mat_b[j]).sum())
+    g = data.draw(st.one_of(st.just(0), st.just(pair_dist), st.integers(0, d)), label="gamma")
+    inst = Instance(d, n, g, mat_a, mat_b, None, UNIFORM, 0)
+    count, rows, cols = unpruned_scan_pairs(inst.mat1, inst.mat2, g, True)
+    assert naive_count(inst) == count
+    assert naive_search(inst) == [MatchPair(a, b, g) for a, b in zip(rows.tolist(), cols.tolist())]
+
+
+def test_naive_scan_computes_only_the_pairs_of_matching_parity(monkeypatch):
+    """The kernel gets the class pairs whose parities sum to gamma's, about n²/2 pairs on uniform rows.
+
+    A scanned root reports what it did before: n² comparisons and no round.
+    Lists of one parity meet no pair at an odd gamma, and no kernel runs.
+    """
+    n = 512
+    inst = gen_instance(64, n, 8, UNIFORM, seed=30)
+    scanned = []
+
+    def spy(mat_a, mat_b, gamma_count, collect):
+        scanned.append(len(mat_a) * len(mat_b))
+        return _scan_pairs(mat_a, mat_b, gamma_count, collect)
+
+    monkeypatch.setattr(solver, "_scan_pairs", spy)
+    odd_a, odd_b = (int(weight_parities(m).sum()) for m in (inst.mat1, inst.mat2))
+    matching = (n - odd_a) * (n - odd_b) + odd_a * odd_b  # gamma is even
+    count, rows, cols = unpruned_scan_pairs(inst.mat1, inst.mat2, 8, True)
+    assert naive_count(inst) == count >= 1
+    assert sum(scanned) == matching and len(scanned) == 2
+    assert 0.45 * n * n < matching < 0.55 * n * n
+    scanned.clear()
+    params = SolverParams(depth=1, branching=8, permutations=2, delta=0.25, strategy=deviation(1),
+                          naive_threshold=n, stop_on_first=False)
+    rep = solve(inst, params, make_rng(0))
+    assert sum(scanned) == matching
+    assert list(rep.matches) == [MatchPair(a, b, 8) for a, b in zip(rows.tolist(), cols.tolist())]
+    assert (rep.nodes_visited, rep.levels, rep.rounds, rep.weighed, rep.naive_comparisons) == (1, 0, 0, 0, n * n)
+    scanned.clear()
+    fixed = gen_instance(64, n, 8, DistributionModel.from_token("fixed:0.3"), seed=30)
+    assert len(set(weight_parities(fixed.mat1)) | set(weight_parities(fixed.mat2))) == 1
+    odd_gamma = dataclasses.replace(fixed, gamma_count=7, planted=None)
+    assert unpruned_scan_pairs(odd_gamma.mat1, odd_gamma.mat2, 7, False)[0] == 0
+    assert naive_count(odd_gamma) == 0 and naive_search(odd_gamma) == []
+    assert scanned == []
+
+
 def hit_list(hits):
     """A leaf pass's hit arrays as a list of tuples, one per pair; None has no pair."""
     return [] if hits is None else list(zip(*(x.tolist() for x in hits)))
