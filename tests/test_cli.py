@@ -297,7 +297,7 @@ def test_solve_refuses_gamma_above_half_d(tmp_path, monkeypatch, capsys):
     path = tmp_path / "far.cpinst"
     assert run_cli("gen", "--d", "64", "--n", "256", "--gamma", "40", "--seed", "3", "--out", str(path)).returncode == 0
     r = run_cli("naive", "--in", str(path))
-    assert r.returncode == 0 and r.stdout.splitlines()[-1].startswith("# matches=816 ")
+    assert r.returncode == 0 and r.stdout.splitlines()[-1].startswith("# matches=917 ")
 
     def no_params(*args, **kwargs):
         raise AssertionError("choose_params ran")

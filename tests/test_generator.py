@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -471,19 +472,29 @@ def test_crlf_line_endings_are_refused(tmp_path):
 
 
 def _profiled_calls(fn, *args) -> int:
-    """Python and C function calls fn(*args) makes, as sys.setprofile sees them."""
+    """Python and C function calls fn(*args) makes, as sys.setprofile sees them.
+
+    The cyclic collector is emptied first and kept off while fn runs: a
+    collection inside it would run finalizers of earlier tests' objects,
+    and the profiler would count their calls as fn's.
+    """
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
         count += event in ("call", "c_call")
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
     return count
 
 
