@@ -454,8 +454,8 @@ def predicted_work(d: int, n: int, gamma_count: int, params: SolverParams) -> np
     full = np.array([0.0, 0, 0, 0, 0 if own else x, x if own else 0, own])
     found = np.ones(gamma_count + 1)
     found_work = np.tile(full, (gamma_count + 1, 1))
-    below = np.maximum(np.arange(gamma_count + 1)[:, None] - np.arange(gamma_count + 1), 0)
     for width, survival, rest, rows in reversed(levels):
+        below = np.maximum(np.arange(gamma_count + 1)[:, None] - np.arange(gamma_count + 1), 0)
         slab = max(1, _ELEM_BUDGET // max(1, round(min(2 * rows, _ELEM_BUDGET)) * n_words(width)))
         per_z = 2 * rows * n_words(width)
         survive = survival * found[below]
@@ -527,7 +527,8 @@ def choose_params(
       is scanned as one leaf at every depth.
       Depths predicted_work cannot price (inf cost) are skipped; ValueError if every depth is one.
     - branching: d / q for the exact survival q of the first block
-      (block_survival), capped at _BRANCHING_CAP
+      (block_survival), capped at _BRANCHING_CAP; from d = _BRANCHING_CAP
+      on it is the cap without computing q
     - naive_threshold: max(32, branching) of the depth being priced.
       Filtering a bucket of t rows weighs t x branching blocks, at least
       the t^2 pairs of scanning it when t <= branching, so such a bucket is
@@ -550,7 +551,9 @@ def choose_params(
 
     def at_depth(r: int) -> SolverParams:
         b = branching
-        if b is None:
+        if b is None and d >= _BRANCHING_CAP:  # q <= 1, so d / q is capped whatever q is
+            b = _BRANCHING_CAP
+        elif b is None:
             _, width = block_bounds(d, r)[0]  # block 0 starts at bit 0
             q = block_survival(d, g_all, width, *strategy.window(round_nearest(delta * width)))
             b = _BRANCHING_CAP if d >= q * _BRANCHING_CAP else max(1, round_nearest(d / q))

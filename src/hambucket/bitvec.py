@@ -127,15 +127,6 @@ def rows_to_vectors(dim: int, mat: np.ndarray) -> tuple[BitVector, ...]:
     return tuple(BitVector(dim, tuple(r)) for r in mat.tolist())
 
 
-def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
-    """Pack an (n, d) 0/1 bool or integer matrix into (n, words) uint64, coordinate order."""
-    n, d = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    full = np.zeros((n, n_words(d) * 8), dtype=np.uint8)
-    full[:, : packed.shape[1]] = packed
-    return full.view(np.uint64)
-
-
 def permute_columns(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Apply a coordinate permutation (random_permutation's index array) to every row."""
     return block_local_rows(mat, np.argsort(perm))

@@ -37,7 +37,6 @@ from .bitvec import (
     make_rng,
     mask_pad,
     n_words,
-    pack_bit_matrix,
     round_nearest,
     rows_to_vectors,
     WORD_BITS,
@@ -264,9 +263,9 @@ def gen_instance(d: int, n: int, gamma_count: int, model: DistributionModel, see
     mat2 = _draw_rows(rng, n, d, model)
     i = int(rng.integers(n))
     j = int(rng.integers(n))
-    err_bits = np.zeros((1, d), dtype=np.uint8)
-    err_bits[0, rng.permutation(d)[:gamma_count]] = 1
-    mat2[j] = mat1[i] ^ pack_bit_matrix(err_bits)[0]
+    flips = rng.permutation(d)[:gamma_count]  # distinct 0-based coordinates
+    mat2[j] = mat1[i]
+    np.bitwise_xor.at(mat2[j], flips // WORD_BITS, np.uint64(1) << (flips % WORD_BITS).astype(np.uint64))
     return Instance(
         d=d,
         n=n,

@@ -13,8 +13,12 @@ scans: same matches, counters and random draws; the unpruned cross scan
 before it is the reference for the solver's pruned scans.  hex_row and
 row_fault are the scalar forms of the instance file's row encoding and of
 the reader's row checks.  The weighted row samplers are the references for
-the generator's slab samplers: same random stream, same rows.  The survival count and the z enumeration last of all are
-the exact integer references for the analysis' survival tables, and
+the generator's slab samplers: same random stream, same rows;
+reference_gen_instance, which packs the planted error from a row of bits,
+is the reference for gen_instance's XOR of it into the packed row.
+pack_bit_matrix and its inverse unpack_bit_matrix turn 0/1 rows into packed
+test matrices and back.  The survival count and the z enumeration last of
+all are the exact integer references for the analysis' survival tables, and
 bucket_accept is the scalar form of the bucket rule they share.
 """
 
@@ -34,11 +38,12 @@ from hambucket.bitvec import (
     align_block_zs,
     block_weights_batch,
     draw_block_zs,
+    make_rng,
     mask_pad,
     n_words,
-    pack_bit_matrix,
     random_permutation,
 )
+from hambucket.generator import Instance, _draw_rows
 from hambucket.solver import (
     _ELEM_BUDGET as _WALK_ELEM_BUDGET,
     _FIRST_HIT_ELEM_BUDGET,
@@ -245,6 +250,19 @@ def reference_poisson_rows(rng: np.random.Generator, n: int, d: int, mean_fracti
     return pack_bit_matrix(out)
 
 
+def reference_gen_instance(d: int, n: int, gamma_count: int, model, seed: int) -> Instance:
+    """gen_instance with the planted error built as a (1, d) row of bits and packed: the same stream, the same bytes."""
+    rng = make_rng(seed)
+    mat1 = _draw_rows(rng, n, d, model)
+    mat2 = _draw_rows(rng, n, d, model)
+    i = int(rng.integers(n))
+    j = int(rng.integers(n))
+    err_bits = np.zeros((1, d), dtype=np.uint8)
+    err_bits[0, rng.permutation(d)[:gamma_count]] = 1
+    mat2[j] = mat1[i] ^ pack_bit_matrix(err_bits)[0]
+    return Instance(d, n, gamma_count, mat1, mat2, (i, j), model, seed)
+
+
 def partition_in_place(
     data: np.ndarray,
     order: np.ndarray,
@@ -311,6 +329,15 @@ def survival_rate_probe(inst, params: SolverParams, rng: np.random.Generator, tr
 def row_weights(mat: np.ndarray) -> np.ndarray:
     """Hamming weight of every row."""
     return np.bitwise_count(mat).sum(axis=1, dtype=np.int64)
+
+
+def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
+    """Pack an (n, d) 0/1 bool or integer matrix into (n, words) uint64, coordinate order."""
+    n, d = bits.shape
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    full = np.zeros((n, n_words(d) * 8), dtype=np.uint8)
+    full[:, : packed.shape[1]] = packed
+    return full.view(np.uint64)
 
 
 def unpack_bit_matrix(mat: np.ndarray, dim: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from hambucket.analysis import (
 )
 from hambucket.bitvec import block_bounds, n_words
 from hambucket.generator import gen_instance
-from hambucket.solver import AT_MOST, EXACT, deviation, round_nearest, solve
+from hambucket.solver import AT_MOST, EXACT, SolverParams, deviation, round_nearest, solve
 from oracle import bucket_accept, enumerate_survival, strategy_survival_count
 
 UNIFORM = DistributionModel.uniform()
@@ -731,6 +731,22 @@ def test_a_pick_leaves_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert left < 2**20
+
+
+def test_a_cold_pick_at_large_d_weighs_no_survival(monkeypatch):
+    """From d = _BRANCHING_CAP on, branching is the cap whatever q <= 1 is, so no block_survival table is built."""
+    calls = []
+    monkeypatch.setattr(analysis, "block_survival", lambda *args: calls.append(args))
+    tracemalloc.start()
+    try:
+        params = choose_params.__wrapped__(8192, 1 / 8192, 1024 / 8192)  # cold: past the memo
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert params == SolverParams(depth=1, branching=512, permutations=4, delta=0.4934957588268628,
+                                  strategy=EXACT, naive_threshold=512, stop_on_first=False)
+    assert peak < 16 * 2**20
 
 
 def test_choose_params_overrides_pass_through():

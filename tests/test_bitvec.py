@@ -15,7 +15,6 @@ from hambucket.bitvec import (
     make_rng,
     mask_pad,
     n_words,
-    pack_bit_matrix,
     pack_rows,
     permute_columns,
     random_permutation,
@@ -33,6 +32,7 @@ from oracle import (
     from_coords,
     from_int,
     inverse_permutation,
+    pack_bit_matrix,
     random_vector,
     random_weight_vector,
     reference_permute_columns,

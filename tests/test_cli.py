@@ -238,6 +238,17 @@ def test_impossible_sizes_exit_2(tmp_path):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+def test_solve_refuses_a_z_batch_beyond_the_address_space(tmp_path):
+    """--branching 10^15 asks for a 7.11 PiB z batch at the root, refused before anything is allocated."""
+    path = tmp_path / "i.cpinst"
+    assert run_cli("gen", "--d", "64", "--n", "64", "--gamma", "8", "--seed", "1", "--out", str(path)).returncode == 0
+    # without --threshold the default max(32, branching) would scan the root
+    r = run_cli("solve", "--in", str(path), "--branching", "1000000000000000", "--threshold", "8", timeout=30)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def planted_d8(tmp_path):
     """A d=8 instance of 16 rows a side at distance 1: at or below the leaf threshold of 32."""
     path = tmp_path / "d8.cpinst"

@@ -22,6 +22,7 @@ from oracle import (
     from_coords,
     hex_row,
     reference_fixed_rows,
+    reference_gen_instance,
     reference_poisson_rows,
     row_fault,
     weight,
@@ -120,6 +121,17 @@ def test_weighted_samplers_match_reference_under_tied_keys(d, data):
     f = data.draw(st.sampled_from([0.0, 0.02, 0.3, 0.97, 2.0]), label="mean_fraction")
     got = generator._poisson_rows(CoarseKeys(seed, levels), n, d, f)
     assert np.array_equal(got, reference_poisson_rows(CoarseKeys(seed, levels), n, d, f))
+
+
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 130, 1100])
+@pytest.mark.parametrize("token", ["uniform", "fixed:0.3", "bernoulli:0.2", "poisson:0.25"])
+def test_planted_error_matches_the_packed_bit_row_reference(d, token):
+    """XOR-ing the error's coordinates into the packed row gives the bytes of packing it from a row of bits."""
+    model = DistributionModel.from_token(token)
+    for gc in sorted({0, 1, d // 2, d}):
+        for seed in (0, 7, 2**40 + 3):
+            # Instance equality: the header and both matrices word for word
+            assert gen_instance(d, 5, gc, model, seed) == reference_gen_instance(d, 5, gc, model, seed)
 
 
 def test_uniform_mean_distance_concentrates():

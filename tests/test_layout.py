@@ -19,6 +19,10 @@ module of the package, so neither solver nor analysis.
 The library keeps rows packed: no src/ module names numpy's unpackbits.
 The reference permute that unpacks bits lives in tests/oracle.py.
 
+The solver imports permute_columns, pack_rows and align_block_zs only for
+perfbench/spans.py to look them up; src/ names them nowhere outside an
+import, so no src/ code calls them and no walk builds a permuted matrix.
+
 The library runs in the calling process and is set by its arguments alone:
 no src/ module names environ or getenv, or imports concurrent.futures,
 multiprocessing or subprocess.
@@ -150,6 +154,20 @@ def test_no_module_unpacks_bits():
     users = sorted(path.stem for path in SRC.glob("*.py")
                    if any(name == "unpackbits" for name, _ in _names_used(ast.parse(path.read_text(encoding="utf-8")))))
     assert users == []
+
+
+_BENCH_LOOKUPS = ("align_block_zs", "pack_rows", "permute_columns")
+
+
+def bench_lookup_uses() -> list[str]:
+    """module:line of each identifier or attribute in src/ that names one of _BENCH_LOOKUPS."""
+    return sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+                  for name, node in _names_used(ast.parse(path.read_text(encoding="utf-8")))
+                  if name in _BENCH_LOOKUPS and not isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_no_code_calls_the_names_kept_for_the_benchmark():
+    assert bench_lookup_uses() == []
 
 
 _PROCESS_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
