@@ -140,6 +140,9 @@ def _parse_sweep(text: str):
 def cmd_bench(args) -> int:
     model = DistributionModel.from_token(args.model)
     gammas = _parse_sweep(args.gamma_sweep)
+    if args.csv:
+        # refuse an unwritable path before the first trial; "a" leaves the file as it is
+        open(args.csv, "a", encoding="ascii").close()
     records = run_bench(
         args.d,
         args.n,

@@ -56,15 +56,15 @@ followed.
 
 The naive baseline scans by weight parity.  dist(a, b) = wt(a) + wt(b) -
 2|a & b|, so a pair at gamma has weights whose parities sum to gamma's:
-naive_search and naive_count order each list's rows even weight first
-(_parity_sorted) and give _scan_pairs only the class pairs that can hit.
+naive_search and naive_count split each list's row indices by weight
+parity and give _scan_pairs only the class pairs that can hit.
 On uniform rows that is about half of the pairs: naive_count took 0.49x
 its whole-scan time at d=64, n=2^12, and 0.63x at n=2^9; rows of one
-parity (fixed weight) pay about 1.01-1.03x for the fold.  The walk's leaves
-stay whole.  Two _scan_pairs calls cost more than one at its bucket sizes
-(15.6 against 11.7 us at 80 rows a side; about 5 us of a call is fixed),
-and parity sub-buckets in the ragged pass left d=128, n=2^10 solves at
-1.0-1.1 ms against 0.9-1.0 ms (2-vCPU VM).
+parity (fixed weight) pay about 1.00-1.05x for the fold and the row
+gather.  The walk's leaves stay whole.  Two _scan_pairs calls cost more
+than one at its bucket sizes (15.6 against 11.7 us at 80 rows a side;
+about 5 us of a call is fixed), and parity sub-buckets in the ragged pass
+left d=128, n=2^10 solves at 1.0-1.1 ms against 0.9-1.0 ms (2-vCPU VM).
 
 The walk and the naive scan run their kernels with a small ufunc buffer
 (_small_ufunc_buffer).  numpy copies a broadcast operand through that
@@ -157,7 +157,8 @@ class Strategy:
         if token in ("exact", "atmost"):
             return cls(token)
         kind, sep, arg = token.partition(":")
-        if sep and kind == "dev" and arg.removeprefix("-").isdecimal():
+        # ASCII digits only, as --seed takes: isdecimal alone admits every script's digits
+        if sep and kind == "dev" and arg.isascii() and arg.removeprefix("-").isdecimal():
             return cls("deviation", int(arg))
         raise ValueError(f"malformed strategy token {token!r} (want exact, dev:<eps>, or atmost)")
 
@@ -370,58 +371,38 @@ def _bucket_hits(mat, rows, na, nb, split: int, gamma_count: int):
     return rows_a[pa], rows_b[pb[hit]], bucket
 
 
-def _parity_sorted(mat: np.ndarray):
-    """(rows, order, classes): mat's rows with the even-weight ones first, stably.
-
-    rows[k] is mat[order[k]], and classes holds the (lo, hi) ranges of rows
-    with even and with odd weight.  order is None, and rows is mat, when
-    every row has the same parity.
-    """
-    # a row's weight parity is the parity of the XOR of its words
-    fold = mat[:, 0].copy()
-    for t in range(1, mat.shape[1]):
-        fold ^= mat[:, t]
-    odd = np.bitwise_count(fold) & 1
-    evens = len(mat) - int(np.count_nonzero(odd))
-    classes = ((0, evens), (evens, len(mat)))
-    if evens in (0, len(mat)):
-        return mat, None, classes
-    order = np.argsort(odd, kind="stable")
-    return mat.take(order, 0), order, classes
-
-
 def _naive_scan(inst, collect: bool):
     """The naive scan of naive_search (collect) and naive_count.
 
     A pair at distance gamma_count has weights whose parities sum to
-    gamma_count's, so each list is split into its even- and odd-weight rows
-    and only the class pairs that can hit are scanned.  With collect returns
-    the (i, j) arrays of the hits in lexicographic order, or None.
+    gamma_count's, so each list's row indices are split into its even- and
+    odd-weight rows, both ascending, and only the class pairs that can hit
+    are scanned.  With collect returns the (i, j) arrays of the hits in
+    lexicographic order, or None.
     """
-    gamma = inst.gamma_count
-    rows_a, order_a, classes_a = _parity_sorted(inst.mat1)
-    rows_b, order_b, classes_b = _parity_sorted(inst.mat2)
-    count, found = 0, []
-    for parity, (lo_a, hi_a) in enumerate(classes_a):
-        lo_b, hi_b = classes_b[(gamma + parity) & 1]
-        if lo_a == hi_a or lo_b == hi_b:
+    gamma, classes = inst.gamma_count, []
+    for mat in (inst.mat1, inst.mat2):
+        # a row's weight parity is the parity of the XOR of its words
+        fold = mat[:, 0].copy()
+        for t in range(1, mat.shape[1]):
+            fold ^= mat[:, t]
+        odd = np.bitwise_count(fold) & 1
+        # nonzero, not flatnonzero: half the call's cost on 2^9 rows
+        classes.append(((odd == 0).nonzero()[0], odd.nonzero()[0]))
+    count, keys = 0, []
+    for parity, rows_a in enumerate(classes[0]):
+        rows_b = classes[1][(gamma + parity) & 1]
+        if not rows_a.size or not rows_b.size:
             continue
-        hits = _scan_pairs(rows_a[lo_a:hi_a], rows_b[lo_b:hi_b], gamma, collect)
+        hits = _scan_pairs(inst.mat1.take(rows_a, 0), inst.mat2.take(rows_b, 0), gamma, collect)
         if not collect:
             count += hits
         elif hits is not None:
-            found.append((hits[0] + lo_a, hits[1] + lo_b))
+            # pair (i, j) of the lists has key i * n + j
+            keys.append(rows_a[hits[0]] * inst.n + rows_b[hits[1]])
     if not collect:
         return count
-    if not found:
-        return None
-    i, j = (np.concatenate(side) for side in zip(*found))
-    if order_a is not None:
-        i = order_a[i]
-    if order_b is not None:
-        j = order_b[j]
-    # back in the lists' own order; pair (i, j) has key i * n + j
-    return np.divmod(np.sort(i * inst.n + j), inst.n)
+    return np.divmod(np.sort(np.concatenate(keys)), inst.n) if keys else None
 
 
 def naive_search(inst) -> list[MatchPair]:

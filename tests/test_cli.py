@@ -287,6 +287,19 @@ def test_bench_refuses_tuning_flags_before_any_trial(monkeypatch, capsys, flag, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_bench_refuses_an_unwritable_csv_before_any_trial(monkeypatch, capsys, tmp_path):
+    """--csv is opened before the first instance is generated."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(bench, "gen_instance", no_trial)
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["bench", "--d", "64", "--n", "32768", "--gamma-sweep", "0.125", "--trials", "3", "--strategy", "atmost"]
+    assert cli.main([*argv, "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
 def test_solve_refuses_a_deviation_width_beyond_max_dim(tmp_path):
     r = run_cli("solve", "--in", str(planted_d8(tmp_path)), "--strategy", f"dev:{10**21}")
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: deviation width outside [0, 1048576]: {10**21}\n")

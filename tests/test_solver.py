@@ -171,7 +171,8 @@ def test_naive_scan_computes_only_the_pairs_of_matching_parity(monkeypatch):
     """The kernel gets the class pairs whose parities sum to gamma's, about n²/2 pairs on uniform rows.
 
     A scanned root reports what it did before: n² comparisons and no round.
-    Lists of one parity meet no pair at an odd gamma, and no kernel runs.
+    Lists of one parity are one class pair at an even gamma, scanned whole
+    in one kernel call; at an odd gamma they meet no pair, and no kernel runs.
     """
     n = 512
     inst = gen_instance(64, n, 8, UNIFORM, seed=30)
@@ -198,6 +199,11 @@ def test_naive_scan_computes_only_the_pairs_of_matching_parity(monkeypatch):
     scanned.clear()
     fixed = gen_instance(64, n, 8, DistributionModel.from_token("fixed:0.3"), seed=30)
     assert len(set(weight_parities(fixed.mat1)) | set(weight_parities(fixed.mat2))) == 1
+    count, rows, cols = unpruned_scan_pairs(fixed.mat1, fixed.mat2, 8, True)
+    assert naive_count(fixed) == count >= 1 and scanned == [n * n]
+    assert naive_search(fixed) == [MatchPair(a, b, 8) for a, b in zip(rows.tolist(), cols.tolist())]
+    assert scanned == [n * n, n * n]
+    scanned.clear()
     odd_gamma = dataclasses.replace(fixed, gamma_count=7, planted=None)
     assert unpruned_scan_pairs(odd_gamma.mat1, odd_gamma.mat2, 7, False)[0] == 0
     assert naive_count(odd_gamma) == 0 and naive_search(odd_gamma) == []
@@ -283,6 +289,8 @@ def test_strategy_tokens():
         Strategy.from_token("dev:-1")
     with pytest.raises(ValueError):
         Strategy.from_token("widest")
+    with pytest.raises(ValueError, match="malformed strategy token"):
+        Strategy.from_token("dev:\u0661")  # an Arabic-Indic one
 
 
 def test_bucket_accept_rules():
