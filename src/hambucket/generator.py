@@ -16,6 +16,12 @@ read_instance and write_instance take a path and work on the file's bytes.
 The header is read only in the form write_instance renders it: integers in
 plain decimal (no sign, leading zero, underscore or whitespace), and the
 model token as DistributionModel.token prints it (fixed:0.3, not fixed:3e-1).
+After the header, the reader proves the whole layout at once: the file's
+byte length, an LF ending each row and the separator, hex digits elsewhere.
+Only a file that fails is split at every LF, to name its first fault; the
+checks and their messages keep one order: non-ASCII, CRLF, header, line
+count, separator, then each list's rows (digit count, hex, padding), and
+last the planted distance.
 
 Weighted rows come from the instance's one sequential random stream, drawn as
 uniform keys in fixed-size slabs of rows and packed slab by slab: the slab
@@ -362,52 +368,81 @@ _HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _NIBBLE = np.full(256, 0x100, dtype="<u2")  # ASCII code -> nibble, 0x100 if not a hex digit
 _NIBBLE[_HEX_CHARS] = np.arange(16)
 # Two adjacent digits, read as the little-endian uint16 c0 | c1 << 8, -> the
-# byte nibble(c0) | nibble(c1) << 4, above 0xFF unless both are hex digits.
-# A row of odd length pairs its last digit with its LF, which reads as 0.
-_HEX_PAIR = (_NIBBLE[None, :] | np.where(np.arange(256) == _LF, 0, _NIBBLE)[:, None] << 4).ravel()
+# byte nibble(c0) | nibble(c1) << 4, above 0xFF unless both are hex digits:
+# an LF in either place is refused like any other byte.
+_HEX_PAIR = (_NIBBLE[None, :] | _NIBBLE[:, None] << 4).ravel()
+_LF_TERM = _NIBBLE[_LF] << 4  # what an LF adds to a pair as its second byte
 
 
-def _parse_rows(data: np.ndarray, start: int, lengths: np.ndarray, first_line_no: int, d: int) -> np.ndarray:
-    """One list's rows, the first at data[start]; row r is line first_line_no + r, lengths[r] long."""
-    n, digits = len(lengths), (d + 3) // 4
-    # rows before the first one of wrong length are checked for hex digits
-    # first, so the error names the first bad line whatever its fault
-    wrong = np.flatnonzero(lengths != digits)
-    short = int(wrong[0]) if wrong.size else n
-    text = data[start : start + short * (digits + 1)].reshape(short, digits + 1)
-    half = (digits + 1) // 2
-    packed = _HEX_PAIR.take(text[:, : 2 * half].view("<u2"))
-    if short and packed.max() > 0xFF:
-        row = int(np.argmax(packed.ravel() > 0xFF)) // half
-        payload = text[row, :digits].tobytes().decode("ascii")
-        raise InstanceParseError(f"line {first_line_no + row}: non-hex payload {payload!r}")
-    if short < n:
-        raise InstanceParseError(
-            f"line {first_line_no + short}: expected {digits} hex digits, got {lengths[short]}"
-        )
-    mat = np.zeros((n, n_words(d) * 8), dtype=np.uint8)
-    mat[:, :half] = packed
+def _hex_pairs(rows: np.ndarray) -> np.ndarray:
+    """Rows of digits and their LF column as bytes of two digits each, above 0xFF where a digit is not hex."""
+    digits = rows.shape[-1] - 1
+    pairs = _HEX_PAIR.take(rows[..., : digits + 1 & ~1].view("<u2"))
+    if digits % 2:  # an odd row's last pair ends in its LF column, which every caller has checked
+        pairs[..., -1] ^= _LF_TERM
+    return pairs
+
+
+def _rows(pairs: np.ndarray, d: int, first_line_no: int) -> np.ndarray:
+    """One list's _hex_pairs, all hex, as packed rows; row r is line first_line_no + r."""
+    mat = np.zeros((len(pairs), n_words(d) * 8), dtype=np.uint8)
+    mat[:, : pairs.shape[1]] = pairs
     mat = mat.view(np.uint64)
     pad = d % WORD_BITS
     if pad:
         bad = mat[:, -1] >> np.uint64(pad)
         if bad.any():
             row = int(np.nonzero(bad)[0][0])
-            raise InstanceParseError(
-                f"line {first_line_no + row}: nonzero padding bits beyond dimension {d}"
-            )
+            raise InstanceParseError(f"line {first_line_no + row}: nonzero padding bits beyond dimension {d}")
     return mat
+
+
+def _locate_fault(data: np.ndarray, d: int, n: int) -> list[np.ndarray]:
+    """Split a file whose layout read_instance could not prove at every LF, and raise at its first fault.
+
+    Faults are named in the order line count, separator, then each list in turn.
+    """
+    ends = np.flatnonzero(data == _LF)  # line k ends at ends[k - 1]
+    expected = 1 + n + 1 + n
+    if ends.size < expected:
+        raise InstanceParseError(
+            f"line {ends.size + 1}: truncated file, expected {expected} lines, got {ends.size}"
+        )
+    if ends.size > expected:
+        raise InstanceParseError(f"line {expected + 1}: trailing data after {expected} lines")
+    lengths = np.diff(ends) - 1  # lengths[k] is the length of line k + 2
+    if lengths[n]:
+        raise InstanceParseError(f"line {n + 2}: expected a blank separator line")
+    digits = (d + 3) // 4
+    mats = []
+    for start, lens, first_line_no in ((ends[0] + 1, lengths[:n], 2), (ends[n + 1] + 1, lengths[n + 1 :], n + 3)):
+        # rows before the first one of wrong length are checked for hex digits
+        # first, so the error names the first bad line whatever its fault
+        wrong = np.flatnonzero(lens != digits)
+        short = int(wrong[0]) if wrong.size else n
+        text = data[start : start + short * (digits + 1)].reshape(short, digits + 1)
+        pairs = _hex_pairs(text)
+        if short and pairs.max() > 0xFF:
+            row = int(np.argmax((pairs > 0xFF).any(axis=1)))
+            payload = text[row, :digits].tobytes().decode("ascii")
+            raise InstanceParseError(f"line {first_line_no + row}: non-hex payload {payload!r}")
+        if short < n:
+            raise InstanceParseError(
+                f"line {first_line_no + short}: expected {digits} hex digits, got {lens[short]}"
+            )
+        mats.append(_rows(pairs, d, first_line_no))
+    return mats
 
 
 def read_instance(path: str | Path) -> Instance:
     """Parse the instance file at path; raises InstanceParseError with the offending line.
 
-    Lines are found from the offsets of every LF in the file's bytes, and
-    each list is checked and decoded as one (n, digits + 1) array.  A
-    missing final LF is accepted; a CR before an LF is refused.  The header
-    must read exactly as write_instance renders its fields: integers in
-    plain decimal, the model token as printed; any other spelling is refused
-    with the token expected and the one found.
+    The layout the header implies is proven for the whole file at once,
+    and both lists are decoded from one (2, n, digits + 1) view; only a
+    file that fails is walked line by line (module docstring).  A missing
+    final LF is accepted; a CR before an LF is refused.  The header must
+    read exactly as write_instance renders its fields; any other spelling
+    is refused with the token expected and the one found.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -421,24 +456,24 @@ def read_instance(path: str | Path) -> Instance:
         raise InstanceParseError(f"line {line_no}: CRLF line ending; instance files use LF")
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
-    data = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(data == _LF)  # line k ends at ends[k - 1]
-    if not ends.size:
+    head = raw.find(b"\n")
+    if head < 0:
         raise InstanceParseError("line 1: empty file")
-    d, n, gamma, planted, model, seed = _parse_header(raw[: ends[0]].decode("ascii"))
-    expected = 1 + n + 1 + n
-    if ends.size < expected:
-        raise InstanceParseError(
-            f"line {ends.size + 1}: truncated file, expected {expected} lines, got {ends.size}"
-        )
-    if ends.size > expected:
-        raise InstanceParseError(f"line {expected + 1}: trailing data after {expected} lines")
-    lengths = np.diff(ends) - 1  # lengths[k] is the length of line k + 2
-    if lengths[n]:
-        raise InstanceParseError(f"line {n + 2}: expected a blank separator line")
-    mat1 = _parse_rows(data, ends[0] + 1, lengths[:n], 2, d)
-    mat2 = _parse_rows(data, ends[n + 1] + 1, lengths[n + 1 :], n + 3, d)
+    d, n, gamma, planted, model, seed = _parse_header(raw[:head].decode("ascii"))
+    width = (d + 3) // 4 + 1  # a row's digits and its LF
+    size = n * width  # one list's bytes
+    pairs = None
+    # 2n rows of digits and an LF around one blank line fill the file, the second
+    # list just past the separator.  With every digit hex (an LF is not) no other LF exists.
+    if len(raw) == head + 2 + 2 * size and raw[head + 1 + size] == _LF:
+        rows = np.ndarray((2, n, width), np.uint8, buffer=raw, offset=head + 1, strides=(size + 1, width, 1))
+        if (rows[..., -1] == _LF).all():
+            pairs = _hex_pairs(rows)
+    if pairs is not None and pairs.max() <= 0xFF:
+        mats = [_rows(pairs[0], d, 2), _rows(pairs[1], d, n + 3)]
+    else:
+        mats = _locate_fault(np.frombuffer(raw, dtype=np.uint8), d, n)
     try:
-        return Instance(d, n, gamma, mat1, mat2, planted, model, seed)
+        return Instance(d, n, gamma, mats[0], mats[1], planted, model, seed)
     except ValueError as exc:
         raise InstanceParseError(f"line 1: {exc}") from None

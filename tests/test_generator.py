@@ -468,6 +468,95 @@ def test_a_corrupted_row_is_named_with_its_fault_and_line(d, data, tmp_path):
     assert str(exc.value) == f"line {line_no}: {fault}"
 
 
+@pytest.mark.parametrize("d", [1, 5, 63, 64, 65, 128, 200])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_faults_that_keep_the_byte_and_lf_counts_are_named(d, data, tmp_path):
+    """Faults that a check of the file's length and LF count alone would miss name their first faulty line.
+
+    Either a row loses digits that a later row of the same list gains, or a
+    row's LF trades places with one of its digits.
+    """
+    n = data.draw(st.integers(2, 9), label="n")
+    inst = gen_instance(d, n, min(2, d), UNIFORM, seed=data.draw(st.integers(0, 2**32), label="seed"))
+    path = tmp_path / "inst.cpinst"
+    write_instance(inst, path)
+    text = path.read_text(encoding="ascii")
+    lines = text.split("\n")
+    first = n + 3 if data.draw(st.booleans(), label="list 2") else 2  # the list's first line
+    digits = (d + 3) // 4
+    if data.draw(st.booleans(), label="move digits"):
+        row = data.draw(st.integers(0, n - 2), label="row")
+        later = data.draw(st.integers(row + 1, n - 1), label="later row")
+        m = data.draw(st.integers(1, digits), label="digits moved")
+        lines[first - 1 + row] = lines[first - 1 + row][m:]
+        lines[first - 1 + later] += "0" * m
+        faulty = "\n".join(lines)
+    else:
+        row = data.draw(st.integers(0, n - 1), label="row")
+        start = sum(len(line) + 1 for line in lines[: first - 1 + row])
+        pos = start + data.draw(st.integers(0, digits - 1), label="digit")
+        chars = list(text)
+        chars[pos], chars[start + digits] = chars[start + digits], chars[pos]
+        faulty = "".join(chars)
+    assert len(faulty) == len(text) and faulty.count("\n") == text.count("\n")
+    line_no = first + row
+    got = faulty.split("\n")
+    assert all(row_fault(line, d) is None for line in got[first - 1 : line_no - 1])
+    message = f"line {line_no}: {row_fault(got[line_no - 1], d)}"
+    # a swap in a list's last row moves a line break past the separator or the
+    # file's end: the line count and the separator are checked before any row
+    if got[-1]:
+        message = f"line {2 * n + 3}: trailing data after {2 * n + 2} lines"
+    elif got[n + 1]:
+        message = f"line {n + 2}: expected a blank separator line"
+    with pytest.raises(InstanceParseError) as exc:
+        read_instance(_file(tmp_path, faulty))
+    assert str(exc.value) == message
+
+
+def _refusal(path) -> str:
+    """The message read_instance refuses the file at path with."""
+    try:
+        read_instance(path)
+    except InstanceParseError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} was read")
+
+
+@pytest.mark.parametrize("d", [1, 5, 63, 64, 65, 128, 200])
+def test_an_lf_for_a_digit_or_a_digit_for_an_lf_changes_the_line_count(d, tmp_path):
+    """Either keeps the file's length: an LF among the digits, in either place of a pair, or a digit in a row's LF column."""
+    n = 3
+    path = tmp_path / "inst.cpinst"
+    write_instance(gen_instance(d, n, min(2, d), UNIFORM, seed=d), path)
+    text = path.read_bytes()
+    start = text.index(b"\n") + 1  # list 1's first row
+    end = start + (d + 3) // 4  # its LF
+    for pos in range(start, end):
+        path.write_bytes(text[:pos] + b"\n" + text[pos + 1 :])
+        assert _refusal(path) == f"line {2 * n + 3}: trailing data after {2 * n + 2} lines"
+    path.write_bytes(text[:end] + b"0" + text[end + 1 :])
+    assert _refusal(path) == f"line {2 * n + 2}: truncated file, expected {2 * n + 2} lines, got {2 * n + 1}"
+
+
+@pytest.mark.parametrize("d", [1, 5, 63, 64, 65, 128, 200])
+@pytest.mark.parametrize("token", ["uniform", "fixed:0.3", "bernoulli:0.2", "poisson:0.25"])
+def test_a_valid_file_never_reaches_the_fault_locator(d, token, tmp_path, monkeypatch):
+    """A written instance is read by the bulk layout proof alone, with or without its final LF."""
+
+    def locate_fault(*args):
+        raise AssertionError("a valid file was split at every LF")
+
+    monkeypatch.setattr(generator, "_locate_fault", locate_fault)
+    inst = gen_instance(d, 7, min(2, d), DistributionModel.from_token(token), seed=d)
+    path = tmp_path / "inst.cpinst"
+    write_instance(inst, path)
+    assert read_instance(path) == inst
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    assert read_instance(path) == inst
+
+
 def test_crlf_line_endings_are_refused(tmp_path):
     """A CR before an LF names the first such line, before any other check can misread it."""
     with pytest.raises(InstanceParseError) as exc:
@@ -524,4 +613,28 @@ def test_file_layer_makes_no_per_row_calls(tmp_path):
         write_instance(inst, path)  # warm: first calls may import or cache
         read_instance(path)
         counts[n] = (_profiled_calls(write_instance, inst, path), _profiled_calls(read_instance, path))
+    assert counts[64] == counts[4096]
+
+
+def test_a_refused_file_makes_no_per_row_calls(tmp_path):
+    """Refusing a d=64 file for a fault in its last row makes as many calls at n=4096 as at n=64.
+
+    The fault locator splits the file at every LF inside numpy, as the
+    layout proof does its checks, so naming the fault does not grow with n.
+    """
+    counts = {}
+    for n in (64, 4096):
+        inst = gen_instance(64, n, 8, UNIFORM, seed=n)
+        path = tmp_path / f"inst-{n}.cpinst"
+        write_instance(inst, path)
+        text = path.read_bytes()
+        faults = (
+            (text[:-2] + b"z\n", f"line {2 * n + 2}: non-hex payload {(text[-17:-2] + b'z').decode()!r}"),
+            (text[:-2] + b"\n", f"line {2 * n + 2}: expected 16 hex digits, got 15"),
+        )
+        counts[n] = []
+        for faulty, message in faults:
+            path.write_bytes(faulty)
+            assert _refusal(path) == message  # warm: first calls may import or cache
+            counts[n].append(_profiled_calls(_refusal, path))
     assert counts[64] == counts[4096]
